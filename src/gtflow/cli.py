@@ -385,10 +385,12 @@ def _sweep_spectral(cfg: ExperimentConfig, axes: dict, jobs: int) -> list[dict]:
 
 
 def _sweep_dynamics(cfg: ExperimentConfig, axes: dict, jobs: int) -> list[dict]:
-    """Integration verdict per cell; failures are recorded, never fatal."""
+    """Integration verdict per cell; a cell whose solver rejects its values is
+    recorded with the error and the sweep continues."""
+    costs, x0, _ = _build_costs(cfg)
+
     def worker(cell):
         try:
-            costs, x0, _ = _build_costs(cfg)
             schedule = cfgmod.build_schedule(cfg, khop=int(cell["khop"]) if "khop" in cell else None)
             solver = cfgmod.build_solver(
                 cfg, schedule,
@@ -400,7 +402,7 @@ def _sweep_dynamics(cfg: ExperimentConfig, axes: dict, jobs: int) -> list[dict]:
                     "status": trace.status,
                     "final_grad_sum_norm": gn,
                     "stable": trace.status == "completed"}
-        except Exception as err:  # cell-level failures recorded, sweep continues
+        except ValueError as err:
             return {**{k: cell.get(k, None) for k in sorted(axes)},
                     "status": f"error: {err}", "final_grad_sum_norm": float("nan"),
                     "stable": False}

@@ -107,6 +107,9 @@ _ENUMS = {
 
 _SWEEP_AXES = ("alpha", "rho", "khop", "eta")
 
+# the link-map parameter each kind reads, defaulting to 1.0 when absent
+_LEVEL_KEY = {"log_quantizer": "rho", "uniform_quantizer": "rho", "saturation": "limit"}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -245,12 +248,13 @@ def _validate_values(sections, problems):
             problems.append("data.n_points must be at least 2")
     if data["kind"] == "csv" and not data["path"]:
         problems.append("data.path is required when data.kind is 'csv'")
-    if sections["partition"]["n_agents"] < 1:
+    n_agents = sections["partition"]["n_agents"]
+    if n_agents < 1:
         problems.append("partition.n_agents must be positive")
+    if cost["kind"] == "svm" and data["kind"] == "ellipse" and n_agents > data["n_points"]:
+        problems.append(f"partition.n_agents={n_agents} exceeds data.n_points={data['n_points']}")
     if not (0 < net["total_weight"] < 1):
         problems.append("network.total_weight must lie in (0, 1)")
-    if net["khop"] < 1:
-        problems.append("network.khop must be at least 1")
     if net["switch_period"] <= 0:
         problems.append("network.switch_period must be positive")
     if solver["alpha"] <= 0:
@@ -263,11 +267,26 @@ def _validate_values(sections, problems):
         problems.append("solver.sample_stride must be at least 1")
     if cost["C"] <= 0 or cost["mu"] <= 0 or cost["eps_nu"] < 0:
         problems.append("cost requires C > 0, mu > 0, eps_nu >= 0")
+    for line, spec in sections["nonlinearity"].items():
+        key = _LEVEL_KEY.get(spec["kind"])
+        if key is not None and spec.get(key, 1.0) <= 0:
+            problems.append(f"nonlinearity.{line}.{key} must be positive")
+    khops = [("network.khop", net["khop"])]
     for axis, values in sections["sweep"]["axes"].items():
         if axis not in _SWEEP_AXES:
             problems.append(f"sweep axis {axis!r} not in {_SWEEP_AXES}")
         elif not _LIST[1](values) or not values:
             problems.append(f"sweep.axes.{axis} must be a non-empty list of numbers")
+        elif axis == "rho" and min(values) <= 0:
+            problems.append("sweep.axes.rho values must be positive")
+        elif axis == "khop":
+            khops += [("sweep.axes.khop", k) for k in values]
+    # the k-hop ring links each node to k neighbours per side
+    k_max = (n_agents - 1) // 2
+    for name, k in khops:
+        if not 1 <= k <= k_max:
+            problems.append(f"{name}={k} out of range: partition.n_agents={n_agents} "
+                            f"needs 1 <= khop <= (n_agents - 1)//2 = {k_max}")
 
 
 # ------------------------------------------------------------------ builders
@@ -286,19 +305,28 @@ def build_nonlinearity(spec: dict) -> LinkNonlinearity:
 def build_dataset(cfg: ExperimentConfig) -> LabeledDataset:
     data = cfg["data"]
     if data["kind"] == "csv":
-        with open(data["path"], encoding="utf-8") as fh:
-            return dataset_from_csv(fh.read())
-    return generate_ellipse_data(
-        data["n_points"],
-        cfg.section_seed("data", 1),
-        radius=data["radius"],
-        margin_gap=data["margin_gap"],
-    )
+        try:
+            with open(data["path"], encoding="utf-8") as fh:
+                return dataset_from_csv(fh.read())
+        except (OSError, ValueError) as err:
+            raise ConfigError([f"data.path {data['path']!r}: {err}"]) from err
+    try:
+        return generate_ellipse_data(
+            data["n_points"],
+            cfg.section_seed("data", 1),
+            radius=data["radius"],
+            margin_gap=data["margin_gap"],
+        )
+    except ValueError as err:
+        raise ConfigError([f"data: {err}"]) from err
 
 
 def build_partition(cfg: ExperimentConfig, data: LabeledDataset) -> Partition:
     part = cfg["partition"]
-    return partition(data, part["n_agents"], part["mode"], cfg.section_seed("partition", 2))
+    try:
+        return partition(data, part["n_agents"], part["mode"], cfg.section_seed("partition", 2))
+    except ValueError as err:
+        raise ConfigError([f"partition.n_agents={part['n_agents']}: {err}"]) from err
 
 
 def build_schedule(cfg: ExperimentConfig, khop: int | None = None) -> SwitchingSchedule:

@@ -23,8 +23,6 @@ __all__ = [
     "aggregate_hessian",
     "global_cost",
     "sum_gradient",
-    "stack_states",
-    "split_states",
 ]
 
 
@@ -180,9 +178,6 @@ class HessianAggregate:
             H[i * m:(i + 1) * m, i * m:(i + 1) * m] = blk
         return H
 
-    def min_eigenvalue(self) -> float:
-        return min(float(np.linalg.eigvalsh(b).min()) for b in self.blocks)
-
 
 def aggregate_hessian(costs, x_stack: np.ndarray) -> HessianAggregate:
     """Per-agent Hessians at the stacked state (n rows of length m)."""
@@ -208,11 +203,3 @@ def sum_gradient(costs, x_stack: np.ndarray) -> np.ndarray:
         out += c.gradient(X[i])
     return out
 
-
-def stack_states(X: np.ndarray) -> np.ndarray:
-    """(n, m) agent-major block vector of length n*m."""
-    return np.asarray(X, dtype=float).ravel()
-
-
-def split_states(x: np.ndarray, n: int) -> np.ndarray:
-    return np.asarray(x, dtype=float).reshape(n, -1)

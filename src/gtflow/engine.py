@@ -33,7 +33,6 @@ __all__ = [
     "derivative",
     "integrate",
     "conservation_residual",
-    "lyapunov_series",
 ]
 
 BLOWUP_THRESHOLD = 1e12
@@ -55,7 +54,6 @@ class SolverConfig:
     eta: float
     t_end: float
     schedule_x: SwitchingSchedule
-    schedule_y: SwitchingSchedule | None = None
     g_x: LinkNonlinearity = field(default_factory=identity)
     g_y: LinkNonlinearity = field(default_factory=identity)
     method: str = "euler"
@@ -79,8 +77,6 @@ class SolverConfig:
     def aligned_eta(self) -> float:
         """Largest step not exceeding eta that divides the switching period."""
         period = self.schedule_x.switch_period
-        if self.schedule_y is not None:
-            period = min(period, self.schedule_y.switch_period)
         per_interval = int(np.ceil(period / self.eta - 1e-9))
         eta = period / per_interval
         if abs(eta - self.eta) > 1e-12 * self.eta:
@@ -174,7 +170,6 @@ def integrate(
         raise ValueError("one cost handle per agent required")
     eta = config.aligned_eta()
     steps = int(round(config.t_end / eta))
-    sched_y = config.schedule_y or config.schedule_x
 
     if config.y_init == "gradient":
         Y = np.stack([costs[i].gradient(X[i]) for i in range(n)])
@@ -202,32 +197,30 @@ def integrate(
 
     status = "completed"
     max_abs = 0.0
-    lap_cache_key = (-1, -1)
-    Lx = Ly = None
+    interval = -1
+    L = None
     for k in range(steps + 1):
         t = k * eta
         ix = config.schedule_x.interval_index(t)
-        iy = sched_y.interval_index(t)
-        if (ix, iy) != lap_cache_key:
-            Lx = laplacian(graph_at(config.schedule_x, t))
-            Ly = Lx if sched_y is config.schedule_x else laplacian(graph_at(sched_y, t))
-            lap_cache_key = (ix, iy)
+        if ix != interval:
+            L = laplacian(graph_at(config.schedule_x, t))
+            interval = ix
         if k % stride == 0:
             record(t, X, Y)
         if k == steps:
             break
         if config.method == "euler":
-            dX, dY = derivative(X, Y, Lx, Ly, costs, config.alpha, config.g_x, config.g_y)
+            dX, dY = derivative(X, Y, L, L, costs, config.alpha, config.g_x, config.g_y)
             X = X + eta * dX
             Y = Y + eta * dY
         else:
-            k1x, k1y = derivative(X, Y, Lx, Ly, costs, config.alpha, config.g_x, config.g_y)
+            k1x, k1y = derivative(X, Y, L, L, costs, config.alpha, config.g_x, config.g_y)
             k2x, k2y = derivative(X + 0.5 * eta * k1x, Y + 0.5 * eta * k1y,
-                                  Lx, Ly, costs, config.alpha, config.g_x, config.g_y)
+                                  L, L, costs, config.alpha, config.g_x, config.g_y)
             k3x, k3y = derivative(X + 0.5 * eta * k2x, Y + 0.5 * eta * k2y,
-                                  Lx, Ly, costs, config.alpha, config.g_x, config.g_y)
+                                  L, L, costs, config.alpha, config.g_x, config.g_y)
             k4x, k4y = derivative(X + eta * k3x, Y + eta * k3y,
-                                  Lx, Ly, costs, config.alpha, config.g_x, config.g_y)
+                                  L, L, costs, config.alpha, config.g_x, config.g_y)
             X = X + (eta / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
             Y = Y + (eta / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
         largest = max(np.abs(X).max(), np.abs(Y).max())
@@ -257,11 +250,3 @@ def conservation_residual(trace: Trace) -> float:
     """Worst recorded drift of the conserved tracker-minus-gradient sum."""
     return float(trace.conservation.max()) if trace.conservation.size else 0.0
 
-
-def lyapunov_series(trace: Trace, reference: np.ndarray) -> np.ndarray:
-    """V(t) = 0.5 ||[x; y] - [x*; 0]||^2 along the recorded samples."""
-    ref = np.asarray(reference, dtype=float)
-    dx = trace.states_x - ref[None, :, :] if ref.ndim == 2 else trace.states_x - ref
-    v = 0.5 * (np.sum(dx.reshape(dx.shape[0], -1) ** 2, axis=1)
-               + np.sum(trace.states_y.reshape(dx.shape[0], -1) ** 2, axis=1))
-    return v

@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "LinkNonlinearity",
     "SectorBounds",
-    "LinkGainSnapshot",
     "identity",
     "log_quantizer",
     "uniform_quantizer",
@@ -104,16 +103,6 @@ class SectorBounds:
     def ratio(self) -> float:
         """Sector-bound ratio upper/kappa (inf when not strongly sign-preserving)."""
         return self.upper / self.kappa if self.kappa > 0 else math.inf
-
-
-@dataclass(frozen=True)
-class LinkGainSnapshot:
-    """Instantaneous componentwise gains g(z)/z for a stacked state vector."""
-
-    xi: np.ndarray
-
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.xi)
 
 
 def apply(g: LinkNonlinearity, z):
@@ -268,7 +257,7 @@ def verify_link_properties(
 
 def gain_snapshot(
     g: LinkNonlinearity, state: np.ndarray, bounds: SectorBounds | None = None
-) -> LinkGainSnapshot:
+) -> np.ndarray:
     """Componentwise gains xi = g(z)/z; exact zeros get the sector midpoint.
 
     Any value in [kappa, upper] keeps the diagonal ordering valid at a zero
@@ -281,4 +270,4 @@ def gain_snapshot(
     nz = z != 0
     xi[nz] = apply(g, z[nz]) / z[nz]
     xi[~nz] = 0.5 * (bounds.kappa + bounds.upper)
-    return LinkGainSnapshot(xi)
+    return xi

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import HessianAggregate
-from .nonlinear import LinkGainSnapshot
 
 __all__ = [
     "SystemMatrices",
@@ -36,17 +35,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SystemMatrices:
-    """Assembled 2nm-by-2nm system blocks.
+    """Assembled 2nm-by-2nm system blocks plus the n-by-n Laplacians.
 
     ``full`` always reconstructs exactly as ``diffusion + alpha * descent``;
-    with unit link gains ``diffusion`` equals ``diffusion_unit`` and ``full``
-    is the linear-link system matrix.
+    with unit link gains ``full`` is the linear-link system matrix.
     """
 
     diffusion: np.ndarray       # gain-scaled alpha-independent part
-    diffusion_unit: np.ndarray  # same blocks with unit gains
     descent: np.ndarray         # blocks multiplied by the step size
     full: np.ndarray
+    lap_x: np.ndarray
+    lap_y: np.ndarray
     alpha: float
     n: int
     m: int
@@ -56,7 +55,7 @@ def assemble(
     lap_x: np.ndarray,
     lap_y: np.ndarray,
     hess: HessianAggregate,
-    gains: LinkGainSnapshot | np.ndarray | None,
+    gains: np.ndarray | None,
     alpha: float,
     m: int,
 ) -> SystemMatrices:
@@ -76,40 +75,32 @@ def assemble(
         raise ValueError("Laplacians must be square and equally sized")
     if hess.n != n or hess.m != m:
         raise ValueError("Hessian blocks do not match (n, m)")
-    if gains is None:
-        xi = np.ones(n * m)
-    else:
-        xi = gains.xi if isinstance(gains, LinkGainSnapshot) else np.asarray(gains, dtype=float)
+    xi = np.ones(n * m) if gains is None else np.asarray(gains, dtype=float)
     if xi.shape != (n * m,):
         raise ValueError(f"gain vector must have length n*m={n*m}")
 
     I_m = np.eye(m)
-    Lx = np.kron(lap_x, I_m)
-    Ly = np.kron(lap_y, I_m)
+    LxG = np.kron(lap_x, I_m) * xi[None, :]
+    LyG = np.kron(lap_y, I_m) * xi[None, :]
     H = hess.dense()
     nm = n * m
     zero = np.zeros((nm, nm))
-
-    def _diffusion(gain_vec):
-        LxG = Lx * gain_vec[None, :]
-        LyG = Ly * gain_vec[None, :]
-        return np.block([[LxG, zero], [H @ LxG, LyG]])
-
-    diffusion = _diffusion(xi)
-    diffusion_unit = diffusion if gains is None else _diffusion(np.ones(nm))
+    diffusion = np.block([[LxG, zero], [H @ LxG, LyG]])
     descent = np.block([[zero, -np.eye(nm)], [zero, -H]])
-    return SystemMatrices(diffusion, diffusion_unit, descent,
-                          diffusion + alpha * descent, alpha, n, m)
+    return SystemMatrices(diffusion, descent, diffusion + alpha * descent,
+                          lap_x, lap_y, alpha, n, m)
 
 
 @dataclass(frozen=True)
 class SpectralReport:
     """Eigenstructure verdict for one assembled system.
 
-    ``slowest_decay`` and ``spectral_radius`` are taken from the unit-gain
-    diffusion matrix (whose spectrum is the union of the two lifted Laplacian
-    spectra); they feed the step-size bound formulas. ``stable`` means the
-    zero eigenvalue count is exactly m and everything else decays.
+    ``slowest_decay`` and ``spectral_radius`` describe the unit-gain
+    diffusion matrix; it is block lower-triangular, so its spectrum is the
+    union of the two Laplacian spectra (each eigenvalue repeated m times) and
+    both values are read off the n-by-n Laplacians. They feed the step-size
+    bound formulas. ``stable`` means the zero eigenvalue count is exactly m
+    and everything else decays.
     """
 
     eigenvalues: np.ndarray
@@ -147,11 +138,10 @@ def spectral_report(mats: SystemMatrices, zero_tol: float | None = None) -> Spec
     tol = 1e-8 * scale if zero_tol is None else zero_tol
     zero_count, max_re = spectrum_summary(eigs, tol)
 
-    base = np.linalg.eigvals(mats.diffusion_unit)
-    base_tol = 1e-8 * float(np.abs(base).max()) if base.size else 0.0
-    nonzero = base[np.abs(base) > base_tol]
+    base = np.concatenate([np.linalg.eigvals(mats.lap_x), np.linalg.eigvals(mats.lap_y)])
+    radius = float(np.abs(base).max())
+    nonzero = base[np.abs(base) > 1e-8 * radius]
     slowest = float(np.abs(nonzero.real).min()) if nonzero.size else 0.0
-    radius = float(np.abs(base).max()) if base.size else 0.0
 
     return SpectralReport(eigs, zero_count, max_re, slowest, radius, mats.m, tol)
 
@@ -184,7 +174,7 @@ def eigen_derivative_check(
     lap_x: np.ndarray,
     lap_y: np.ndarray,
     hess: HessianAggregate,
-    gains: LinkGainSnapshot | np.ndarray | None = None,
+    gains: np.ndarray | None = None,
     eps: float = 1e-6,
 ) -> EigenDerivativeReport:
     """How the 2m-fold zero eigenvalue splits when the step size turns on.
@@ -198,10 +188,7 @@ def eigen_derivative_check(
     one-sided slopes.
     """
     n, m = hess.n, hess.m
-    if gains is None:
-        xi = np.ones(n * m)
-    else:
-        xi = gains.xi if isinstance(gains, LinkGainSnapshot) else np.asarray(gains, dtype=float)
+    xi = np.ones(n * m) if gains is None else np.asarray(gains, dtype=float)
 
     # display-convention reduced matrix (unnormalized ones eigenvectors)
     ones = np.zeros((n * m, m))
@@ -430,9 +417,3 @@ def stability_sweep(
                                    rep.max_nonzero_real, rep.stable))
     return cells
 
-
-def sweep_to_csv(cells: list[SweepCell]) -> str:
-    lines = ["alpha,xi_regime,zero_count,max_nonzero_real,stable"]
-    for c in cells:
-        lines.append(f"{c.alpha!r},{c.xi_label},{c.zero_count},{c.max_nonzero_real!r},{int(c.stable)}")
-    return "\n".join(lines) + "\n"

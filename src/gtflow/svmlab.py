@@ -363,12 +363,15 @@ def dataset_to_csv(data: LabeledDataset) -> str:
 
 
 def dataset_from_csv(text: str) -> LabeledDataset:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip().lower() != "chi1,chi2,label":
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1].strip().lower() != "chi1,chi2,label":
         raise ValueError("dataset CSV must start with header 'chi1,chi2,label'")
     pts, labs = [], []
-    for ln in lines[1:]:
-        a, b, l = ln.split(",")
-        pts.append((float(a), float(b)))
-        labs.append(float(l))
+    for no, ln in lines[1:]:
+        try:
+            a, b, l = (float(v) for v in ln.split(","))
+        except ValueError as err:
+            raise ValueError(f"line {no}: {err}") from None
+        pts.append((a, b))
+        labs.append(l)
     return LabeledDataset(np.array(pts), np.array(labs))

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from gtflow import spectral
+from gtflow import cli, spectral
 from gtflow.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from gtflow.verify import theorem1_suite
 
@@ -48,6 +49,70 @@ def test_run_invalid_config_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, {"seed": 1, "solver": {"alpha": -2.0}})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "alpha must be positive" in capsys.readouterr().err
+
+
+CROSS_FIELD_CASES = {
+    "khop-too-large": ({"network": {"khop": 3}, "partition": {"n_agents": 5}},
+                       ["network.khop=3 out of range"]),
+    "two-agents": ({"partition": {"n_agents": 2}}, ["network.khop=2 out of range"]),
+    "rho-zero": ({"nonlinearity": {"kind": "log_quantizer", "rho": 0}},
+                 ["nonlinearity.x.rho must be positive", "nonlinearity.y.rho must be positive"]),
+    "limit-negative": ({"nonlinearity": {"x": {"kind": "saturation", "limit": -1.0}}},
+                       ["nonlinearity.x.limit must be positive"]),
+    "too-few-points": ({"data": {"n_points": 4}, "partition": {"n_agents": 5}},
+                       ["partition.n_agents=5 exceeds data.n_points=4"]),
+    "sweep-khop": ({"partition": {"n_agents": 5},
+                    "sweep": {"mode": "dynamics", "axes": {"khop": [1, 3]}}},
+                   ["sweep.axes.khop=3 out of range"]),
+    "sweep-rho": ({"sweep": {"axes": {"rho": [0.5, -0.5]}}},
+                  ["sweep.axes.rho values must be positive"]),
+    "all-at-once": ({"partition": {"n_agents": 2},
+                     "nonlinearity": {"kind": "uniform_quantizer", "rho": -1}},
+                    ["network.khop=2 out of range", "nonlinearity.x.rho must be positive"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CROSS_FIELD_CASES))
+def test_cross_field_config_problems_exit_3(tmp_path, capsys, case):
+    body, messages = CROSS_FIELD_CASES[case]
+    cfg = write_config(tmp_path, {"seed": 1, **body})
+    for command in ("bounds", "sweep"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:")
+        for message in messages:
+            assert message in err
+
+
+def test_missing_dataset_csv_exits_3(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    cfg = write_config(tmp_path, {"seed": 1, "data": {"kind": "csv", "path": str(missing)}})
+    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"data.path {str(missing)!r}" in err
+    assert "No such file" in err
+
+
+def test_malformed_dataset_csv_exits_3(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("chi1,chi2,label\n0.1,0.2,1\n\n0.3,abc,-1\n", encoding="utf-8")
+    cfg = write_config(tmp_path, {"seed": 1, "data": {"kind": "csv", "path": str(data)}})
+    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"data.path {str(data)!r}" in err
+    assert "line 4: could not convert string to float" in err
+
+
+def test_sweep_dynamics_programming_error_propagates(tmp_path, monkeypatch):
+    def broken_integrate(costs, x0, config):
+        raise TypeError("integrate bug")
+
+    monkeypatch.setattr(cli, "integrate", broken_integrate)
+    body = {**QUAD_CONFIG, "sweep": {"mode": "dynamics", "t_end": 1.0,
+                                     "axes": {"alpha": [0.1, 0.2]}}}
+    cfg = write_config(tmp_path, body)
+    with pytest.raises(TypeError, match="integrate bug"):
+        main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
 
 
 def test_run_divergent_config_exits_2(tmp_path):
@@ -175,8 +240,7 @@ def test_theorem1_suite_catches_sign_mutation():
     def broken_assemble(lap_x, lap_y, hess, gains, alpha, m):
         mats = spectral.assemble(lap_x, lap_y, hess, gains, alpha, m)
         full = mats.diffusion - alpha * mats.descent
-        return spectral.SystemMatrices(mats.diffusion, mats.diffusion_unit,
-                                       -mats.descent, full, alpha, mats.n, mats.m)
+        return dataclasses.replace(mats, descent=-mats.descent, full=full)
 
     result = theorem1_suite(fixtures=40, seed=5, assemble_fn=broken_assemble)
     assert not result.passed

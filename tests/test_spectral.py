@@ -33,7 +33,6 @@ def test_assemble_two_node_by_hand():
 def test_assemble_reconstruction_identity():
     mats = two_node_system(alpha=0.37)
     assert (mats.full == mats.diffusion + 0.37 * mats.descent).all()
-    assert (mats.diffusion == mats.diffusion_unit).all()
 
 
 def test_assemble_alpha_zero_spectrum_is_laplacian_union():
@@ -84,6 +83,26 @@ def test_spectral_report_alpha_zero_doubles_zeros():
     rep = spectral_report(assemble(lap, lap, hess, None, 0.0, 2))
     assert rep.zero_count == 4  # 2m zeros: both Laplacians contribute
     assert not rep.stable
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_spectral_report_bound_constants_match_unit_gain_diffusion(directed):
+    n, m = 7, 3
+    lap = laplacian(make_khop_ring(n, 2, 0.8, directed=directed))
+    rng = np.random.default_rng(4)
+    blocks = []
+    for _ in range(n):
+        a = rng.normal(size=(m, m))
+        blocks.append(a @ a.T + np.eye(m))
+    hess = HessianAggregate(tuple(blocks), 1.0)
+    base = np.linalg.eigvals(assemble(lap, lap, hess, None, 0.0, m).diffusion)
+    radius = np.abs(base).max()
+    slowest = np.abs(base[np.abs(base) > 1e-8 * radius].real).min()
+    # the constants describe the unit-gain diffusion whatever gains and alpha
+    gains = rng.uniform(0.5, 2.0, size=n * m)
+    rep = spectral_report(assemble(lap, lap, hess, gains, 0.7, m))
+    assert rep.spectral_radius == pytest.approx(radius, rel=1e-6)
+    assert rep.slowest_decay == pytest.approx(slowest, rel=1e-6)
 
 
 def test_spectral_report_large_alpha_goes_unstable_on_directed_ring():
