@@ -127,7 +127,7 @@ def _combined_sector(cfg: ExperimentConfig, mode: str = "linearized"):
 
     bx = line_bounds(cfg.sections["nonlinearity"]["x"])
     by = line_bounds(cfg.sections["nonlinearity"]["y"])
-    return min(bx.kappa, by.kappa), max(bx.upper, by.upper), bx, by
+    return min(bx.kappa, by.kappa), max(bx.upper, by.upper)
 
 
 def _initial_state(cfg: ExperimentConfig, n: int, m: int) -> np.ndarray:
@@ -140,9 +140,9 @@ def _bound_report(cfg: ExperimentConfig, costs, x0):
     lap = laplacian(schedule.base_graph)
     hess = aggregate_hessian(costs, x0)
     m = x0.shape[1]
-    base = spectral.assemble(lap, lap, hess, None, 0.0, m)
+    base = spectral.assemble(lap, hess, None, 0.0, m)
     rep = spectral.spectral_report(base)
-    kappa, upper, _, _ = _combined_sector(cfg)
+    kappa, upper = _combined_sector(cfg)
     if kappa <= 0:
         # dead-zone links: no positive lower sector slope exists; report the
         # bounds for the identity envelope and flag it
@@ -344,7 +344,8 @@ def _sweep_spectral(cfg: ExperimentConfig, axes: dict, jobs: int) -> list[dict]:
 
     For each cell the gains are pinned at the sector edges and at a seeded
     random draw inside the sector; the cell is stable only if every regime
-    is. Uses the tight (envelope) sector for the gain draws.
+    is. The gains live in the tight (envelope) sector; the tabulated ratio
+    uses the linearized convention.
     """
     costs, x0, _ = _build_costs(cfg)
     m = x0.shape[1]
@@ -352,20 +353,12 @@ def _sweep_spectral(cfg: ExperimentConfig, axes: dict, jobs: int) -> list[dict]:
     hess = aggregate_hessian(costs, x0)
 
     def worker(cell):
-        alpha = cell.get("alpha", cfg["solver"]["alpha"])
-        khop = int(cell.get("khop", cfg["network"]["khop"]))
-        lap = laplacian(cfgmod.build_schedule(cfg, khop=khop).base_graph)
-        if "rho" in cell:
-            rho = cell["rho"]
-            # gains live in the exact envelope; the tabulated ratio uses the
-            # linearized convention
-            kappa, upper = np.exp(-rho / 2), np.exp(rho / 2)
-            ratio = (1 + rho / 2) / (1 - rho / 2) if rho < 2 else float("inf")
-        else:
-            kappa, upper, bx, _ = _combined_sector(cfg, mode="tight")
-            kappa = max(kappa, 1e-9)
-            kp, up, _, _ = _combined_sector(cfg)
-            ratio = up / kp if kp > 0 else float("inf")
+        cell_cfg = cfgmod.sweep_cell(cfg, cell)
+        lap = laplacian(cfgmod.build_schedule(cell_cfg).base_graph)
+        kappa, upper = _combined_sector(cell_cfg, mode="tight")
+        kappa = max(kappa, 1e-9)
+        kp, up = _combined_sector(cell_cfg)
+        ratio = up / kp if kp > 0 else float("inf")
         rng = np.random.default_rng([cfg.seed + 11, *(int(v * 1e6) for v in cell.values())])
         regimes = {
             "lower": np.full(n * m, kappa),
@@ -373,7 +366,7 @@ def _sweep_spectral(cfg: ExperimentConfig, axes: dict, jobs: int) -> list[dict]:
             "upper": np.full(n * m, upper),
             "random": rng.uniform(kappa, upper, size=n * m),
         }
-        cells_out = spectral.stability_sweep(lap, lap, hess, [alpha], regimes)
+        cells_out = spectral.stability_sweep(lap, hess, [cell_cfg["solver"]["alpha"]], regimes)
         worst = min(cells_out, key=lambda c: c.stable)
         return {**{k: cell.get(k, None) for k in sorted(axes)},
                 "sector_ratio": ratio,
@@ -385,27 +378,18 @@ def _sweep_spectral(cfg: ExperimentConfig, axes: dict, jobs: int) -> list[dict]:
 
 
 def _sweep_dynamics(cfg: ExperimentConfig, axes: dict, jobs: int) -> list[dict]:
-    """Integration verdict per cell; a cell whose solver rejects its values is
-    recorded with the error and the sweep continues."""
+    """Integration verdict per cell, over ``sweep.t_end``."""
     costs, x0, _ = _build_costs(cfg)
 
     def worker(cell):
-        try:
-            schedule = cfgmod.build_schedule(cfg, khop=int(cell["khop"]) if "khop" in cell else None)
-            solver = cfgmod.build_solver(
-                cfg, schedule,
-                alpha=cell.get("alpha"), eta=cell.get("eta"),
-                rho=cell.get("rho"), t_end=cfg["sweep"]["t_end"])
-            trace = integrate(costs, x0, solver)
-            gn = float(np.linalg.norm(sum_gradient(costs, trace.final_x)))
-            return {**{k: cell.get(k, None) for k in sorted(axes)},
-                    "status": trace.status,
-                    "final_grad_sum_norm": gn,
-                    "stable": trace.status == "completed"}
-        except ValueError as err:
-            return {**{k: cell.get(k, None) for k in sorted(axes)},
-                    "status": f"error: {err}", "final_grad_sum_norm": float("nan"),
-                    "stable": False}
+        cell_cfg = cfgmod.sweep_cell(cfg, cell)
+        solver = cfgmod.build_solver(cell_cfg, cfgmod.build_schedule(cell_cfg))
+        trace = integrate(costs, x0, solver)
+        gn = float(np.linalg.norm(sum_gradient(costs, trace.final_x)))
+        return {**{k: cell.get(k, None) for k in sorted(axes)},
+                "status": trace.status,
+                "final_grad_sum_norm": gn,
+                "stable": trace.status == "completed"}
 
     return _run_cells(_axis_grid(axes), worker, jobs)
 

@@ -109,6 +109,28 @@ _SWEEP_AXES = ("alpha", "rho", "khop", "eta")
 
 # the link-map parameter each kind reads, defaulting to 1.0 when absent
 _LEVEL_KEY = {"log_quantizer": "rho", "uniform_quantizer": "rho", "saturation": "limit"}
+_QUANTIZERS = {"log_quantizer", "uniform_quantizer"}
+
+
+def sweep_cell(cfg: ExperimentConfig, cell: dict) -> ExperimentConfig:
+    """The config of one sweep cell, built and run like any other config.
+
+    ``alpha`` and ``eta`` go to the solver, ``khop`` to the network and
+    ``rho`` to every quantizer line; the solver horizon becomes
+    ``sweep.t_end``.
+    """
+    raw = json.loads(cfg.to_json())  # deep copy: normalized() shares the line dicts
+    for axis in ("alpha", "eta"):
+        if axis in cell:
+            raw["solver"][axis] = cell[axis]
+    if "khop" in cell:
+        raw["network"]["khop"] = int(cell["khop"])
+    if "rho" in cell:
+        for spec in raw["nonlinearity"].values():
+            if spec["kind"] in _QUANTIZERS:
+                spec["rho"] = cell["rho"]
+    raw["solver"]["t_end"] = raw["sweep"]["t_end"]
+    return parse_config(json.dumps(raw))
 
 
 @dataclass(frozen=True)
@@ -271,16 +293,30 @@ def _validate_values(sections, problems):
         key = _LEVEL_KEY.get(spec["kind"])
         if key is not None and spec.get(key, 1.0) <= 0:
             problems.append(f"nonlinearity.{line}.{key} must be positive")
+        elif spec["kind"] == "log_quantizer" and spec.get("rho", 1.0) >= 2:
+            problems.append(f"nonlinearity.{line}.rho={spec['rho']} must be below 2: the "
+                            "log_quantizer's linearized lower bound 1 - rho/2 must be positive")
+    if sections["sweep"]["t_end"] <= 0:
+        problems.append("sweep.t_end must be positive")
+    kinds = {spec["kind"] for spec in sections["nonlinearity"].values()}
     khops = [("network.khop", net["khop"])]
     for axis, values in sections["sweep"]["axes"].items():
         if axis not in _SWEEP_AXES:
             problems.append(f"sweep axis {axis!r} not in {_SWEEP_AXES}")
         elif not _LIST[1](values) or not values:
             problems.append(f"sweep.axes.{axis} must be a non-empty list of numbers")
-        elif axis == "rho" and min(values) <= 0:
-            problems.append("sweep.axes.rho values must be positive")
         elif axis == "khop":
             khops += [("sweep.axes.khop", k) for k in values]
+        else:
+            if min(values) <= 0:
+                problems.append(f"sweep.axes.{axis} values must be positive")
+            if axis == "rho" and not kinds & _QUANTIZERS:
+                problems.append("sweep.axes.rho sets the quantizer level, but no nonlinearity "
+                                "line is a log_quantizer or uniform_quantizer")
+            elif axis == "rho" and "log_quantizer" in kinds and max(values) >= 2:
+                problems.append(f"sweep.axes.rho={max(values)} must be below 2: the "
+                                "log_quantizer's linearized lower bound 1 - rho/2 must be "
+                                "positive")
     # the k-hop ring links each node to k neighbours per side
     k_max = (n_agents - 1) // 2
     for name, k in khops:
@@ -329,42 +365,29 @@ def build_partition(cfg: ExperimentConfig, data: LabeledDataset) -> Partition:
         raise ConfigError([f"partition.n_agents={part['n_agents']}: {err}"]) from err
 
 
-def build_schedule(cfg: ExperimentConfig, khop: int | None = None) -> SwitchingSchedule:
+def build_schedule(cfg: ExperimentConfig) -> SwitchingSchedule:
     net = cfg["network"]
-    base = make_khop_ring(cfg["partition"]["n_agents"], khop or net["khop"],
+    base = make_khop_ring(cfg["partition"]["n_agents"], net["khop"],
                           net["total_weight"], directed=net["directed"])
     return SwitchingSchedule(base, net["switch_period"],
                              rng_seed=cfg.section_seed("network", 3),
                              mode=SwitchMode(net["switch_mode"]))
 
 
-def build_solver(cfg: ExperimentConfig, schedule: SwitchingSchedule,
-                 alpha: float | None = None, eta: float | None = None,
-                 rho: float | None = None,
-                 t_end: float | None = None) -> SolverConfig:
+def build_solver(cfg: ExperimentConfig, schedule: SwitchingSchedule) -> SolverConfig:
     solver = cfg["solver"]
     nl_cfg = cfg.sections["nonlinearity"]
-    g_x, g_y = build_nonlinearity(nl_cfg["x"]), build_nonlinearity(nl_cfg["y"])
-    if rho is not None:
-        g_x = _with_rho(nl_cfg["x"], rho)
-        g_y = _with_rho(nl_cfg["y"], rho)
     return SolverConfig(
-        alpha=alpha if alpha is not None else solver["alpha"],
-        eta=eta if eta is not None else solver["eta"],
-        t_end=t_end if t_end is not None else solver["t_end"],
-        schedule_x=schedule,
-        g_x=g_x,
-        g_y=g_y,
+        alpha=solver["alpha"],
+        eta=solver["eta"],
+        t_end=solver["t_end"],
+        schedule=schedule,
+        g_x=build_nonlinearity(nl_cfg["x"]),
+        g_y=build_nonlinearity(nl_cfg["y"]),
         method=solver["method"],
         y_init=solver["y_init"],
         sample_stride=solver["sample_stride"],
     )
-
-
-def _with_rho(spec: dict, rho: float) -> LinkNonlinearity:
-    if spec["kind"] in ("log_quantizer", "uniform_quantizer"):
-        return build_nonlinearity({**spec, "rho": rho})
-    return build_nonlinearity(spec)
 
 
 def build_quadratic_costs(cfg: ExperimentConfig) -> list[QuadraticCost]:

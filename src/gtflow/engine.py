@@ -3,7 +3,7 @@
 Per agent i the flow is
 
     dx_i/dt = -sum_j w_ij (g_x(x_i) - g_x(x_j)) - alpha * y_i
-    dy_i/dt = -sum_j a_ij (g_y(y_i) - g_y(y_j)) + hess_i(x_i) dx_i/dt
+    dy_i/dt = -sum_j w_ij (g_y(y_i) - g_y(y_j)) + hess_i(x_i) dx_i/dt
 
 with the tracker's gradient-derivative term realized through the Hessian
 chain rule on the just-computed state derivative. That choice makes one
@@ -53,7 +53,7 @@ class SolverConfig:
     alpha: float
     eta: float
     t_end: float
-    schedule_x: SwitchingSchedule
+    schedule: SwitchingSchedule
     g_x: LinkNonlinearity = field(default_factory=identity)
     g_y: LinkNonlinearity = field(default_factory=identity)
     method: str = "euler"
@@ -76,7 +76,7 @@ class SolverConfig:
 
     def aligned_eta(self) -> float:
         """Largest step not exceeding eta that divides the switching period."""
-        period = self.schedule_x.switch_period
+        period = self.schedule.switch_period
         per_interval = int(np.ceil(period / self.eta - 1e-9))
         eta = period / per_interval
         if abs(eta - self.eta) > 1e-12 * self.eta:
@@ -138,16 +138,15 @@ class Trace:
 def derivative(
     X: np.ndarray,
     Y: np.ndarray,
-    lap_x: np.ndarray,
-    lap_y: np.ndarray,
+    lap: np.ndarray,
     costs,
     alpha: float,
     g_x: LinkNonlinearity,
     g_y: LinkNonlinearity,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (dX, dY) at one operating point; graphs frozen by the caller."""
-    dX = lap_x @ apply(g_x, X) - alpha * Y
-    dY = lap_y @ apply(g_y, Y) + np.stack(
+    """Stacked (dX, dY) at one operating point; the graph is frozen by the caller."""
+    dX = lap @ apply(g_x, X) - alpha * Y
+    dY = lap @ apply(g_y, Y) + np.stack(
         [costs[i].hessian(X[i]) @ dX[i] for i in range(len(costs))])
     return dX, dY
 
@@ -186,10 +185,11 @@ def integrate(
         rec["x"].append(X.copy())
         rec["y"].append(Y.copy())
         rec["F"].append(global_cost(costs, X))
-        rec["gn"].append(float(np.linalg.norm(sum_gradient(costs, X))))
+        grad_sum = sum_gradient(costs, X)
+        rec["gn"].append(float(np.linalg.norm(grad_sum)))
         xbar = X.mean(axis=0)
         rec["ce"].append(float(np.max(np.linalg.norm(X - xbar, axis=1))))
-        drift = (Y.sum(axis=0) - sum_gradient(costs, X)) - offset0
+        drift = (Y.sum(axis=0) - grad_sum) - offset0
         rec["cons"].append(float(np.linalg.norm(drift)))
         if reference is not None:
             dx = X - reference
@@ -201,26 +201,26 @@ def integrate(
     L = None
     for k in range(steps + 1):
         t = k * eta
-        ix = config.schedule_x.interval_index(t)
+        ix = config.schedule.interval_index(t)
         if ix != interval:
-            L = laplacian(graph_at(config.schedule_x, t))
+            L = laplacian(graph_at(config.schedule, t))
             interval = ix
         if k % stride == 0:
             record(t, X, Y)
         if k == steps:
             break
         if config.method == "euler":
-            dX, dY = derivative(X, Y, L, L, costs, config.alpha, config.g_x, config.g_y)
+            dX, dY = derivative(X, Y, L, costs, config.alpha, config.g_x, config.g_y)
             X = X + eta * dX
             Y = Y + eta * dY
         else:
-            k1x, k1y = derivative(X, Y, L, L, costs, config.alpha, config.g_x, config.g_y)
+            k1x, k1y = derivative(X, Y, L, costs, config.alpha, config.g_x, config.g_y)
             k2x, k2y = derivative(X + 0.5 * eta * k1x, Y + 0.5 * eta * k1y,
-                                  L, L, costs, config.alpha, config.g_x, config.g_y)
+                                  L, costs, config.alpha, config.g_x, config.g_y)
             k3x, k3y = derivative(X + 0.5 * eta * k2x, Y + 0.5 * eta * k2y,
-                                  L, L, costs, config.alpha, config.g_x, config.g_y)
+                                  L, costs, config.alpha, config.g_x, config.g_y)
             k4x, k4y = derivative(X + eta * k3x, Y + eta * k3y,
-                                  L, L, costs, config.alpha, config.g_x, config.g_y)
+                                  L, costs, config.alpha, config.g_x, config.g_y)
             X = X + (eta / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
             Y = Y + (eta / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
         largest = max(np.abs(X).max(), np.abs(Y).max())

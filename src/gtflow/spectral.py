@@ -35,7 +35,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SystemMatrices:
-    """Assembled 2nm-by-2nm system blocks plus the n-by-n Laplacians.
+    """Assembled 2nm-by-2nm system blocks plus the n-by-n Laplacian.
 
     ``full`` always reconstructs exactly as ``diffusion + alpha * descent``;
     with unit link gains ``full`` is the linear-link system matrix.
@@ -44,16 +44,14 @@ class SystemMatrices:
     diffusion: np.ndarray       # gain-scaled alpha-independent part
     descent: np.ndarray         # blocks multiplied by the step size
     full: np.ndarray
-    lap_x: np.ndarray
-    lap_y: np.ndarray
+    lap: np.ndarray
     alpha: float
     n: int
     m: int
 
 
 def assemble(
-    lap_x: np.ndarray,
-    lap_y: np.ndarray,
+    lap: np.ndarray,
     hess: HessianAggregate,
     gains: np.ndarray | None,
     alpha: float,
@@ -61,34 +59,31 @@ def assemble(
 ) -> SystemMatrices:
     """Exact block assembly of the linearized system.
 
-    ``lap_x``/``lap_y`` are the n-by-n Laplacians driving the state and
-    tracker lines; the Kronecker lift to m components is materialized here.
+    ``lap`` is the n-by-n Laplacian driving both the state and the tracker
+    line; its Kronecker lift to m components is materialized here.
     ``gains`` is the length-nm diagonal of instantaneous link gains (None
     means unit gains).
     """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    lap_x = np.asarray(lap_x, dtype=float)
-    lap_y = np.asarray(lap_y, dtype=float)
-    n = lap_x.shape[0]
-    if lap_x.shape != (n, n) or lap_y.shape != (n, n):
-        raise ValueError("Laplacians must be square and equally sized")
+    lap = np.asarray(lap, dtype=float)
+    n = lap.shape[0]
+    if lap.shape != (n, n):
+        raise ValueError("the Laplacian must be square")
     if hess.n != n or hess.m != m:
         raise ValueError("Hessian blocks do not match (n, m)")
     xi = np.ones(n * m) if gains is None else np.asarray(gains, dtype=float)
     if xi.shape != (n * m,):
         raise ValueError(f"gain vector must have length n*m={n*m}")
 
-    I_m = np.eye(m)
-    LxG = np.kron(lap_x, I_m) * xi[None, :]
-    LyG = np.kron(lap_y, I_m) * xi[None, :]
+    LG = np.kron(lap, np.eye(m)) * xi[None, :]
     H = hess.dense()
     nm = n * m
     zero = np.zeros((nm, nm))
-    diffusion = np.block([[LxG, zero], [H @ LxG, LyG]])
+    diffusion = np.block([[LG, zero], [H @ LG, LG]])
     descent = np.block([[zero, -np.eye(nm)], [zero, -H]])
     return SystemMatrices(diffusion, descent, diffusion + alpha * descent,
-                          lap_x, lap_y, alpha, n, m)
+                          lap, alpha, n, m)
 
 
 @dataclass(frozen=True)
@@ -96,9 +91,10 @@ class SpectralReport:
     """Eigenstructure verdict for one assembled system.
 
     ``slowest_decay`` and ``spectral_radius`` describe the unit-gain
-    diffusion matrix; it is block lower-triangular, so its spectrum is the
-    union of the two Laplacian spectra (each eigenvalue repeated m times) and
-    both values are read off the n-by-n Laplacians. They feed the step-size
+    diffusion matrix; it is block lower-triangular with the lifted Laplacian
+    on both diagonal blocks, so its spectrum is the Laplacian spectrum (each
+    eigenvalue repeated 2m times) and both values are read off the n-by-n
+    Laplacian. They feed the step-size
     bound formulas. ``stable`` means the zero eigenvalue count is exactly m
     and everything else decays.
     """
@@ -138,7 +134,7 @@ def spectral_report(mats: SystemMatrices, zero_tol: float | None = None) -> Spec
     tol = 1e-8 * scale if zero_tol is None else zero_tol
     zero_count, max_re = spectrum_summary(eigs, tol)
 
-    base = np.concatenate([np.linalg.eigvals(mats.lap_x), np.linalg.eigvals(mats.lap_y)])
+    base = np.linalg.eigvals(mats.lap)
     radius = float(np.abs(base).max())
     nonzero = base[np.abs(base) > 1e-8 * radius]
     slowest = float(np.abs(nonzero.real).min()) if nonzero.size else 0.0
@@ -171,8 +167,7 @@ class EigenDerivativeReport:
 
 
 def eigen_derivative_check(
-    lap_x: np.ndarray,
-    lap_y: np.ndarray,
+    lap: np.ndarray,
     hess: HessianAggregate,
     gains: np.ndarray | None = None,
     eps: float = 1e-6,
@@ -197,7 +192,7 @@ def eigen_derivative_check(
     V = np.zeros((2 * n * m, 2 * m))
     V[:n * m, :m] = ones
     V[n * m:, m:] = ones
-    mats0 = assemble(lap_x, lap_y, hess, xi, 0.0, m)
+    mats0 = assemble(lap, hess, xi, 0.0, m)
     reduced = V.T @ mats0.descent @ V
     zero_block_norm = float(np.abs(reduced[:, :m]).max())
     reduced_eigs = np.sort_complex(np.linalg.eigvals(reduced[m:, m:]))
@@ -274,8 +269,8 @@ class StepSizeBounds:
 
     ``tight`` is min(kappa * slow / gamma, slow / (upper * gamma)): the
     closed-form bound from the determinant factorization (derived under equal
-    state/tracker adjacency; ``adjacency_mismatch`` flags when that premise
-    is violated). ``matching`` inverts the infinity-norm perturbation bound,
+    state/tracker adjacency, which the one shared Laplacian guarantees).
+    ``matching`` inverts the infinity-norm perturbation bound,
     ``spectral`` the spectral-norm variant. All three are positive whenever
     the inputs are; the matching and spectral forms are typically far more
     conservative than the tight one.
@@ -291,7 +286,6 @@ class StepSizeBounds:
     spectral_radius: float
     n: int
     m: int
-    adjacency_mismatch: bool = False
 
     def admissible(self, alpha: float) -> dict[str, bool]:
         return {
@@ -309,7 +303,6 @@ def step_size_bounds(
     spectral_radius: float,
     n: int,
     m: int,
-    adjacency_mismatch: bool = False,
 ) -> StepSizeBounds:
     """Evaluate all three step-size bound formulas.
 
@@ -349,7 +342,7 @@ def step_size_bounds(
     )
 
     return StepSizeBounds(matching, spectral, tight, kappa, upper, gamma,
-                          slowest_decay, spectral_radius, n, m, adjacency_mismatch)
+                          slowest_decay, spectral_radius, n, m)
 
 
 def _argmin_abs(excess, target, grid_points: int = 1024):
@@ -395,8 +388,7 @@ class SweepCell:
 
 
 def stability_sweep(
-    lap_x: np.ndarray,
-    lap_y: np.ndarray,
+    lap: np.ndarray,
     hess: HessianAggregate,
     alpha_grid,
     xi_regimes: dict[str, np.ndarray],
@@ -412,7 +404,7 @@ def stability_sweep(
     cells = []
     for label, xi in xi_regimes.items():
         for alpha in alpha_grid:
-            rep = spectral_report(assemble(lap_x, lap_y, hess, xi, float(alpha), m), zero_tol)
+            rep = spectral_report(assemble(lap, hess, xi, float(alpha), m), zero_tol)
             cells.append(SweepCell(float(alpha), label, rep.zero_count,
                                    rep.max_nonzero_real, rep.stable))
     return cells

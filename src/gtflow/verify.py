@@ -59,7 +59,7 @@ def random_fixture(rng: np.random.Generator):
     hess = costmod.HessianAggregate(
         tuple(blocks), max(float(np.abs(b).sum(axis=1).max()) for b in blocks))
 
-    base = spectral.assemble(lap, lap, hess, None, 0.0, m)
+    base = spectral.assemble(lap, hess, None, 0.0, m)
     report = spectral.spectral_report(base)
     bounds = spectral.step_size_bounds(
         kappa, upper, hess.infinity_norm, report.slowest_decay,
@@ -242,7 +242,7 @@ def theorem1_suite(
         fx = random_fixture(rng)
         if fx["alpha"] <= 0:
             continue
-        mats = assemble_fn(fx["lap"], fx["lap"], fx["hess"], fx["xi"], fx["alpha"], fx["m"])
+        mats = assemble_fn(fx["lap"], fx["hess"], fx["xi"], fx["alpha"], fx["m"])
         rep = spectral.spectral_report(mats)
         if rep.zero_count != fx["m"] or rep.max_nonzero_real >= 0:
             failures.append({
@@ -262,7 +262,7 @@ def check_eigen_derivative(fixtures: int = 40, seed: int = 6) -> CheckResult:
     failures = []
     for idx in range(fixtures):
         fx = random_fixture(rng)
-        rep = spectral.eigen_derivative_check(fx["lap"], fx["lap"], fx["hess"], fx["xi"])
+        rep = spectral.eigen_derivative_check(fx["lap"], fx["hess"], fx["xi"])
         if not rep.ok:
             failures.append((idx, rep.max_rel_error, rep.zero_block_norm))
     return CheckResult("eigenvalue derivative at alpha=0", not failures,
@@ -327,10 +327,10 @@ def check_linear_step_oracle(trials: int = 25, seed: int = 9) -> CheckResult:
         Y = rng.normal(size=(n, m))
         alpha, eta = float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.001, 0.05))
         hess = aggregate_hessian(costs, X)
-        mats = spectral.assemble(lap, lap, hess, None, alpha, m)
+        mats = spectral.assemble(lap, hess, None, alpha, m)
         stacked = np.concatenate([X.ravel(), Y.ravel()])
         oracle_next = stacked + eta * (mats.full @ stacked)
-        dX, dY = derivative(X, Y, lap, lap, costs, alpha, nl.identity(), nl.identity())
+        dX, dY = derivative(X, Y, lap, costs, alpha, nl.identity(), nl.identity())
         engine_next = np.concatenate([(X + eta * dX).ravel(), (Y + eta * dY).ravel()])
         err = np.max(np.abs(engine_next - oracle_next))
         if err > 1e-12 * max(1.0, np.abs(oracle_next).max()):
@@ -351,7 +351,7 @@ def check_equilibrium_invariance(seed: int = 10) -> CheckResult:
     lap = laplacian(sched.base_graph)
     failures = []
     for g in (nl.identity(), nl.log_quantizer(1.0), nl.saturation(0.5)):
-        dX, dY = derivative(X, Y, lap, lap, costs, 0.3, g, g)
+        dX, dY = derivative(X, Y, lap, costs, 0.3, g, g)
         worst = max(np.abs(dX).max(), np.abs(dY).max())
         if worst > 1e-12:
             failures.append((g.kind, worst))
@@ -372,7 +372,7 @@ def check_conservation(seed: int = 11) -> CheckResult:
     failures = []
     costs, sched, x0 = _quadratic_setup(seed=seed)
     for g in (nl.identity(), nl.log_quantizer(1.0)):
-        cfg = SolverConfig(alpha=0.3, eta=0.02, t_end=50.0, schedule_x=sched,
+        cfg = SolverConfig(alpha=0.3, eta=0.02, t_end=50.0, schedule=sched,
                            g_x=g, g_y=g, sample_stride=50)
         res = conservation_residual(integrate(costs, x0, cfg))
         if res > 1e-10:
@@ -387,7 +387,7 @@ def check_conservation(seed: int = 11) -> CheckResult:
     x0s = rng.uniform(-1, 1, size=(n, 2))
 
     def drift(eta, method, g):
-        cfg = SolverConfig(alpha=0.2, eta=eta, t_end=50.0, schedule_x=sched3,
+        cfg = SolverConfig(alpha=0.2, eta=eta, t_end=50.0, schedule=sched3,
                            g_x=g, g_y=g, method=method, sample_stride=100)
         return conservation_residual(integrate(svm_costs, x0s, cfg))
 
@@ -415,7 +415,7 @@ def check_determinism(seed: int = 12) -> CheckResult:
     costs, sched_base, x0 = _quadratic_setup(seed=seed)
     sched = SwitchingSchedule(sched_base.base_graph, 0.05, rng_seed=3,
                               mode=SwitchMode.PERMUTE)
-    cfg = SolverConfig(alpha=0.3, eta=0.01, t_end=2.0, schedule_x=sched,
+    cfg = SolverConfig(alpha=0.3, eta=0.01, t_end=2.0, schedule=sched,
                        g_x=nl.log_quantizer(1.0), g_y=nl.log_quantizer(1.0),
                        sample_stride=10)
     a = integrate(costs, x0, cfg).to_csv()

@@ -106,7 +106,7 @@ def test_criterion_5_conservation():
     for g in (None, log_quantizer(1.0)):
         kwargs = {} if g is None else {"g_x": g, "g_y": g}
         for eta in (0.02, 0.01):
-            cfg = SolverConfig(alpha=0.3, eta=eta, t_end=50.0, schedule_x=sched,
+            cfg = SolverConfig(alpha=0.3, eta=eta, t_end=50.0, schedule=sched,
                                sample_stride=100, **kwargs)
             trace = integrate(costs, x0, cfg)
             assert trace.conservation.max() <= pinned_c * eta
@@ -195,7 +195,7 @@ def test_criterion_8_bound_conservatism_and_trends():
     for directed in (False, True):
         for k in (1, 2):
             lap = laplacian(make_khop_ring(5, k, 0.8, directed=directed))
-            base = spectral_report(assemble(lap, lap, hess, None, 0.0, 1))
+            base = spectral_report(assemble(lap, hess, None, 0.0, 1))
             for rho in rhos:
                 kap, up = np.exp(-rho / 2), np.exp(rho / 2)
                 bounds = step_size_bounds(kap, up, hess.infinity_norm,
@@ -211,7 +211,7 @@ def test_criterion_8_bound_conservatism_and_trends():
                 }
                 frontier = 0.0
                 for a in alphas:
-                    cells = stability_sweep(lap, lap, hess, [float(a)], regimes)
+                    cells = stability_sweep(lap, hess, [float(a)], regimes)
                     stable = all(c.stable for c in cells)
                     if stable:
                         frontier = float(a)
@@ -254,7 +254,7 @@ def test_criterion_9_lyapunov_decrease():
             q_sum = sum(c.Q for c in costs)
             x_star = np.linalg.solve(q_sum, sum(c.Q @ c.b for c in costs))
             ref = np.tile(x_star, (5, 1))
-            cfg = SolverConfig(alpha=0.3, eta=0.005, t_end=75.0, schedule_x=sched,
+            cfg = SolverConfig(alpha=0.3, eta=0.005, t_end=75.0, schedule=sched,
                                sample_stride=200)
             trace = integrate(costs, x0, cfg, reference=ref)
             assert trace.status == "completed"
@@ -264,7 +264,7 @@ def test_criterion_9_lyapunov_decrease():
             # log-envelope decay within a factor two of the spectral rate
             hess = aggregate_hessian(costs, ref)
             lap = laplacian(sched.base_graph)
-            rep = spectral_report(assemble(lap, lap, hess, None, 0.3, m))
+            rep = spectral_report(assemble(lap, hess, None, 0.3, m))
             keep = v > 1e-18
             slope = np.polyfit(trace.times[keep], np.log(v[keep]), 1)[0]
             predicted = 2 * abs(rep.max_nonzero_real)

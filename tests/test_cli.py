@@ -66,6 +66,20 @@ CROSS_FIELD_CASES = {
                    ["sweep.axes.khop=3 out of range"]),
     "sweep-rho": ({"sweep": {"axes": {"rho": [0.5, -0.5]}}},
                   ["sweep.axes.rho values must be positive"]),
+    "sweep-alpha": ({"sweep": {"mode": "spectral", "axes": {"alpha": [-1.0]}}},
+                    ["sweep.axes.alpha values must be positive"]),
+    "sweep-eta": ({"sweep": {"mode": "dynamics", "axes": {"eta": [0.0, -0.01]}}},
+                  ["sweep.axes.eta values must be positive"]),
+    "logq-rho-2": ({"nonlinearity": {"kind": "log_quantizer", "rho": 2.5}},
+                   ["nonlinearity.x.rho=2.5 must be below 2", "1 - rho/2"]),
+    "sweep-rho-logq-2": ({"nonlinearity": {"x": {"kind": "log_quantizer"}},
+                          "sweep": {"mode": "dynamics", "axes": {"rho": [1.0, 2.0]}}},
+                         ["sweep.axes.rho=2.0 must be below 2", "1 - rho/2"]),
+    "sweep-rho-no-quantizer": ({"nonlinearity": {"kind": "saturation", "limit": 2.0},
+                                "sweep": {"axes": {"rho": [0.5]}}},
+                               ["no nonlinearity line is a log_quantizer or uniform_quantizer"]),
+    "sweep-t-end": ({"sweep": {"mode": "dynamics", "t_end": 0.0, "axes": {"alpha": [0.1]}}},
+                    ["sweep.t_end must be positive"]),
     "all-at-once": ({"partition": {"n_agents": 2},
                      "nonlinearity": {"kind": "uniform_quantizer", "rho": -1}},
                     ["network.khop=2 out of range", "nonlinearity.x.rho must be positive"]),
@@ -183,6 +197,7 @@ def test_sweep_empty_axes_degenerates_to_run(tmp_path):
 
 def test_sweep_spectral_grid(tmp_path):
     body = dict(QUAD_CONFIG)
+    body["nonlinearity"] = {"kind": "log_quantizer", "rho": 1.0}
     body["sweep"] = {"mode": "spectral",
                      "axes": {"alpha": [0.01, 0.1, 30.0], "rho": [0.25, 1.0]}}
     cfg = write_config(tmp_path, body)
@@ -237,8 +252,8 @@ def test_verify_command_passes(capsys):
 
 def test_theorem1_suite_catches_sign_mutation():
     # flip the sign of the descent coupling: the suite must notice
-    def broken_assemble(lap_x, lap_y, hess, gains, alpha, m):
-        mats = spectral.assemble(lap_x, lap_y, hess, gains, alpha, m)
+    def broken_assemble(lap, hess, gains, alpha, m):
+        mats = spectral.assemble(lap, hess, gains, alpha, m)
         full = mats.diffusion - alpha * mats.descent
         return dataclasses.replace(mats, descent=-mats.descent, full=full)
 

@@ -31,7 +31,7 @@ def test_single_agent_exponential_flow():
     X, Y = np.array([[1.0]]), np.array([[1.0 - 3.0]])
     eta, steps = 1e-4, 20000
     for _ in range(steps):
-        dX, dY = derivative(X, Y, lap, lap, costs, 1.0, identity(), identity())
+        dX, dY = derivative(X, Y, lap, costs, 1.0, identity(), identity())
         X = X + eta * dX
         Y = Y + eta * dY
     t = eta * steps
@@ -47,7 +47,7 @@ def test_derivative_zero_at_equilibrium():
     # the g(c) - g(c) cancellation is exact; the Laplacian row-sum
     # cancellation is exact only up to summation order, hence the 1e-12
     for g in (identity(), log_quantizer(1.0)):
-        dX, dY = derivative(X, Y, lap, lap, costs, 0.5, g, g)
+        dX, dY = derivative(X, Y, lap, costs, 0.5, g, g)
         assert np.abs(dX).max() < 1e-12
         assert np.abs(dY).max() < 1e-12
 
@@ -59,8 +59,8 @@ def test_derivative_matches_system_matrix():
     Y = rng.normal(size=(5, 2))
     lap = laplacian(sched.base_graph)
     alpha = 0.4
-    dX, dY = derivative(X, Y, lap, lap, costs, alpha, identity(), identity())
-    mats = assemble(lap, lap, aggregate_hessian(costs, X), None, alpha, 2)
+    dX, dY = derivative(X, Y, lap, costs, alpha, identity(), identity())
+    mats = assemble(lap, aggregate_hessian(costs, X), None, alpha, 2)
     stacked = mats.full @ np.concatenate([X.ravel(), Y.ravel()])
     got = np.concatenate([dX.ravel(), dY.ravel()])
     assert np.max(np.abs(got - stacked)) < 1e-12
@@ -71,7 +71,7 @@ def test_integrate_constant_at_equilibrium():
     costs, sched, _ = quadratic_fixture()
     x_star = closed_form_optimum(costs)
     x0 = np.tile(x_star, (5, 1))
-    cfg = SolverConfig(alpha=0.5, eta=0.01, t_end=1.0, schedule_x=sched,
+    cfg = SolverConfig(alpha=0.5, eta=0.01, t_end=1.0, schedule=sched,
                        y_init="zero", sample_stride=10)
     trace = integrate(costs, x0, cfg)
     assert trace.status == "completed"
@@ -82,7 +82,7 @@ def test_integrate_constant_at_equilibrium():
 def test_integrate_quadratic_converges_to_closed_form():
     costs, sched, x0 = quadratic_fixture()
     x_star = closed_form_optimum(costs)
-    cfg = SolverConfig(alpha=0.4, eta=0.01, t_end=50.0, schedule_x=sched,
+    cfg = SolverConfig(alpha=0.4, eta=0.01, t_end=50.0, schedule=sched,
                        sample_stride=100)
     trace = integrate(costs, x0, cfg)
     assert trace.status == "completed"
@@ -95,18 +95,18 @@ def test_integrate_diverges_far_above_bound():
     costs, sched, x0 = quadratic_fixture()
     lap = laplacian(sched.base_graph)
     hess = aggregate_hessian(costs, x0)
-    base = spectral_report(assemble(lap, lap, hess, None, 0.0, 2))
+    base = spectral_report(assemble(lap, hess, None, 0.0, 2))
     bounds = step_size_bounds(1.0, 1.0, hess.infinity_norm, base.slowest_decay,
                               base.spectral_radius, 5, 2)
     cfg = SolverConfig(alpha=1e3 * bounds.tight, eta=0.05, t_end=50.0,
-                       schedule_x=sched, sample_stride=100)
+                       schedule=sched, sample_stride=100)
     trace = integrate(costs, x0, cfg)
     assert trace.status == "diverged"
 
 
 def test_trace_row_count_and_times():
     costs, sched, x0 = quadratic_fixture()
-    cfg = SolverConfig(alpha=0.3, eta=0.01, t_end=1.0, schedule_x=sched,
+    cfg = SolverConfig(alpha=0.3, eta=0.01, t_end=1.0, schedule=sched,
                        sample_stride=7)
     trace = integrate(costs, x0, cfg)
     steps = round(1.0 / 0.01)
@@ -118,7 +118,7 @@ def test_eta_is_reduced_to_divide_switch_period():
     costs, _, x0 = quadratic_fixture()
     sched = SwitchingSchedule(make_khop_ring(5, 1, 0.8), 0.05,
                               rng_seed=1, mode=SwitchMode.PERMUTE)
-    cfg = SolverConfig(alpha=0.3, eta=0.03, t_end=0.5, schedule_x=sched)
+    cfg = SolverConfig(alpha=0.3, eta=0.03, t_end=0.5, schedule=sched)
     with pytest.warns(UserWarning, match="does not divide"):
         trace = integrate(costs, x0, cfg)
     assert trace.eta == pytest.approx(0.025)
@@ -126,7 +126,7 @@ def test_eta_is_reduced_to_divide_switch_period():
 
 def test_conservation_gradient_init_binds_tracker_to_gradients():
     costs, sched, x0 = quadratic_fixture()
-    cfg = SolverConfig(alpha=0.4, eta=0.02, t_end=20.0, schedule_x=sched,
+    cfg = SolverConfig(alpha=0.4, eta=0.02, t_end=20.0, schedule=sched,
                        g_x=log_quantizer(1.0), g_y=log_quantizer(1.0),
                        sample_stride=20)
     trace = integrate(costs, x0, cfg)
@@ -139,7 +139,7 @@ def test_conservation_gradient_init_binds_tracker_to_gradients():
 
 def test_conservation_zero_init_reports_offset():
     costs, sched, x0 = quadratic_fixture()
-    cfg = SolverConfig(alpha=0.4, eta=0.02, t_end=5.0, schedule_x=sched,
+    cfg = SolverConfig(alpha=0.4, eta=0.02, t_end=5.0, schedule=sched,
                        y_init="zero", sample_stride=10)
     trace = integrate(costs, x0, cfg)
     assert conservation_residual(trace) < 1e-10
@@ -152,7 +152,7 @@ def test_lyapunov_zero_at_equilibrium():
     costs, sched, _ = quadratic_fixture()
     x_star = closed_form_optimum(costs)
     x0 = np.tile(x_star, (5, 1))
-    cfg = SolverConfig(alpha=0.5, eta=0.01, t_end=1.0, schedule_x=sched,
+    cfg = SolverConfig(alpha=0.5, eta=0.01, t_end=1.0, schedule=sched,
                        y_init="zero", sample_stride=10)
     trace = integrate(costs, x0, cfg, reference=np.tile(x_star, (5, 1)))
     assert np.abs(trace.lyapunov).max() < 1e-18
@@ -162,7 +162,7 @@ def test_lyapunov_monotone_and_rate_on_stable_fixture():
     costs, sched, x0 = quadratic_fixture(curvature=0.8)
     x_star = closed_form_optimum(costs)
     ref = np.tile(x_star, (5, 1))
-    cfg = SolverConfig(alpha=0.3, eta=0.005, t_end=75.0, schedule_x=sched,
+    cfg = SolverConfig(alpha=0.3, eta=0.005, t_end=75.0, schedule=sched,
                        sample_stride=200)
     trace = integrate(costs, x0, cfg, reference=ref)
     v = trace.lyapunov
@@ -174,7 +174,7 @@ def test_lyapunov_monotone_and_rate_on_stable_fixture():
     # log-envelope decay against the operating-point spectrum
     hess = aggregate_hessian(costs, np.tile(x_star, (5, 1)))
     lap = laplacian(sched.base_graph)
-    rep = spectral_report(assemble(lap, lap, hess, None, 0.3, 2))
+    rep = spectral_report(assemble(lap, hess, None, 0.3, 2))
     keep = v > 1e-18
     slope = np.polyfit(trace.times[keep], np.log(v[keep]), 1)[0]
     predicted = 2 * abs(rep.max_nonzero_real)
@@ -185,7 +185,7 @@ def test_integrate_determinism():
     costs, _, x0 = quadratic_fixture()
     sched = SwitchingSchedule(make_khop_ring(5, 1, 0.8), 0.05, rng_seed=9,
                               mode=SwitchMode.PERMUTE)
-    cfg = SolverConfig(alpha=0.3, eta=0.01, t_end=3.0, schedule_x=sched,
+    cfg = SolverConfig(alpha=0.3, eta=0.01, t_end=3.0, schedule=sched,
                        g_x=log_quantizer(1.0), g_y=log_quantizer(1.0),
                        sample_stride=25)
     a = integrate(costs, x0, cfg)
@@ -197,8 +197,8 @@ def test_integrate_determinism():
 def test_solver_config_validation():
     sched = SwitchingSchedule(make_khop_ring(5, 1, 0.8), 1.0)
     with pytest.raises(ValueError):
-        SolverConfig(alpha=0.0, eta=0.01, t_end=1.0, schedule_x=sched)
+        SolverConfig(alpha=0.0, eta=0.01, t_end=1.0, schedule=sched)
     with pytest.raises(ValueError):
-        SolverConfig(alpha=0.1, eta=0.01, t_end=1.0, schedule_x=sched, method="rk5")
+        SolverConfig(alpha=0.1, eta=0.01, t_end=1.0, schedule=sched, method="rk5")
     with pytest.raises(ValueError):
-        SolverConfig(alpha=0.1, eta=0.01, t_end=1.0, schedule_x=sched, y_init="warm")
+        SolverConfig(alpha=0.1, eta=0.01, t_end=1.0, schedule=sched, y_init="warm")

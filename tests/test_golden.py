@@ -1,0 +1,63 @@
+"""Outputs of the benchmark workloads against their pinned golden values.
+
+Runs input variant 0 of every workload in ``perfbench/workloads`` (the file
+as committed; variant v adds v to every seed) through the CLI and compares
+what ``perfbench/golden.json`` pins: each sweep cell's stable/diverged
+verdict exactly, and every number (sweep.csv columns, distance to the
+oracle, final agent states) within rtol 1e-6 plus an absolute floor of
+1e-12, NaN equal to NaN. Both files are only read.
+"""
+
+import csv
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from gtflow.cli import EXIT_OK, main
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+GOLDEN = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
+RTOL, ATOL = 1e-6, 1e-12
+
+
+def observed(out: Path, golden: dict) -> dict:
+    """The values of one run under the keys golden.json uses."""
+    if "stable" in golden:
+        with open(out / "sweep.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        seen = {key: [float(r[key]) for r in rows] for key in golden if key != "stable"}
+        seen["stable"] = "".join("T" if r["stable"] == "True" else "F" for r in rows)
+        return seen
+    meta = {}
+    for line in (out / "metadata.txt").read_text(encoding="utf-8").splitlines():
+        key, _, value = line.strip().partition(": ")
+        meta[key] = value
+    n = sum(key.startswith("agent_") for key in meta)
+    return {"distance_to_oracle": float(meta["distance_to_oracle"]),
+            "final_x": [float(v) for i in range(n) for v in meta[f"agent_{i}_final"].split()]}
+
+
+def close(x: float, g: float) -> bool:
+    return (x == g or (math.isnan(x) and math.isnan(g))
+            or abs(x - g) <= RTOL * abs(g) + ATOL)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_workload_variant_0_matches_golden(tmp_path, name):
+    golden = GOLDEN[name]["0"]
+    command = "sweep" if "stable" in golden else "run"
+    config = BENCH / "workloads" / f"{name}.json"
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_OK
+    seen = observed(out, golden)
+    for key, want in golden.items():
+        if key == "stable":
+            assert seen[key] == want
+            continue
+        got = seen[key] if isinstance(want, list) else [seen[key]]
+        want = want if isinstance(want, list) else [want]
+        assert len(got) == len(want), key
+        off = [(i, x, g) for i, (x, g) in enumerate(zip(got, want)) if not close(x, g)]
+        assert not off, f"{key} off golden at (index, value, golden): {off[:5]}"

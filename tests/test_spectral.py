@@ -16,7 +16,7 @@ def _identity_hessian(n, m):
 def two_node_system(alpha=0.1):
     w = np.array([[0.0, 0.4], [0.4, 0.0]])
     lap = laplacian(w)
-    return assemble(lap, lap, _identity_hessian(2, 1), None, alpha, 1)
+    return assemble(lap, _identity_hessian(2, 1), None, alpha, 1)
 
 
 def test_assemble_two_node_by_hand():
@@ -41,7 +41,7 @@ def test_assemble_alpha_zero_spectrum_is_laplacian_union():
     rng = np.random.default_rng(0)
     blocks = tuple(np.diag(rng.uniform(1, 3, size=2)) for _ in range(5))
     hess = HessianAggregate(blocks, 3.0)
-    mats = assemble(lap, lap, hess, None, 0.0, 2)
+    mats = assemble(lap, hess, None, 0.0, 2)
     got = np.sort(np.linalg.eigvals(mats.full).real)
     lap_eigs = np.linalg.eigvals(np.kron(lap, np.eye(2))).real
     expected = np.sort(np.concatenate([lap_eigs, lap_eigs]))
@@ -53,8 +53,8 @@ def test_assemble_uniform_gain_scales_diffusion():
     lap = laplacian(g)
     hess = _identity_hessian(4, 2)
     c = 1.37
-    scaled = assemble(lap, lap, hess, np.full(8, c), 0.0, 2)
-    unit = assemble(lap, lap, hess, None, 0.0, 2)
+    scaled = assemble(lap, hess, np.full(8, c), 0.0, 2)
+    unit = assemble(lap, hess, None, 0.0, 2)
     assert np.allclose(scaled.diffusion, c * unit.diffusion, atol=1e-14)
 
 
@@ -62,11 +62,11 @@ def test_assemble_dimension_checks():
     lap = laplacian(make_khop_ring(3, 1, 0.5))
     hess = _identity_hessian(3, 1)
     with pytest.raises(ValueError):
-        assemble(lap, lap, hess, np.ones(5), 0.1, 1)
+        assemble(lap, hess, np.ones(5), 0.1, 1)
     with pytest.raises(ValueError):
-        assemble(lap, lap, _identity_hessian(4, 1), None, 0.1, 1)
+        assemble(lap, _identity_hessian(4, 1), None, 0.1, 1)
     with pytest.raises(ValueError):
-        assemble(lap, lap, hess, None, -0.1, 1)
+        assemble(lap, hess, None, -0.1, 1)
 
 
 def test_spectral_report_two_node_stable():
@@ -80,7 +80,7 @@ def test_spectral_report_alpha_zero_doubles_zeros():
     g = make_khop_ring(5, 1, 0.8)
     lap = laplacian(g)
     hess = _identity_hessian(5, 2)
-    rep = spectral_report(assemble(lap, lap, hess, None, 0.0, 2))
+    rep = spectral_report(assemble(lap, hess, None, 0.0, 2))
     assert rep.zero_count == 4  # 2m zeros: both Laplacians contribute
     assert not rep.stable
 
@@ -95,12 +95,12 @@ def test_spectral_report_bound_constants_match_unit_gain_diffusion(directed):
         a = rng.normal(size=(m, m))
         blocks.append(a @ a.T + np.eye(m))
     hess = HessianAggregate(tuple(blocks), 1.0)
-    base = np.linalg.eigvals(assemble(lap, lap, hess, None, 0.0, m).diffusion)
+    base = np.linalg.eigvals(assemble(lap, hess, None, 0.0, m).diffusion)
     radius = np.abs(base).max()
     slowest = np.abs(base[np.abs(base) > 1e-8 * radius].real).min()
     # the constants describe the unit-gain diffusion whatever gains and alpha
     gains = rng.uniform(0.5, 2.0, size=n * m)
-    rep = spectral_report(assemble(lap, lap, hess, gains, 0.7, m))
+    rep = spectral_report(assemble(lap, hess, gains, 0.7, m))
     assert rep.spectral_radius == pytest.approx(radius, rel=1e-6)
     assert rep.slowest_decay == pytest.approx(slowest, rel=1e-6)
 
@@ -115,12 +115,12 @@ def test_spectral_report_large_alpha_goes_unstable_on_directed_ring():
     rng = np.random.default_rng(12)
     hvals = rng.uniform(0.5, 8.0, size=6)
     hess = HessianAggregate(tuple(np.array([[h]]) for h in hvals), float(hvals.max()))
-    base = spectral_report(assemble(lap, lap, hess, None, 0.0, 1))
+    base = spectral_report(assemble(lap, hess, None, 0.0, 1))
     bounds = step_size_bounds(1.0, 1.0, hess.infinity_norm, base.slowest_decay,
                               base.spectral_radius, 6, 1)
-    low = spectral_report(assemble(lap, lap, hess, None, 0.9 * bounds.tight, 1))
+    low = spectral_report(assemble(lap, hess, None, 0.9 * bounds.tight, 1))
     assert low.stable
-    rep = spectral_report(assemble(lap, lap, hess, None, 1.0, 1))
+    rep = spectral_report(assemble(lap, hess, None, 1.0, 1))
     assert not rep.stable
     assert rep.max_nonzero_real > 0
 
@@ -128,7 +128,7 @@ def test_spectral_report_large_alpha_goes_unstable_on_directed_ring():
 def test_eigen_derivative_identity_hessian():
     n = 6
     lap = laplacian(make_khop_ring(n, 1, 0.8))
-    rep = eigen_derivative_check(lap, lap, _identity_hessian(n, 1))
+    rep = eigen_derivative_check(lap, _identity_hessian(n, 1))
     # display-convention reduced block carries -sum of unit Hessians
     assert np.allclose(rep.reduced_eigenvalues, [-n])
     assert rep.zero_block_norm < 1e-14
@@ -145,7 +145,7 @@ def test_eigen_derivative_quadratic_blocks():
         a = rng.normal(size=(m, m))
         blocks.append(a @ a.T + 2 * np.eye(m))
     hess = HessianAggregate(tuple(blocks), 1.0)
-    rep = eigen_derivative_check(lap, lap, hess)
+    rep = eigen_derivative_check(lap, hess)
     total = sum(blocks)
     assert np.allclose(np.sort_complex(rep.reduced_eigenvalues),
                        np.sort_complex(np.linalg.eigvals(-total)), atol=1e-10)
@@ -218,7 +218,7 @@ def _sweep_fixture():
     rng = np.random.default_rng(4)
     blocks = tuple(np.diag(rng.uniform(0.5, 2.0, size=m)) for _ in range(n))
     hess = HessianAggregate(blocks, max(float(b.max()) for b in blocks))
-    base = spectral_report(assemble(lap, lap, hess, None, 0.0, m))
+    base = spectral_report(assemble(lap, hess, None, 0.0, m))
     kappa, upper = 0.5, 1.5
     bounds = step_size_bounds(kappa, upper, hess.infinity_norm,
                               base.slowest_decay, base.spectral_radius, n, m)
@@ -234,13 +234,13 @@ def test_sweep_below_tight_bound_is_stable():
         "random": rng.uniform(kappa, upper, size=5),
     }
     alphas = np.linspace(0.05, 0.999, 8) * bounds.tight
-    cells = stability_sweep(lap, lap, hess, alphas, regimes)
+    cells = stability_sweep(lap, hess, alphas, regimes)
     assert all(c.stable for c in cells)
 
 
 def test_sweep_alpha_zero_column_unstable():
     lap, hess, kappa, upper, _ = _sweep_fixture()
-    cells = stability_sweep(lap, lap, hess, [0.0], {"unit": np.ones(5)})
+    cells = stability_sweep(lap, hess, [0.0], {"unit": np.ones(5)})
     assert cells[0].zero_count == 2
     assert not cells[0].stable
 
@@ -251,7 +251,7 @@ def test_sweep_extreme_gains_bracket_unit_decay():
     # decaying fastest (stronger step-size slaving at higher gain)
     lap, hess, kappa, upper, bounds = _sweep_fixture()
     alpha = 0.5 * bounds.tight
-    cells = stability_sweep(lap, lap, hess, [alpha], {
+    cells = stability_sweep(lap, hess, [alpha], {
         "lower": np.full(5, kappa),
         "unit": np.ones(5),
         "upper": np.full(5, upper),

@@ -151,7 +151,7 @@ def test_dsvm_experiment_smoke():
     part = partition(data, 3, "stratified", seed=1)
     sched = SwitchingSchedule(make_khop_ring(3, 1, 0.8), 0.01,
                               rng_seed=2, mode=SwitchMode.PERMUTE)
-    solver = SolverConfig(alpha=1.0, eta=0.01, t_end=5.0, schedule_x=sched,
+    solver = SolverConfig(alpha=1.0, eta=0.01, t_end=5.0, schedule=sched,
                           sample_stride=50)
     report = dsvm_experiment(data, part, solver, C=1.0, mu=2.0,
                              regularizer_mode="matched", x0_seed=3)
@@ -168,6 +168,6 @@ def test_dsvm_regularizer_mode_validation():
     data = generate_ellipse_data(30, seed=37, radius=0.8, margin_gap=0.1)
     part = partition(data, 3)
     sched = SwitchingSchedule(make_khop_ring(3, 1, 0.8), 0.01)
-    solver = SolverConfig(alpha=1.0, eta=0.01, t_end=0.1, schedule_x=sched)
+    solver = SolverConfig(alpha=1.0, eta=0.01, t_end=0.1, schedule=sched)
     with pytest.raises(ValueError, match="regularizer"):
         dsvm_experiment(data, part, solver, regularizer_mode="averaged")
