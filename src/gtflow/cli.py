@@ -59,9 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
         src.add_argument("--preset", help="name of a shipped preset")
         p.add_argument("--out", type=Path, default=Path("out"), help="artifact directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--experimental-directed", action="store_true",
-                       help="use the directed circulant topology (spectral checks "
-                            "run; convergence is not asserted)")
 
     p_run = sub.add_parser("run", help="execute one experiment")
     add_common(p_run)
@@ -94,12 +91,9 @@ def _load_config(args) -> ExperimentConfig:
         except OSError as err:
             raise ConfigError([f"cannot read config: {err}"])
     cfg = parse_config(text)
-    if args.seed is not None or getattr(args, "experimental_directed", False):
+    if args.seed is not None:
         raw = cfg.normalized()
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if getattr(args, "experimental_directed", False):
-            raw.setdefault("network", {})["directed"] = True
+        raw["seed"] = args.seed
         cfg = parse_config(json.dumps(raw))
     return cfg
 
@@ -113,21 +107,17 @@ SATURATION_DOMAIN = 100.0  # operating interval for domain-relative bounds
 
 
 def _combined_sector(cfg: ExperimentConfig, mode: str = "linearized"):
-    """Worst-case sector across the two dynamics lines (min kappa, max upper).
+    """Sector (kappa, upper) of the link map both dynamics lines apply.
 
     Saturation is only sector-bounded on a bounded interval; its bounds are
     evaluated on the default operating domain and the run report warns when
     the trajectory left it.
     """
-    def line_bounds(spec):
-        g = cfgmod.build_nonlinearity(spec)
-        domain = ((-SATURATION_DOMAIN, SATURATION_DOMAIN)
-                  if g.kind == "saturation" else (-np.inf, np.inf))
-        return sector_bounds(g, domain, mode=mode)
-
-    bx = line_bounds(cfg.sections["nonlinearity"]["x"])
-    by = line_bounds(cfg.sections["nonlinearity"]["y"])
-    return min(bx.kappa, by.kappa), max(bx.upper, by.upper)
+    g = cfgmod.build_nonlinearity(cfg["nonlinearity"])
+    domain = ((-SATURATION_DOMAIN, SATURATION_DOMAIN)
+              if g.kind == "saturation" else (-np.inf, np.inf))
+    bounds = sector_bounds(g, domain, mode=mode)
+    return bounds.kappa, bounds.upper
 
 
 def _initial_state(cfg: ExperimentConfig, n: int, m: int) -> np.ndarray:
@@ -232,13 +222,13 @@ def cmd_run(args) -> int:
                  f"  final_grad_sum_norm: {format(final_gn, '.17g')}",
                  f"  final_consensus_error: {format(trace.consensus_error[-1], '.17g')}"]
     else:
-        data, part = context
+        data, _ = context
         cost_cfg = cfg["cost"]
         report = dsvm_experiment(
-            data, part, solver,
+            data, costs, solver, x0,
             C=cost_cfg["C"], mu=cost_cfg["mu"], eps_nu=cost_cfg["eps_nu"],
             regularizer_mode=cost_cfg["regularizer_mode"],
-            oracle_tol=cost_cfg["oracle_tol"], x0=x0,
+            oracle_tol=cost_cfg["oracle_tol"],
         )
         trace = report.trace
         status = report.status
@@ -250,8 +240,7 @@ def cmd_run(args) -> int:
                report.consensus.to_text(accuracy=report.consensus_accuracy))
 
     meta.append(f"  max_abs_state: {format(trace.max_abs_state, '.17g')}")
-    kinds = {cfg.sections["nonlinearity"][line]["kind"] for line in ("x", "y")}
-    if "saturation" in kinds and trace.max_abs_state > SATURATION_DOMAIN:
+    if cfg["nonlinearity"]["kind"] == "saturation" and trace.max_abs_state > SATURATION_DOMAIN:
         meta.append(f"  warning: trajectory left the declared sector domain "
                     f"[-{SATURATION_DOMAIN:g}, {SATURATION_DOMAIN:g}]; the "
                     "saturation bounds above do not cover it")

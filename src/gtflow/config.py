@@ -42,8 +42,6 @@ _STR = ("string", lambda v: isinstance(v, str))
 _LIST = ("list of numbers", lambda v: isinstance(v, list)
          and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v))
 
-_NONLIN_KEYS = {"kind": _STR, "rho": _NUM, "limit": _NUM}
-
 SCHEMA = {
     "data": {
         "kind": (_STR, "ellipse"),
@@ -65,6 +63,11 @@ SCHEMA = {
         "switch_mode": (_STR, "permute"),
         "directed": (_BOOL, False),
         "seed": (_INT, None),
+    },
+    "nonlinearity": {
+        "kind": (_STR, "identity"),
+        "rho": (_NUM, 1.0),
+        "limit": (_NUM, 1.0),
     },
     "cost": {
         "kind": (_STR, "svm"),
@@ -98,6 +101,7 @@ _ENUMS = {
     ("data", "kind"): ("ellipse", "csv"),
     ("partition", "mode"): ("stratified", "contiguous"),
     ("network", "switch_mode"): ("fixed", "permute"),
+    ("nonlinearity", "kind"): ("identity", "log_quantizer", "uniform_quantizer", "saturation"),
     ("cost", "kind"): ("svm", "quadratic"),
     ("cost", "regularizer_mode"): ("matched", "literal"),
     ("solver", "method"): ("euler", "rk4"),
@@ -107,7 +111,7 @@ _ENUMS = {
 
 _SWEEP_AXES = ("alpha", "rho", "khop", "eta")
 
-# the link-map parameter each kind reads, defaulting to 1.0 when absent
+# the link-map parameter each kind reads
 _LEVEL_KEY = {"log_quantizer": "rho", "uniform_quantizer": "rho", "saturation": "limit"}
 _QUANTIZERS = {"log_quantizer", "uniform_quantizer"}
 
@@ -116,19 +120,17 @@ def sweep_cell(cfg: ExperimentConfig, cell: dict) -> ExperimentConfig:
     """The config of one sweep cell, built and run like any other config.
 
     ``alpha`` and ``eta`` go to the solver, ``khop`` to the network and
-    ``rho`` to every quantizer line; the solver horizon becomes
+    ``rho`` to the quantizer's level; the solver horizon becomes
     ``sweep.t_end``.
     """
-    raw = json.loads(cfg.to_json())  # deep copy: normalized() shares the line dicts
+    raw = cfg.normalized()
     for axis in ("alpha", "eta"):
         if axis in cell:
             raw["solver"][axis] = cell[axis]
     if "khop" in cell:
         raw["network"]["khop"] = int(cell["khop"])
     if "rho" in cell:
-        for spec in raw["nonlinearity"].values():
-            if spec["kind"] in _QUANTIZERS:
-                spec["rho"] = cell["rho"]
+        raw["nonlinearity"]["rho"] = cell["rho"]
     raw["solver"]["t_end"] = raw["sweep"]["t_end"]
     return parse_config(json.dumps(raw))
 
@@ -180,7 +182,6 @@ def parse_config(text: str) -> ExperimentConfig:
         problems.append("'description' must be a string")
         description = ""
 
-    nonlin_raw = raw.get("nonlinearity", {})
     sections: dict = {}
     for name, keys in SCHEMA.items():
         body = raw.get(name, {})
@@ -191,7 +192,7 @@ def parse_config(text: str) -> ExperimentConfig:
         for key, ((type_name, ok), default) in keys.items():
             if key in body:
                 value = body[key]
-                if value is not None and not ok(value):
+                if not ok(value) and not (value is None and default is None):
                     problems.append(f"{name}.{key} must be a {type_name}")
                     value = default
             else:
@@ -202,10 +203,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 problems.append(f"unknown key {name}.{key}")
         sections[name] = filled
 
-    sections["nonlinearity"] = _validate_nonlinearity(nonlin_raw, problems)
-
     for name in raw:
-        if name not in SCHEMA and name not in ("seed", "description", "nonlinearity"):
+        if name not in SCHEMA and name not in ("seed", "description"):
             problems.append(f"unknown section '{name}'")
 
     for (sec, key), allowed in _ENUMS.items():
@@ -218,45 +217,6 @@ def parse_config(text: str) -> ExperimentConfig:
     if problems:
         raise ConfigError(problems)
     return ExperimentConfig(int(raw["seed"]), sections, description)
-
-
-def _validate_nonlinearity(raw, problems) -> dict:
-    if not isinstance(raw, dict):
-        problems.append("section 'nonlinearity' must be an object")
-        raw = {}
-    # flat spec {kind, ...} applies to both lines; {x: {...}, y: {...}} splits
-    if "x" in raw or "y" in raw:
-        parts = {"x": raw.get("x", {"kind": "identity"}),
-                 "y": raw.get("y", {"kind": "identity"})}
-        for key in raw:
-            if key not in ("x", "y"):
-                problems.append(f"unknown key nonlinearity.{key}")
-    else:
-        parts = {"x": raw or {"kind": "identity"},
-                 "y": raw or {"kind": "identity"}}
-    out = {}
-    for line, spec in parts.items():
-        if not isinstance(spec, dict):
-            problems.append(f"nonlinearity.{line} must be an object")
-            spec = {"kind": "identity"}
-        filled = {"kind": spec.get("kind", "identity")}
-        for key, (type_name, ok) in _NONLIN_KEYS.items():
-            if key == "kind":
-                continue
-            if key in spec:
-                if not ok(spec[key]):
-                    problems.append(f"nonlinearity.{line}.{key} must be a {type_name}")
-                else:
-                    filled[key] = spec[key]
-        for key in spec:
-            if key not in _NONLIN_KEYS:
-                problems.append(f"unknown key nonlinearity.{line}.{key}")
-        if filled["kind"] not in ("identity", "log_quantizer", "uniform_quantizer", "saturation"):
-            problems.append(f"nonlinearity.{line}.kind must be one of "
-                            "('identity', 'log_quantizer', 'uniform_quantizer', "
-                            f"'saturation'), got {filled['kind']!r}")
-        out[line] = filled
-    return out
 
 
 def _validate_values(sections, problems):
@@ -289,16 +249,15 @@ def _validate_values(sections, problems):
         problems.append("solver.sample_stride must be at least 1")
     if cost["C"] <= 0 or cost["mu"] <= 0 or cost["eps_nu"] < 0:
         problems.append("cost requires C > 0, mu > 0, eps_nu >= 0")
-    for line, spec in sections["nonlinearity"].items():
-        key = _LEVEL_KEY.get(spec["kind"])
-        if key is not None and spec.get(key, 1.0) <= 0:
-            problems.append(f"nonlinearity.{line}.{key} must be positive")
-        elif spec["kind"] == "log_quantizer" and spec.get("rho", 1.0) >= 2:
-            problems.append(f"nonlinearity.{line}.rho={spec['rho']} must be below 2: the "
-                            "log_quantizer's linearized lower bound 1 - rho/2 must be positive")
+    link = sections["nonlinearity"]
+    key = _LEVEL_KEY.get(link["kind"])
+    if key is not None and link[key] <= 0:
+        problems.append(f"nonlinearity.{key} must be positive")
+    elif link["kind"] == "log_quantizer" and link["rho"] >= 2:
+        problems.append(f"nonlinearity.rho={link['rho']} must be below 2: the "
+                        "log_quantizer's linearized lower bound 1 - rho/2 must be positive")
     if sections["sweep"]["t_end"] <= 0:
         problems.append("sweep.t_end must be positive")
-    kinds = {spec["kind"] for spec in sections["nonlinearity"].values()}
     khops = [("network.khop", net["khop"])]
     for axis, values in sections["sweep"]["axes"].items():
         if axis not in _SWEEP_AXES:
@@ -307,13 +266,15 @@ def _validate_values(sections, problems):
             problems.append(f"sweep.axes.{axis} must be a non-empty list of numbers")
         elif axis == "khop":
             khops += [("sweep.axes.khop", k) for k in values]
+            problems += [f"sweep.axes.khop={k} must be an integer"
+                         for k in values if not _INT[1](k)]
         else:
             if min(values) <= 0:
                 problems.append(f"sweep.axes.{axis} values must be positive")
-            if axis == "rho" and not kinds & _QUANTIZERS:
+            if axis == "rho" and link["kind"] not in _QUANTIZERS:
                 problems.append("sweep.axes.rho sets the quantizer level, but no nonlinearity "
                                 "line is a log_quantizer or uniform_quantizer")
-            elif axis == "rho" and "log_quantizer" in kinds and max(values) >= 2:
+            elif axis == "rho" and link["kind"] == "log_quantizer" and max(values) >= 2:
                 problems.append(f"sweep.axes.rho={max(values)} must be below 2: the "
                                 "log_quantizer's linearized lower bound 1 - rho/2 must be "
                                 "positive")
@@ -332,10 +293,10 @@ def build_nonlinearity(spec: dict) -> LinkNonlinearity:
     if kind == "identity":
         return identity()
     if kind == "log_quantizer":
-        return log_quantizer(float(spec.get("rho", 1.0)))
+        return log_quantizer(float(spec["rho"]))
     if kind == "uniform_quantizer":
-        return uniform_quantizer(float(spec.get("rho", 1.0)))
-    return saturation(float(spec.get("limit", 1.0)))
+        return uniform_quantizer(float(spec["rho"]))
+    return saturation(float(spec["limit"]))
 
 
 def build_dataset(cfg: ExperimentConfig) -> LabeledDataset:
@@ -376,14 +337,12 @@ def build_schedule(cfg: ExperimentConfig) -> SwitchingSchedule:
 
 def build_solver(cfg: ExperimentConfig, schedule: SwitchingSchedule) -> SolverConfig:
     solver = cfg["solver"]
-    nl_cfg = cfg.sections["nonlinearity"]
     return SolverConfig(
         alpha=solver["alpha"],
         eta=solver["eta"],
         t_end=solver["t_end"],
         schedule=schedule,
-        g_x=build_nonlinearity(nl_cfg["x"]),
-        g_y=build_nonlinearity(nl_cfg["y"]),
+        g=build_nonlinearity(cfg["nonlinearity"]),
         method=solver["method"],
         y_init=solver["y_init"],
         sample_stride=solver["sample_stride"],

@@ -2,8 +2,8 @@
 
 Per agent i the flow is
 
-    dx_i/dt = -sum_j w_ij (g_x(x_i) - g_x(x_j)) - alpha * y_i
-    dy_i/dt = -sum_j w_ij (g_y(y_i) - g_y(y_j)) + hess_i(x_i) dx_i/dt
+    dx_i/dt = -sum_j w_ij (g(x_i) - g(x_j)) - alpha * y_i
+    dy_i/dt = -sum_j w_ij (g(y_i) - g(y_j)) + hess_i(x_i) dx_i/dt
 
 with the tracker's gradient-derivative term realized through the Hessian
 chain rule on the just-computed state derivative. That choice makes one
@@ -54,8 +54,7 @@ class SolverConfig:
     eta: float
     t_end: float
     schedule: SwitchingSchedule
-    g_x: LinkNonlinearity = field(default_factory=identity)
-    g_y: LinkNonlinearity = field(default_factory=identity)
+    g: LinkNonlinearity = field(default_factory=identity)
     method: str = "euler"
     y_init: str = "gradient"
     sample_stride: int = 1
@@ -141,12 +140,11 @@ def derivative(
     lap: np.ndarray,
     costs,
     alpha: float,
-    g_x: LinkNonlinearity,
-    g_y: LinkNonlinearity,
+    g: LinkNonlinearity,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (dX, dY) at one operating point; the graph is frozen by the caller."""
-    dX = lap @ apply(g_x, X) - alpha * Y
-    dY = lap @ apply(g_y, Y) + np.stack(
+    dX = lap @ apply(g, X) - alpha * Y
+    dY = lap @ apply(g, Y) + np.stack(
         [costs[i].hessian(X[i]) @ dX[i] for i in range(len(costs))])
     return dX, dY
 
@@ -210,17 +208,17 @@ def integrate(
         if k == steps:
             break
         if config.method == "euler":
-            dX, dY = derivative(X, Y, L, costs, config.alpha, config.g_x, config.g_y)
+            dX, dY = derivative(X, Y, L, costs, config.alpha, config.g)
             X = X + eta * dX
             Y = Y + eta * dY
         else:
-            k1x, k1y = derivative(X, Y, L, costs, config.alpha, config.g_x, config.g_y)
+            k1x, k1y = derivative(X, Y, L, costs, config.alpha, config.g)
             k2x, k2y = derivative(X + 0.5 * eta * k1x, Y + 0.5 * eta * k1y,
-                                  L, costs, config.alpha, config.g_x, config.g_y)
+                                  L, costs, config.alpha, config.g)
             k3x, k3y = derivative(X + 0.5 * eta * k2x, Y + 0.5 * eta * k2y,
-                                  L, costs, config.alpha, config.g_x, config.g_y)
+                                  L, costs, config.alpha, config.g)
             k4x, k4y = derivative(X + eta * k3x, Y + eta * k3y,
-                                  L, costs, config.alpha, config.g_x, config.g_y)
+                                  L, costs, config.alpha, config.g)
             X = X + (eta / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
             Y = Y + (eta / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
         largest = max(np.abs(X).max(), np.abs(Y).max())

@@ -32,7 +32,6 @@ __all__ = [
     "apply",
     "sector_bounds",
     "verify_link_properties",
-    "gain_snapshot",
 ]
 
 _KINDS = ("identity", "log_quantizer", "uniform_quantizer", "saturation", "composite")
@@ -253,21 +252,3 @@ def verify_link_properties(
         worst_monotone=(float(zs[im]), float(drops[im])) if drops.size else (0.0, 0.0),
         worst_sector=(float(z[iv]), float(ratio[iv])),
     )
-
-
-def gain_snapshot(
-    g: LinkNonlinearity, state: np.ndarray, bounds: SectorBounds | None = None
-) -> np.ndarray:
-    """Componentwise gains xi = g(z)/z; exact zeros get the sector midpoint.
-
-    Any value in [kappa, upper] keeps the diagonal ordering valid at a zero
-    component; the midpoint avoids biasing the spectral analysis either way.
-    """
-    z = np.asarray(state, dtype=float).ravel()
-    if bounds is None:
-        bounds = sector_bounds(g, mode="tight" if g.kind == "log_quantizer" else "linearized")
-    xi = np.empty_like(z)
-    nz = z != 0
-    xi[nz] = apply(g, z[nz]) / z[nz]
-    xi[~nz] = 0.5 * (bounds.kappa + bounds.upper)
-    return xi

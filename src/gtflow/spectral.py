@@ -121,17 +121,17 @@ def spectrum_summary(eigs: np.ndarray, zero_tol: float) -> tuple[int, float]:
     return int(near_zero.sum()), max_re
 
 
-def spectral_report(mats: SystemMatrices, zero_tol: float | None = None) -> SpectralReport:
+def spectral_report(mats: SystemMatrices) -> SpectralReport:
     """Dense eigen-decomposition and stability verdict.
 
-    The default zero tolerance is 1e-8 * max|eigenvalue|, which separates the
+    The zero tolerance is 1e-8 * max|eigenvalue|, which separates the
     structural zeros from solver noise across fixture scales. The matrix is
     non-normal, so the general (balanced) dense solver is the right tool.
     """
     eigs = np.linalg.eigvals(mats.full)
     eigs = eigs[np.argsort(eigs.real)]
     scale = float(np.abs(eigs).max()) if eigs.size else 0.0
-    tol = 1e-8 * scale if zero_tol is None else zero_tol
+    tol = 1e-8 * scale
     zero_count, max_re = spectrum_summary(eigs, tol)
 
     base = np.linalg.eigvals(mats.lap)
@@ -392,7 +392,6 @@ def stability_sweep(
     hess: HessianAggregate,
     alpha_grid,
     xi_regimes: dict[str, np.ndarray],
-    zero_tol: float | None = None,
 ) -> list[SweepCell]:
     """Spectral verdict for every (alpha, gain regime) cell.
 
@@ -404,7 +403,7 @@ def stability_sweep(
     cells = []
     for label, xi in xi_regimes.items():
         for alpha in alpha_grid:
-            rep = spectral_report(assemble(lap, hess, xi, float(alpha), m), zero_tol)
+            rep = spectral_report(assemble(lap, hess, xi, float(alpha), m))
             cells.append(SweepCell(float(alpha), label, rep.zero_count,
                                    rep.max_nonzero_real, rep.stable))
     return cells

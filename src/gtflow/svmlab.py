@@ -41,13 +41,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Planar points with +/-1 labels and their generation metadata."""
+    """Planar points with +/-1 labels."""
 
     points: np.ndarray  # (N, 2)
     labels: np.ndarray  # (N,), values in {-1, +1}
-    seed: int | None = None
-    radius: float | None = None
-    margin_gap: float | None = None
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -112,7 +109,7 @@ def generate_ellipse_data(
         pts[filled] = p
         labs[filled] = 1.0 if dist > radius else -1.0
         filled += 1
-    return LabeledDataset(pts, labs, seed=seed, radius=radius, margin_gap=margin_gap)
+    return LabeledDataset(pts, labs)
 
 
 @dataclass(frozen=True)
@@ -171,10 +168,6 @@ class Classifier:
 
     def __post_init__(self):
         object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float).ravel())
-
-    @property
-    def degenerate(self) -> bool:
-        return bool(np.all(self.omega == 0))
 
     @property
     def stacked(self) -> np.ndarray:
@@ -296,34 +289,25 @@ class DsvmReport:
 
 def dsvm_experiment(
     data: LabeledDataset,
-    part: Partition,
+    costs: list[SvmHingeCost],
     solver: SolverConfig,
+    x0: np.ndarray,
     C: float = 1.0,
     mu: float = 2.0,
     eps_nu: float = 1e-6,
     regularizer_mode: str = "matched",
     oracle_tol: float = 1e-6,
-    x0: np.ndarray | None = None,
-    x0_seed: int = 0,
 ) -> DsvmReport:
-    """Build per-agent costs, integrate, and compare against the baseline.
+    """Integrate the per-agent costs from x0 and compare against the baseline.
 
-    The consensus classifier is the network mean of the agents' final
-    states; the spread is the max distance of any agent from that mean. The
-    default initial state draws every component uniformly from [0, 1].
+    ``costs`` are the agents' shards of ``data``; the oracle solves the
+    centralized problem with the same ``C``, ``mu`` and ``eps_nu``. The
+    consensus classifier is the network mean of the agents' final states;
+    the spread is the max distance of any agent from that mean.
     """
     if regularizer_mode not in ("matched", "literal"):
         raise ValueError(f"unknown regularizer mode {regularizer_mode!r}")
-    n = len(part.agents)
-    feats = feature_map(data.points)
-    costs = [
-        SvmHingeCost(feats[list(idx)], data.labels[list(idx)], C=C, mu=mu, eps_nu=eps_nu)
-        for idx in part.agents
-    ]
-    m = feats.shape[1] + 1
-    if x0 is None:
-        x0 = np.random.default_rng(x0_seed).uniform(0.0, 1.0, size=(n, m))
-
+    n = len(costs)
     scale = float(n) if regularizer_mode == "matched" else 1.0
     oracle = centralized_oracle(data, C=C, mu=mu, eps_nu=eps_nu, tol=oracle_tol,
                                 regularizer_scale=scale)

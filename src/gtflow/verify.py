@@ -330,7 +330,7 @@ def check_linear_step_oracle(trials: int = 25, seed: int = 9) -> CheckResult:
         mats = spectral.assemble(lap, hess, None, alpha, m)
         stacked = np.concatenate([X.ravel(), Y.ravel()])
         oracle_next = stacked + eta * (mats.full @ stacked)
-        dX, dY = derivative(X, Y, lap, costs, alpha, nl.identity(), nl.identity())
+        dX, dY = derivative(X, Y, lap, costs, alpha, nl.identity())
         engine_next = np.concatenate([(X + eta * dX).ravel(), (Y + eta * dY).ravel()])
         err = np.max(np.abs(engine_next - oracle_next))
         if err > 1e-12 * max(1.0, np.abs(oracle_next).max()):
@@ -351,7 +351,7 @@ def check_equilibrium_invariance(seed: int = 10) -> CheckResult:
     lap = laplacian(sched.base_graph)
     failures = []
     for g in (nl.identity(), nl.log_quantizer(1.0), nl.saturation(0.5)):
-        dX, dY = derivative(X, Y, lap, costs, 0.3, g, g)
+        dX, dY = derivative(X, Y, lap, costs, 0.3, g)
         worst = max(np.abs(dX).max(), np.abs(dY).max())
         if worst > 1e-12:
             failures.append((g.kind, worst))
@@ -373,7 +373,7 @@ def check_conservation(seed: int = 11) -> CheckResult:
     costs, sched, x0 = _quadratic_setup(seed=seed)
     for g in (nl.identity(), nl.log_quantizer(1.0)):
         cfg = SolverConfig(alpha=0.3, eta=0.02, t_end=50.0, schedule=sched,
-                           g_x=g, g_y=g, sample_stride=50)
+                           g=g, sample_stride=50)
         res = conservation_residual(integrate(costs, x0, cfg))
         if res > 1e-10:
             failures.append(("quadratic", g.kind, res))
@@ -388,7 +388,7 @@ def check_conservation(seed: int = 11) -> CheckResult:
 
     def drift(eta, method, g):
         cfg = SolverConfig(alpha=0.2, eta=eta, t_end=50.0, schedule=sched3,
-                           g_x=g, g_y=g, method=method, sample_stride=100)
+                           g=g, method=method, sample_stride=100)
         return conservation_residual(integrate(svm_costs, x0s, cfg))
 
     for g in (nl.identity(), nl.log_quantizer(0.5)):
@@ -416,8 +416,7 @@ def check_determinism(seed: int = 12) -> CheckResult:
     sched = SwitchingSchedule(sched_base.base_graph, 0.05, rng_seed=3,
                               mode=SwitchMode.PERMUTE)
     cfg = SolverConfig(alpha=0.3, eta=0.01, t_end=2.0, schedule=sched,
-                       g_x=nl.log_quantizer(1.0), g_y=nl.log_quantizer(1.0),
-                       sample_stride=10)
+                       g=nl.log_quantizer(1.0), sample_stride=10)
     a = integrate(costs, x0, cfg).to_csv()
     b = integrate(costs, x0, cfg).to_csv()
     return CheckResult("trace determinism", a == b,

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gtflow import cli
 from gtflow import config as cfgmod
 from gtflow import verify
 from gtflow.cli import main as cli_main
@@ -104,7 +105,7 @@ def test_criterion_5_conservation():
     x0 = rng.uniform(-1, 1, size=(5, 2))
     pinned_c = 1e-6
     for g in (None, log_quantizer(1.0)):
-        kwargs = {} if g is None else {"g_x": g, "g_y": g}
+        kwargs = {} if g is None else {"g": g}
         for eta in (0.02, 0.01):
             cfg = SolverConfig(alpha=0.3, eta=eta, t_end=50.0, schedule=sched,
                                sample_stride=100, **kwargs)
@@ -128,16 +129,14 @@ def _run_preset_variant(preset, nonlinearity=None):
     if nonlinearity is not None:
         raw["nonlinearity"] = nonlinearity
     cfg = parse_config(json.dumps(raw))
-    data = cfgmod.build_dataset(cfg)
-    part = cfgmod.build_partition(cfg, data)
+    costs, x0, (data, _) = cli._build_costs(cfg)
     solver = cfgmod.build_solver(cfg, cfgmod.build_schedule(cfg))
     cost = cfg["cost"]
-    x0 = np.random.default_rng(cfg.seed + 5).uniform(0.0, 1.0, size=(5, 4))
     start = time.time()
-    rep = dsvm_experiment(data, part, solver, C=cost["C"], mu=cost["mu"],
+    rep = dsvm_experiment(data, costs, solver, x0, C=cost["C"], mu=cost["mu"],
                           eps_nu=cost["eps_nu"],
                           regularizer_mode=cost["regularizer_mode"],
-                          oracle_tol=cost["oracle_tol"], x0=x0)
+                          oracle_tol=cost["oracle_tol"])
     return rep, time.time() - start
 
 

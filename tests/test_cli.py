@@ -56,14 +56,20 @@ CROSS_FIELD_CASES = {
                        ["network.khop=3 out of range"]),
     "two-agents": ({"partition": {"n_agents": 2}}, ["network.khop=2 out of range"]),
     "rho-zero": ({"nonlinearity": {"kind": "log_quantizer", "rho": 0}},
-                 ["nonlinearity.x.rho must be positive", "nonlinearity.y.rho must be positive"]),
-    "limit-negative": ({"nonlinearity": {"x": {"kind": "saturation", "limit": -1.0}}},
-                       ["nonlinearity.x.limit must be positive"]),
+                 ["nonlinearity.rho must be positive"]),
+    "limit-negative": ({"nonlinearity": {"kind": "saturation", "limit": -1.0}},
+                       ["nonlinearity.limit must be positive"]),
     "too-few-points": ({"data": {"n_points": 4}, "partition": {"n_agents": 5}},
                        ["partition.n_agents=5 exceeds data.n_points=4"]),
     "sweep-khop": ({"partition": {"n_agents": 5},
                     "sweep": {"mode": "dynamics", "axes": {"khop": [1, 3]}}},
                    ["sweep.axes.khop=3 out of range"]),
+    "sweep-khop-fraction": ({"partition": {"n_agents": 7},
+                             "sweep": {"mode": "spectral", "axes": {"khop": [2, 2.5]}}},
+                            ["sweep.axes.khop=2.5 must be an integer"]),
+    "alpha-null": ({"solver": {"alpha": None}}, ["solver.alpha must be a number"]),
+    "rho-null": ({"nonlinearity": {"kind": "log_quantizer", "rho": None}},
+                 ["nonlinearity.rho must be a number"]),
     "sweep-rho": ({"sweep": {"axes": {"rho": [0.5, -0.5]}}},
                   ["sweep.axes.rho values must be positive"]),
     "sweep-alpha": ({"sweep": {"mode": "spectral", "axes": {"alpha": [-1.0]}}},
@@ -71,8 +77,8 @@ CROSS_FIELD_CASES = {
     "sweep-eta": ({"sweep": {"mode": "dynamics", "axes": {"eta": [0.0, -0.01]}}},
                   ["sweep.axes.eta values must be positive"]),
     "logq-rho-2": ({"nonlinearity": {"kind": "log_quantizer", "rho": 2.5}},
-                   ["nonlinearity.x.rho=2.5 must be below 2", "1 - rho/2"]),
-    "sweep-rho-logq-2": ({"nonlinearity": {"x": {"kind": "log_quantizer"}},
+                   ["nonlinearity.rho=2.5 must be below 2", "1 - rho/2"]),
+    "sweep-rho-logq-2": ({"nonlinearity": {"kind": "log_quantizer"},
                           "sweep": {"mode": "dynamics", "axes": {"rho": [1.0, 2.0]}}},
                          ["sweep.axes.rho=2.0 must be below 2", "1 - rho/2"]),
     "sweep-rho-no-quantizer": ({"nonlinearity": {"kind": "saturation", "limit": 2.0},
@@ -82,7 +88,7 @@ CROSS_FIELD_CASES = {
                     ["sweep.t_end must be positive"]),
     "all-at-once": ({"partition": {"n_agents": 2},
                      "nonlinearity": {"kind": "uniform_quantizer", "rho": -1}},
-                    ["network.khop=2 out of range", "nonlinearity.x.rho must be positive"]),
+                    ["network.khop=2 out of range", "nonlinearity.rho must be positive"]),
 }
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gtflow.cli import EXIT_CONFIG, main
 from gtflow.config import (ConfigError, load_preset, parse_config, preset_names)
 
 MINIMAL = '{"seed": 4}'
@@ -12,7 +13,7 @@ def test_minimal_config_gets_defaults():
     assert cfg.seed == 4
     assert cfg["solver"]["alpha"] == 6.0
     assert cfg["network"]["khop"] == 2
-    assert cfg.sections["nonlinearity"]["x"]["kind"] == "identity"
+    assert cfg.sections["nonlinearity"]["kind"] == "identity"
 
 
 def test_round_trip_is_stable():
@@ -57,22 +58,27 @@ def test_enum_values_checked():
 
 def test_nonlinearity_flat_applies_to_both_lines():
     cfg = parse_config('{"seed": 1, "nonlinearity": {"kind": "log_quantizer", "rho": 0.5}}')
-    assert cfg.sections["nonlinearity"]["x"]["rho"] == 0.5
-    assert cfg.sections["nonlinearity"]["y"]["rho"] == 0.5
+    assert cfg.sections["nonlinearity"]["rho"] == 0.5
 
 
-def test_nonlinearity_split_lines():
-    cfg = parse_config(json.dumps({
+def test_nonlinearity_split_lines(tmp_path, capsys):
+    # one link map serves both dynamics lines; a per-line {x, y} spec is unknown keys
+    flat = parse_config('{"seed": 1, "nonlinearity": {"kind": "saturation", "limit": 2.0}}')
+    assert flat["nonlinearity"] == {"kind": "saturation", "rho": 1.0, "limit": 2.0}
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps({
         "seed": 1,
         "nonlinearity": {"x": {"kind": "log_quantizer", "rho": 1.0},
                          "y": {"kind": "identity"}},
-    }))
-    assert cfg.sections["nonlinearity"]["x"]["kind"] == "log_quantizer"
-    assert cfg.sections["nonlinearity"]["y"]["kind"] == "identity"
+    }), encoding="utf-8")
+    assert main(["bounds", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unknown key nonlinearity.x" in err
+    assert "unknown key nonlinearity.y" in err
 
 
 def test_nonlinearity_unknown_kind():
-    with pytest.raises(ConfigError, match="nonlinearity.x.kind"):
+    with pytest.raises(ConfigError, match="nonlinearity.kind"):
         parse_config('{"seed": 1, "nonlinearity": {"kind": "cubic"}}')
 
 

@@ -31,7 +31,7 @@ def test_single_agent_exponential_flow():
     X, Y = np.array([[1.0]]), np.array([[1.0 - 3.0]])
     eta, steps = 1e-4, 20000
     for _ in range(steps):
-        dX, dY = derivative(X, Y, lap, costs, 1.0, identity(), identity())
+        dX, dY = derivative(X, Y, lap, costs, 1.0, identity())
         X = X + eta * dX
         Y = Y + eta * dY
     t = eta * steps
@@ -47,7 +47,7 @@ def test_derivative_zero_at_equilibrium():
     # the g(c) - g(c) cancellation is exact; the Laplacian row-sum
     # cancellation is exact only up to summation order, hence the 1e-12
     for g in (identity(), log_quantizer(1.0)):
-        dX, dY = derivative(X, Y, lap, costs, 0.5, g, g)
+        dX, dY = derivative(X, Y, lap, costs, 0.5, g)
         assert np.abs(dX).max() < 1e-12
         assert np.abs(dY).max() < 1e-12
 
@@ -59,7 +59,7 @@ def test_derivative_matches_system_matrix():
     Y = rng.normal(size=(5, 2))
     lap = laplacian(sched.base_graph)
     alpha = 0.4
-    dX, dY = derivative(X, Y, lap, costs, alpha, identity(), identity())
+    dX, dY = derivative(X, Y, lap, costs, alpha, identity())
     mats = assemble(lap, aggregate_hessian(costs, X), None, alpha, 2)
     stacked = mats.full @ np.concatenate([X.ravel(), Y.ravel()])
     got = np.concatenate([dX.ravel(), dY.ravel()])
@@ -127,7 +127,7 @@ def test_eta_is_reduced_to_divide_switch_period():
 def test_conservation_gradient_init_binds_tracker_to_gradients():
     costs, sched, x0 = quadratic_fixture()
     cfg = SolverConfig(alpha=0.4, eta=0.02, t_end=20.0, schedule=sched,
-                       g_x=log_quantizer(1.0), g_y=log_quantizer(1.0),
+                       g=log_quantizer(1.0),
                        sample_stride=20)
     trace = integrate(costs, x0, cfg)
     # quadratic costs: the discrete update conserves the offset exactly
@@ -186,7 +186,7 @@ def test_integrate_determinism():
     sched = SwitchingSchedule(make_khop_ring(5, 1, 0.8), 0.05, rng_seed=9,
                               mode=SwitchMode.PERMUTE)
     cfg = SolverConfig(alpha=0.3, eta=0.01, t_end=3.0, schedule=sched,
-                       g_x=log_quantizer(1.0), g_y=log_quantizer(1.0),
+                       g=log_quantizer(1.0),
                        sample_stride=25)
     a = integrate(costs, x0, cfg)
     b = integrate(costs, x0, cfg)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtflow.nonlinear import (apply, compose, gain_snapshot, identity,
+from gtflow.nonlinear import (apply, compose, identity,
                               log_quantizer, saturation, sector_bounds,
                               uniform_quantizer, verify_link_properties, SectorBounds)
 
@@ -110,22 +110,6 @@ def test_verify_log_quantizer_linearized_upper_bound_is_violated():
     assert rep.odd_ok and rep.monotone_ok
     assert not rep.sector_ok
     assert rep.worst_sector[1] == pytest.approx(math.exp(0.5), rel=1e-2)
-
-
-def test_gain_snapshot_identity_and_log():
-    xi = gain_snapshot(identity(), np.array([1.0, -3.0, 7.0]))
-    assert isinstance(xi, np.ndarray)
-    assert np.allclose(xi, 1.0)
-    xi = gain_snapshot(log_quantizer(1.0), np.array([1.0, 2.0]))
-    assert np.allclose(xi, [1.0, math.e / 2])
-
-
-def test_gain_snapshot_zero_component_uses_midpoint():
-    g = log_quantizer(1.0)
-    b = sector_bounds(g)
-    xi = gain_snapshot(g, np.array([0.0, 1.0]), bounds=b)
-    assert xi.shape == (2,)
-    assert xi[0] == pytest.approx(0.5 * (b.kappa + b.upper))
 
 
 def test_composition_stays_odd_monotone():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gtflow.config import build_svm_costs, parse_config
 from gtflow.engine import SolverConfig
 from gtflow.graph import SwitchingSchedule, SwitchMode, make_khop_ring
 from gtflow.svmlab import (Classifier, LabeledDataset, centralized_oracle,
@@ -145,6 +146,11 @@ def test_dataset_csv_round_trip():
     assert (back.labels == data.labels).all()
 
 
+def agent_costs(data, part):
+    # C=1, mu=2, eps_nu=1e-6: the cost section's defaults
+    return build_svm_costs(parse_config('{"seed": 1}'), data, part)
+
+
 def test_dsvm_experiment_smoke():
     # small fixture: identity links, short horizon; field sanity only
     data = generate_ellipse_data(45, seed=31, radius=0.8, margin_gap=0.1)
@@ -153,8 +159,10 @@ def test_dsvm_experiment_smoke():
                               rng_seed=2, mode=SwitchMode.PERMUTE)
     solver = SolverConfig(alpha=1.0, eta=0.01, t_end=5.0, schedule=sched,
                           sample_stride=50)
-    report = dsvm_experiment(data, part, solver, C=1.0, mu=2.0,
-                             regularizer_mode="matched", x0_seed=3)
+    costs = agent_costs(data, part)
+    x0 = np.random.default_rng(3).uniform(0.0, 1.0, size=(3, 4))
+    report = dsvm_experiment(data, costs, solver, x0, C=1.0, mu=2.0,
+                             regularizer_mode="matched")
     assert report.status == "completed"
     assert len(report.agent_classifiers) == 3
     assert report.consensus_spread >= 0
@@ -169,5 +177,6 @@ def test_dsvm_regularizer_mode_validation():
     part = partition(data, 3)
     sched = SwitchingSchedule(make_khop_ring(3, 1, 0.8), 0.01)
     solver = SolverConfig(alpha=1.0, eta=0.01, t_end=0.1, schedule=sched)
+    x0 = np.zeros((3, 4))
     with pytest.raises(ValueError, match="regularizer"):
-        dsvm_experiment(data, part, solver, regularizer_mode="averaged")
+        dsvm_experiment(data, agent_costs(data, part), solver, x0, regularizer_mode="averaged")
