@@ -239,7 +239,9 @@ def cmd_run(args) -> int:
         _write(out, "consensus_classifier.txt",
                report.consensus.to_text(accuracy=report.consensus_accuracy))
 
-    meta.append(f"  max_abs_state: {format(trace.max_abs_state, '.17g')}")
+    meta += [f"  max_abs_state: {format(trace.max_abs_state, '.17g')}",
+             f"  eta_used: {format(trace.eta, '.17g')}",
+             f"  steps: {trace.steps}"]
     if cfg["nonlinearity"]["kind"] == "saturation" and trace.max_abs_state > SATURATION_DOMAIN:
         meta.append(f"  warning: trajectory left the declared sector domain "
                     f"[-{SATURATION_DOMAIN:g}, {SATURATION_DOMAIN:g}]; the "

@@ -212,15 +212,20 @@ def parse_config(text: str) -> ExperimentConfig:
         if val not in allowed:
             problems.append(f"{sec}.{key} must be one of {allowed}, got {val!r}")
 
-    _validate_values(sections, problems)
+    _validate_values(raw.get("seed"), sections, problems)
 
     if problems:
         raise ConfigError(problems)
     return ExperimentConfig(int(raw["seed"]), sections, description)
 
 
-def _validate_values(sections, problems):
+def _validate_values(seed, sections, problems):
     data, net, cost, solver = (sections[k] for k in ("data", "network", "cost", "solver"))
+    # numpy's seeded generators take non-negative seeds only
+    seeds = [("seed", seed)] + [(f"{name}.seed", body["seed"])
+                                for name, body in sections.items() if "seed" in body]
+    problems += [f"{name}={value} must be non-negative"
+                 for name, value in seeds if _INT[1](value) and value < 0]
     if data["kind"] == "ellipse":
         if not (0 < data["radius"] < 1):
             problems.append("data.radius must lie in (0, 1)")

@@ -96,7 +96,9 @@ class Trace:
     residual measures drift of (sum_i y_i - sum_i grad f_i) from its initial
     value, which the exact flow keeps constant on weight-balanced graphs.
     ``max_abs_state`` is the largest state magnitude seen at any step, the
-    quantity to compare against a domain-relative sector bound.
+    quantity to compare against a domain-relative sector bound. ``eta`` is
+    the step actually used (see ``SolverConfig.aligned_eta``) and ``steps``
+    the number of steps taken, the diverging one included.
     """
 
     times: np.ndarray
@@ -109,6 +111,7 @@ class Trace:
     lyapunov: np.ndarray | None
     status: str
     eta: float
+    steps: int
     final_x: np.ndarray
     final_y: np.ndarray
     max_abs_state: float = 0.0
@@ -135,18 +138,18 @@ class Trace:
 
 
 def derivative(
-    X: np.ndarray,
-    Y: np.ndarray,
+    S: np.ndarray,
     lap: np.ndarray,
     costs,
     alpha: float,
     g: LinkNonlinearity,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (dX, dY) at one operating point; the graph is frozen by the caller."""
-    dX = lap @ apply(g, X) - alpha * Y
-    dY = lap @ apply(g, Y) + np.stack(
-        [costs[i].hessian(X[i]) @ dX[i] for i in range(len(costs))])
-    return dX, dY
+) -> np.ndarray:
+    """dS for the stacked state S = [X, Y] of shape (2, n, m); the graph is frozen by the caller."""
+    dS = lap @ apply(g, S)
+    dS[0] -= alpha * S[1]
+    H = np.array([c.hessian(S[0, i]) for i, c in enumerate(costs)])
+    dS[1] += (H @ dS[0][:, :, None])[:, :, 0]
+    return dS
 
 
 def integrate(
@@ -174,6 +177,7 @@ def integrate(
         Y = np.zeros_like(X)
 
     offset0 = Y.sum(axis=0) - sum_gradient(costs, X)
+    S = np.stack([X, Y])
     stride = config.sample_stride
     rec: dict[str, list] = {k: [] for k in
                             ("t", "x", "y", "F", "gn", "ce", "cons", "lya")}
@@ -197,6 +201,7 @@ def integrate(
     max_abs = 0.0
     interval = -1
     L = None
+    args = (costs, config.alpha, config.g)
     for k in range(steps + 1):
         t = k * eta
         ix = config.schedule.interval_index(t)
@@ -204,27 +209,23 @@ def integrate(
             L = laplacian(graph_at(config.schedule, t))
             interval = ix
         if k % stride == 0:
-            record(t, X, Y)
+            record(t, S[0], S[1])
         if k == steps:
             break
         if config.method == "euler":
-            dX, dY = derivative(X, Y, L, costs, config.alpha, config.g)
-            X = X + eta * dX
-            Y = Y + eta * dY
+            S = S + eta * derivative(S, L, *args)
         else:
-            k1x, k1y = derivative(X, Y, L, costs, config.alpha, config.g)
-            k2x, k2y = derivative(X + 0.5 * eta * k1x, Y + 0.5 * eta * k1y,
-                                  L, costs, config.alpha, config.g)
-            k3x, k3y = derivative(X + 0.5 * eta * k2x, Y + 0.5 * eta * k2y,
-                                  L, costs, config.alpha, config.g)
-            k4x, k4y = derivative(X + eta * k3x, Y + eta * k3y,
-                                  L, costs, config.alpha, config.g)
-            X = X + (eta / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-            Y = Y + (eta / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
-        largest = max(np.abs(X).max(), np.abs(Y).max())
-        max_abs = max(max_abs, float(largest))
-        if not np.isfinite(X).all() or not np.isfinite(Y).all() or largest > BLOWUP_THRESHOLD:
+            k1 = derivative(S, L, *args)
+            k2 = derivative(S + 0.5 * eta * k1, L, *args)
+            k3 = derivative(S + 0.5 * eta * k2, L, *args)
+            k4 = derivative(S + eta * k3, L, *args)
+            S = S + (eta / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        # test each line: max(ax, ay) drops a NaN in ay
+        ax, ay = np.abs(S).max(axis=(1, 2))
+        max_abs = max(max_abs, float(max(ax, ay)))
+        if not (ax <= BLOWUP_THRESHOLD and ay <= BLOWUP_THRESHOLD):
             status = "diverged"
+            k += 1  # the step that diverged was taken
             break
 
     return Trace(
@@ -238,8 +239,9 @@ def integrate(
         lyapunov=np.array(rec["lya"]) if reference is not None else None,
         status=status,
         eta=eta,
-        final_x=X,
-        final_y=Y,
+        steps=k,
+        final_x=S[0],
+        final_y=S[1],
         max_abs_state=max_abs,
     )
 

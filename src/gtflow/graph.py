@@ -69,9 +69,16 @@ class WeightedGraph:
         return self.weights.sum(axis=1)
 
     def permuted(self, perm: np.ndarray) -> "WeightedGraph":
-        """Relabel nodes: node i of the result is node perm[i] of self."""
+        """Relabel nodes: node i of the result is node perm[i] of self.
+
+        A relabelled valid graph is valid, so the checks do not run again.
+        """
         p = np.asarray(perm)
-        return WeightedGraph(self.n, self.weights[np.ix_(p, p)])
+        g = object.__new__(WeightedGraph)
+        object.__setattr__(g, "n", self.n)
+        object.__setattr__(g, "weights", self.weights[np.ix_(p, p)])
+        g.weights.flags.writeable = False
+        return g
 
 
 class SwitchMode(str, Enum):

@@ -112,10 +112,9 @@ def apply(g: LinkNonlinearity, z):
     if g.kind == "identity":
         out = x.copy()
     elif g.kind == "log_quantizer":
-        # sgn(z) * exp(rho * round(log|z| / rho)); 0 maps to 0 by odd symmetry
-        out = np.zeros_like(x)
-        nz = x != 0
-        out[nz] = np.sign(x[nz]) * np.exp(g.rho * np.round(np.log(np.abs(x[nz])) / g.rho))
+        # sgn(z) * exp(rho * round(log|z| / rho)); at 0, log gives -inf and exp 0
+        with np.errstate(divide="ignore"):
+            out = np.sign(x) * np.exp(g.rho * np.round(np.log(np.abs(x)) / g.rho))
     elif g.kind == "uniform_quantizer":
         out = g.rho * np.round(x / g.rho)
     elif g.kind == "saturation":

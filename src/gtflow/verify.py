@@ -330,7 +330,7 @@ def check_linear_step_oracle(trials: int = 25, seed: int = 9) -> CheckResult:
         mats = spectral.assemble(lap, hess, None, alpha, m)
         stacked = np.concatenate([X.ravel(), Y.ravel()])
         oracle_next = stacked + eta * (mats.full @ stacked)
-        dX, dY = derivative(X, Y, lap, costs, alpha, nl.identity())
+        dX, dY = derivative(np.stack([X, Y]), lap, costs, alpha, nl.identity())
         engine_next = np.concatenate([(X + eta * dX).ravel(), (Y + eta * dY).ravel()])
         err = np.max(np.abs(engine_next - oracle_next))
         if err > 1e-12 * max(1.0, np.abs(oracle_next).max()):
@@ -351,7 +351,7 @@ def check_equilibrium_invariance(seed: int = 10) -> CheckResult:
     lap = laplacian(sched.base_graph)
     failures = []
     for g in (nl.identity(), nl.log_quantizer(1.0), nl.saturation(0.5)):
-        dX, dY = derivative(X, Y, lap, costs, 0.3, g)
+        dX, dY = derivative(np.stack([X, Y]), lap, costs, 0.3, g)
         worst = max(np.abs(dX).max(), np.abs(dY).max())
         if worst > 1e-12:
             failures.append((g.kind, worst))

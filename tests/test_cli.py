@@ -86,6 +86,10 @@ CROSS_FIELD_CASES = {
                                ["no nonlinearity line is a log_quantizer or uniform_quantizer"]),
     "sweep-t-end": ({"sweep": {"mode": "dynamics", "t_end": 0.0, "axes": {"alpha": [0.1]}}},
                     ["sweep.t_end must be positive"]),
+    "seed-negative": ({"seed": -3}, ["seed=-3 must be non-negative"]),
+    "section-seed-negative": ({"network": {"seed": -1}, "partition": {"seed": -2}},
+                              ["network.seed=-1 must be non-negative",
+                               "partition.seed=-2 must be non-negative"]),
     "all-at-once": ({"partition": {"n_agents": 2},
                      "nonlinearity": {"kind": "uniform_quantizer", "rho": -1}},
                     ["network.khop=2 out of range", "nonlinearity.rho must be positive"]),
@@ -102,6 +106,13 @@ def test_cross_field_config_problems_exit_3(tmp_path, capsys, case):
         assert err.startswith("invalid configuration:")
         for message in messages:
             assert message in err
+
+
+def test_negative_seed_override_exits_3(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    argv = ["bounds", "--preset", "fig5-sensitivity", "--seed", "-20", "--out", out]
+    assert main(argv) == EXIT_CONFIG
+    assert "seed=-20 must be non-negative" in capsys.readouterr().err
 
 
 def test_missing_dataset_csv_exits_3(tmp_path, capsys):
@@ -141,6 +152,26 @@ def test_run_divergent_config_exits_2(tmp_path):
     body["cost"] = {**QUAD_CONFIG["cost"], "curvature_scale": 50.0}
     cfg = write_config(tmp_path, body)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_DIVERGED
+    meta = read_result(tmp_path / "o")
+    assert meta["status"] == "diverged"
+    assert 0 < int(meta["steps"]) < 100
+
+
+def read_result(out):
+    text = (out / "metadata.txt").read_text()
+    block = text.split("\nresult:\n")[1]
+    return dict(ln.strip().split(": ", 1) for ln in block.splitlines() if ": " in ln)
+
+
+def test_run_metadata_reports_step_actually_used(tmp_path):
+    # eta 0.03 does not divide the switching period 0.05, so 0.025 is used
+    body = {**QUAD_CONFIG, "solver": {**QUAD_CONFIG["solver"], "eta": 0.03}}
+    cfg = write_config(tmp_path, body)
+    with pytest.warns(UserWarning, match="does not divide"):
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    meta = read_result(tmp_path / "o")
+    assert float(meta["eta_used"]) == 0.025
+    assert meta["steps"] == "200"
 
 
 def test_bounds_reports_three_values(tmp_path, capsys):

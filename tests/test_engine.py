@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from gtflow.cost import QuadraticCost, aggregate_hessian, sum_gradient
+from gtflow.cost import QuadraticCost, SvmHingeCost, aggregate_hessian, sum_gradient
 from gtflow.engine import SolverConfig, conservation_residual, derivative, integrate
 from gtflow.graph import SwitchingSchedule, SwitchMode, laplacian, make_khop_ring
-from gtflow.nonlinear import identity, log_quantizer
+from gtflow.nonlinear import apply, identity, log_quantizer, saturation
 from gtflow.spectral import assemble, spectral_report, step_size_bounds
 
 
@@ -31,7 +31,7 @@ def test_single_agent_exponential_flow():
     X, Y = np.array([[1.0]]), np.array([[1.0 - 3.0]])
     eta, steps = 1e-4, 20000
     for _ in range(steps):
-        dX, dY = derivative(X, Y, lap, costs, 1.0, identity())
+        dX, dY = derivative(np.stack([X, Y]), lap, costs, 1.0, identity())
         X = X + eta * dX
         Y = Y + eta * dY
     t = eta * steps
@@ -47,7 +47,7 @@ def test_derivative_zero_at_equilibrium():
     # the g(c) - g(c) cancellation is exact; the Laplacian row-sum
     # cancellation is exact only up to summation order, hence the 1e-12
     for g in (identity(), log_quantizer(1.0)):
-        dX, dY = derivative(X, Y, lap, costs, 0.5, g)
+        dX, dY = derivative(np.stack([X, Y]), lap, costs, 0.5, g)
         assert np.abs(dX).max() < 1e-12
         assert np.abs(dY).max() < 1e-12
 
@@ -59,11 +59,52 @@ def test_derivative_matches_system_matrix():
     Y = rng.normal(size=(5, 2))
     lap = laplacian(sched.base_graph)
     alpha = 0.4
-    dX, dY = derivative(X, Y, lap, costs, alpha, identity())
+    dX, dY = derivative(np.stack([X, Y]), lap, costs, alpha, identity())
     mats = assemble(lap, aggregate_hessian(costs, X), None, alpha, 2)
     stacked = mats.full @ np.concatenate([X.ravel(), Y.ravel()])
     got = np.concatenate([dX.ravel(), dY.ravel()])
     assert np.max(np.abs(got - stacked)) < 1e-12
+
+
+def svm_fixture(n=5, points=12, seed=3):
+    rng = np.random.default_rng(seed)
+    return [SvmHingeCost(rng.normal(size=(points, 3)), rng.choice([-1.0, 1.0], size=points))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("g", [log_quantizer(0.5), saturation(0.7)], ids=lambda g: g.kind)
+@pytest.mark.parametrize("kind", ["quadratic", "svm"])
+def test_stacked_derivative_equals_per_line_formulas(kind, g):
+    costs = quadratic_fixture()[0] if kind == "quadratic" else svm_fixture()
+    m = costs[0].m
+    rng = np.random.default_rng(4)
+    X, Y = rng.normal(size=(5, m)), rng.normal(size=(5, m))
+    lap = laplacian(make_khop_ring(5, 2, 0.8))
+    alpha = 0.7
+    dX = lap @ apply(g, X) - alpha * Y
+    dY = lap @ apply(g, Y) + np.stack([c.hessian(X[i]) @ dX[i] for i, c in enumerate(costs)])
+    dS = derivative(np.stack([X, Y]), lap, costs, alpha, g)
+    assert np.array_equal(dS[0], dX)
+    assert np.array_equal(dS[1], dY)
+
+
+class NanCurvature(QuadraticCost):
+    """A quadratic whose Hessian is NaN: only the tracker line blows up."""
+
+    def hessian(self, x):
+        return np.full_like(self.Q, np.nan)
+
+
+def test_nan_in_tracker_line_alone_ends_run_as_diverged():
+    costs = [NanCurvature(c.Q, c.b) for c in quadratic_fixture()[0]]
+    _, sched, x0 = quadratic_fixture()
+    cfg = SolverConfig(alpha=0.3, eta=0.01, t_end=1.0, schedule=sched)
+    trace = integrate(costs, x0, cfg)
+    assert trace.status == "diverged"
+    assert trace.steps == 1
+    assert np.isfinite(trace.final_x).all() and np.isnan(trace.final_y).all()
+    # the NaN line does not enter the largest magnitude seen
+    assert trace.max_abs_state == np.abs(trace.final_x).max()
 
 
 def test_integrate_constant_at_equilibrium():

@@ -122,6 +122,19 @@ def test_graph_at_piecewise_constant_and_deterministic():
     assert np.allclose(np.sort(a.ravel()), np.sort(base.weights.ravel()))
 
 
+@pytest.mark.parametrize("n, k, directed", [(5, 2, False), (8, 2, False),
+                                              (12, 3, False), (8, 1, True)])
+def test_permuted_graphs_stay_valid_without_revalidation(n, k, directed):
+    base = make_khop_ring(n, k, 0.8, directed=directed)
+    sched = SwitchingSchedule(base, 0.5, rng_seed=n, mode=SwitchMode.PERMUTE)
+    for idx in range(200):
+        g = graph_at(sched, 0.5 * idx + 0.25)
+        assert not g.weights.flags.writeable
+        WeightedGraph(g.n, g.weights)  # the full checks still accept it
+        p = np.random.default_rng([n, idx]).permutation(n)
+        assert np.array_equal(g.weights, base.weights[np.ix_(p, p)])
+
+
 def test_graph_at_rejects_negative_time():
     sched = SwitchingSchedule(make_khop_ring(4, 1, 0.5), 0.1)
     with pytest.raises(ValueError):
