@@ -129,9 +129,7 @@ def _bound_report(cfg: ExperimentConfig, costs, x0):
     schedule = cfgmod.build_schedule(cfg)
     lap = laplacian(schedule.base_graph)
     hess = aggregate_hessian(costs, x0)
-    m = x0.shape[1]
-    base = spectral.assemble(lap, hess, None, 0.0, m)
-    rep = spectral.spectral_report(base)
+    slowest, radius = spectral.laplacian_rates(lap)
     kappa, upper = _combined_sector(cfg)
     if kappa <= 0:
         # dead-zone links: no positive lower sector slope exists; report the
@@ -141,12 +139,12 @@ def _bound_report(cfg: ExperimentConfig, costs, x0):
     else:
         kappa_eff, flagged = kappa, False
     bounds = spectral.step_size_bounds(
-        kappa_eff, upper, hess.infinity_norm, rep.slowest_decay,
-        rep.spectral_radius, schedule.base_graph.n, m)
-    return bounds, rep, flagged
+        kappa_eff, upper, hess.infinity_norm, slowest, radius,
+        schedule.base_graph.n, x0.shape[1])
+    return bounds, flagged
 
 
-def _bounds_lines(cfg, bounds, rep, flagged) -> list[str]:
+def _bounds_lines(cfg, bounds, flagged) -> list[str]:
     alpha = cfg["solver"]["alpha"]
     adm = bounds.admissible(alpha)
     num = lambda v: format(float(v), ".17g")
@@ -175,8 +173,7 @@ def _bounds_lines(cfg, bounds, rep, flagged) -> list[str]:
 def cmd_bounds(args) -> int:
     cfg = _load_config(args)
     costs, x0, _ = _build_costs(cfg)
-    bounds, rep, flagged = _bound_report(cfg, costs, x0)
-    lines = _bounds_lines(cfg, bounds, rep, flagged)
+    lines = _bounds_lines(cfg, *_bound_report(cfg, costs, x0))
     text = "\n".join(lines) + "\n"
     print(text, end="")
     _write(args.out, "bounds.txt", text)
@@ -203,8 +200,8 @@ def cmd_run(args) -> int:
     meta = ["config:"] + ["  " + ln for ln in cfg.to_json().splitlines()]
 
     costs, x0, context = _build_costs(cfg)
-    bounds, rep, flagged = _bound_report(cfg, costs, x0)
-    meta += ["", "bounds:"] + ["  " + ln for ln in _bounds_lines(cfg, bounds, rep, flagged)]
+    bound_lines = _bounds_lines(cfg, *_bound_report(cfg, costs, x0))
+    meta += ["", "bounds:"] + ["  " + ln for ln in bound_lines]
 
     schedule = cfgmod.build_schedule(cfg)
     solver = cfgmod.build_solver(cfg, schedule)

@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 
 from .cost import QuadraticCost, SvmHingeCost
-from .engine import SolverConfig
+from .engine import MAX_STEPS, SolverConfig, aligned_step
 from .graph import SwitchingSchedule, SwitchMode, make_khop_ring
 from .nonlinear import (LinkNonlinearity, identity, log_quantizer, saturation,
                         uniform_quantizer)
@@ -254,6 +254,10 @@ def _validate_values(seed, sections, problems):
         problems.append("solver.sample_stride must be at least 1")
     if cost["C"] <= 0 or cost["mu"] <= 0 or cost["eps_nu"] < 0:
         problems.append("cost requires C > 0, mu > 0, eps_nu >= 0")
+    if cost["m"] < 1:
+        problems.append("cost.m must be at least 1")
+    if cost["curvature_scale"] <= 0:
+        problems.append("cost.curvature_scale must be positive")
     link = sections["nonlinearity"]
     key = _LEVEL_KEY.get(link["kind"])
     if key is not None and link[key] <= 0:
@@ -283,6 +287,24 @@ def _validate_values(seed, sections, problems):
                 problems.append(f"sweep.axes.rho={max(values)} must be below 2: the "
                                 "log_quantizer's linearized lower bound 1 - rho/2 must be "
                                 "positive")
+    # the integrator takes round(t_end / step) steps of the aligned step;
+    # a sweep's cells run over sweep.t_end with each eta axis value
+    runs = [("solver.t_end", solver["t_end"], "solver.eta", solver["eta"])]
+    axes = sections["sweep"]["axes"]
+    if axes:
+        etas = ([("sweep.axes.eta", v) for v in axes["eta"]] if _LIST[1](axes.get("eta"))
+                else [("solver.eta", solver["eta"])])
+        runs += [("sweep.t_end", sections["sweep"]["t_end"], *e) for e in etas]
+    period = net["switch_period"]
+    for t_name, t_end, eta_name, eta in runs:
+        if min(period, t_end, eta) <= 0:
+            continue  # reported above
+        step = aligned_step(eta, period)
+        steps = t_end / step if step else float("inf")
+        if steps > MAX_STEPS + 0.5:
+            problems.append(f"{t_name}={t_end:g} with {eta_name}={eta:g} and "
+                            f"network.switch_period={period:g} (step {step:g}) implies "
+                            f"{steps:.3g} steps, above the limit of {MAX_STEPS:.0e}")
     # the k-hop ring links each node to k neighbours per side
     k_max = (n_agents - 1) // 2
     for name, k in khops:

@@ -28,14 +28,24 @@ from .graph import SwitchingSchedule, graph_at, laplacian
 from .nonlinear import LinkNonlinearity, apply, identity
 
 __all__ = [
+    "MAX_STEPS",
     "SolverConfig",
     "Trace",
+    "aligned_step",
     "derivative",
     "integrate",
     "conservation_residual",
 ]
 
 BLOWUP_THRESHOLD = 1e12
+
+MAX_STEPS = 10**7  # most steps config validation lets a run take; fig2 takes 6e4
+
+
+def aligned_step(eta: float, period: float) -> float:
+    """Largest step not exceeding eta that divides the switching period."""
+    # at least one step per period; 0.0 when period / eta overflows
+    return period / max(1.0, float(np.ceil(period / eta - 1e-9)))
 
 
 @dataclass(frozen=True)
@@ -74,10 +84,9 @@ class SolverConfig:
             raise ValueError("sample_stride must be at least 1")
 
     def aligned_eta(self) -> float:
-        """Largest step not exceeding eta that divides the switching period."""
+        """``aligned_step`` of eta, with a warning when it had to shrink."""
         period = self.schedule.switch_period
-        per_interval = int(np.ceil(period / self.eta - 1e-9))
-        eta = period / per_interval
+        eta = aligned_step(self.eta, period)
         if abs(eta - self.eta) > 1e-12 * self.eta:
             warnings.warn(
                 f"eta={self.eta} does not divide the switching period {period}; "

@@ -23,8 +23,6 @@ __all__ = [
     "check_weight_balanced",
     "is_strongly_connected",
     "graph_at",
-    "to_edge_list",
-    "from_edge_list",
 ]
 
 ROW_SUM_LIMIT = 1.0
@@ -200,30 +198,3 @@ def graph_at(schedule: SwitchingSchedule, t: float) -> WeightedGraph:
     perm = rng.permutation(schedule.base_graph.n)
     return schedule.base_graph.permuted(perm)
 
-
-def to_edge_list(g: WeightedGraph) -> str:
-    """Serialize to the plain-text edge-list format (header then i j w triples)."""
-    lines = [f"n {g.n}"]
-    for i in range(g.n):
-        for j in range(g.n):
-            if g.weights[i, j] != 0:
-                lines.append(f"{i} {j} {format(g.weights[i, j], '.17g')}")
-    return "\n".join(lines) + "\n"
-
-
-def from_edge_list(text: str) -> WeightedGraph:
-    """Parse the edge-list format produced by :func:`to_edge_list`."""
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("n "):
-        raise ValueError("edge list must start with a 'n <count>' header")
-    n = int(lines[0].split()[1])
-    w = np.zeros((n, n))
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed edge line: {ln!r}")
-        i, j, val = int(parts[0]), int(parts[1]), float(parts[2])
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) outside node range 0..{n-1}")
-        w[i, j] = val
-    return WeightedGraph(n, w)

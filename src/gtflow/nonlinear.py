@@ -28,13 +28,12 @@ __all__ = [
     "log_quantizer",
     "uniform_quantizer",
     "saturation",
-    "compose",
     "apply",
     "sector_bounds",
     "verify_link_properties",
 ]
 
-_KINDS = ("identity", "log_quantizer", "uniform_quantizer", "saturation", "composite")
+_KINDS = ("identity", "log_quantizer", "uniform_quantizer", "saturation")
 
 
 @dataclass(frozen=True)
@@ -44,8 +43,6 @@ class LinkNonlinearity:
     kind: str
     rho: float | None = None
     limit: float | None = None
-    inner: "LinkNonlinearity | None" = None
-    outer: "LinkNonlinearity | None" = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -56,11 +53,6 @@ class LinkNonlinearity:
         if self.kind == "saturation":
             if self.limit is None or self.limit <= 0:
                 raise ValueError("saturation needs a positive limit")
-        if self.kind == "composite" and (self.inner is None or self.outer is None):
-            raise ValueError("composite needs inner and outer maps")
-
-    def __call__(self, z):
-        return apply(self, z)
 
 
 def identity() -> LinkNonlinearity:
@@ -77,11 +69,6 @@ def uniform_quantizer(rho: float) -> LinkNonlinearity:
 
 def saturation(limit: float) -> LinkNonlinearity:
     return LinkNonlinearity("saturation", limit=limit)
-
-
-def compose(outer: LinkNonlinearity, inner: LinkNonlinearity) -> LinkNonlinearity:
-    """outer(inner(z)); odd monotone maps are closed under composition."""
-    return LinkNonlinearity("composite", inner=inner, outer=outer)
 
 
 @dataclass(frozen=True)
@@ -117,10 +104,8 @@ def apply(g: LinkNonlinearity, z):
             out = np.sign(x) * np.exp(g.rho * np.round(np.log(np.abs(x)) / g.rho))
     elif g.kind == "uniform_quantizer":
         out = g.rho * np.round(x / g.rho)
-    elif g.kind == "saturation":
+    else:  # saturation
         out = np.clip(x, -g.limit, g.limit)
-    else:
-        out = apply(g.outer, apply(g.inner, x))
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
@@ -155,16 +140,12 @@ def sector_bounds(
     if g.kind == "uniform_quantizer":
         # ratio sup is 2 (approached just past the dead-zone edge rho/2)
         return SectorBounds(0.0, 2.0, domain)
-    if g.kind == "saturation":
-        extent = max(abs(lo), abs(hi))
-        if not math.isfinite(extent):
-            raise ValueError("saturation sector bounds need a bounded domain")
-        if extent <= g.limit:
-            return SectorBounds(1.0, 1.0, domain)
-        return SectorBounds(g.limit / extent, 1.0, domain)
-    inner = sector_bounds(g.inner, domain, mode)
-    outer = sector_bounds(g.outer, domain, mode)
-    return SectorBounds(inner.kappa * outer.kappa, inner.upper * outer.upper, domain)
+    extent = max(abs(lo), abs(hi))  # saturation
+    if not math.isfinite(extent):
+        raise ValueError("saturation sector bounds need a bounded domain")
+    if extent <= g.limit:
+        return SectorBounds(1.0, 1.0, domain)
+    return SectorBounds(g.limit / extent, 1.0, domain)
 
 
 @dataclass

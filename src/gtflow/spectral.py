@@ -4,7 +4,7 @@ The stacked dynamics linearize, at every operating instant, to
 
     d/dt [x; y] = (diffusion + alpha * descent) [x; y]
 
-where the diffusion part carries the two gain-scaled network Laplacians and
+where the diffusion part carries the gain-scaled network Laplacian and
 the Hessian-chain coupling, and the descent part carries the step-size
 blocks. Stability of the whole scheme reduces to: the assembled matrix keeps
 exactly m zero eigenvalues (the consensus directions) and every other
@@ -25,7 +25,7 @@ __all__ = [
     "StepSizeBounds",
     "assemble",
     "spectral_report",
-    "spectrum_summary",
+    "laplacian_rates",
     "eigen_derivative_check",
     "matching_distance",
     "step_size_bounds",
@@ -35,7 +35,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SystemMatrices:
-    """Assembled 2nm-by-2nm system blocks plus the n-by-n Laplacian.
+    """Assembled 2nm-by-2nm system blocks.
 
     ``full`` always reconstructs exactly as ``diffusion + alpha * descent``;
     with unit link gains ``full`` is the linear-link system matrix.
@@ -44,9 +44,6 @@ class SystemMatrices:
     diffusion: np.ndarray       # gain-scaled alpha-independent part
     descent: np.ndarray         # blocks multiplied by the step size
     full: np.ndarray
-    lap: np.ndarray
-    alpha: float
-    n: int
     m: int
 
 
@@ -82,43 +79,24 @@ def assemble(
     zero = np.zeros((nm, nm))
     diffusion = np.block([[LG, zero], [H @ LG, LG]])
     descent = np.block([[zero, -np.eye(nm)], [zero, -H]])
-    return SystemMatrices(diffusion, descent, diffusion + alpha * descent,
-                          lap, alpha, n, m)
+    return SystemMatrices(diffusion, descent, diffusion + alpha * descent, m)
 
 
 @dataclass(frozen=True)
 class SpectralReport:
     """Eigenstructure verdict for one assembled system.
 
-    ``slowest_decay`` and ``spectral_radius`` describe the unit-gain
-    diffusion matrix; it is block lower-triangular with the lifted Laplacian
-    on both diagonal blocks, so its spectrum is the Laplacian spectrum (each
-    eigenvalue repeated 2m times) and both values are read off the n-by-n
-    Laplacian. They feed the step-size
-    bound formulas. ``stable`` means the zero eigenvalue count is exactly m
-    and everything else decays.
+    ``stable`` means the zero eigenvalue count is exactly m and everything
+    else decays.
     """
 
-    eigenvalues: np.ndarray
     zero_count: int
     max_nonzero_real: float
-    slowest_decay: float
-    spectral_radius: float
     m: int
-    zero_tol: float
 
     @property
     def stable(self) -> bool:
         return self.zero_count == self.m and self.max_nonzero_real < 0
-
-
-def spectrum_summary(eigs: np.ndarray, zero_tol: float) -> tuple[int, float]:
-    """Count near-zero eigenvalues and the largest real part among the rest."""
-    eigs = np.asarray(eigs)
-    near_zero = np.abs(eigs) <= zero_tol
-    nonzero = eigs[~near_zero]
-    max_re = float(nonzero.real.max()) if nonzero.size else float("-inf")
-    return int(near_zero.sum()), max_re
 
 
 def spectral_report(mats: SystemMatrices) -> SpectralReport:
@@ -129,17 +107,27 @@ def spectral_report(mats: SystemMatrices) -> SpectralReport:
     non-normal, so the general (balanced) dense solver is the right tool.
     """
     eigs = np.linalg.eigvals(mats.full)
-    eigs = eigs[np.argsort(eigs.real)]
     scale = float(np.abs(eigs).max()) if eigs.size else 0.0
-    tol = 1e-8 * scale
-    zero_count, max_re = spectrum_summary(eigs, tol)
+    near_zero = np.abs(eigs) <= 1e-8 * scale
+    nonzero = eigs[~near_zero]
+    max_re = float(nonzero.real.max()) if nonzero.size else float("-inf")
+    return SpectralReport(int(near_zero.sum()), max_re, mats.m)
 
-    base = np.linalg.eigvals(mats.lap)
+
+def laplacian_rates(lap: np.ndarray) -> tuple[float, float]:
+    """(slowest_decay, spectral_radius) of the unit-gain diffusion matrix.
+
+    That matrix is block lower-triangular with the lifted Laplacian on both
+    diagonal blocks, so its spectrum is the Laplacian spectrum (each
+    eigenvalue repeated 2m times) and both values are read off the n-by-n
+    Laplacian, with the same 1e-8 relative zero filter as ``spectral_report``.
+    They feed the step-size bound formulas.
+    """
+    base = np.linalg.eigvals(lap)
     radius = float(np.abs(base).max())
     nonzero = base[np.abs(base) > 1e-8 * radius]
     slowest = float(np.abs(nonzero.real).min()) if nonzero.size else 0.0
-
-    return SpectralReport(eigs, zero_count, max_re, slowest, radius, mats.m, tol)
+    return slowest, radius
 
 
 @dataclass(frozen=True)

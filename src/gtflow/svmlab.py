@@ -34,7 +34,6 @@ __all__ = [
     "centralized_oracle",
     "evaluate",
     "dsvm_experiment",
-    "dataset_to_csv",
     "dataset_from_csv",
 ]
 
@@ -339,13 +338,6 @@ def dsvm_experiment(
     )
 
 
-def dataset_to_csv(data: LabeledDataset) -> str:
-    lines = ["chi1,chi2,label"]
-    for p, l in zip(data.points, data.labels):
-        lines.append(f"{format(p[0], '.17g')},{format(p[1], '.17g')},{int(l)}")
-    return "\n".join(lines) + "\n"
-
-
 def dataset_from_csv(text: str) -> LabeledDataset:
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1].strip().lower() != "chi1,chi2,label":
@@ -356,6 +348,8 @@ def dataset_from_csv(text: str) -> LabeledDataset:
             a, b, l = (float(v) for v in ln.split(","))
         except ValueError as err:
             raise ValueError(f"line {no}: {err}") from None
+        if not np.isfinite([a, b]).all():
+            raise ValueError(f"line {no}: coordinates must be finite, got {a!r}, {b!r}")
         pts.append((a, b))
         labs.append(l)
     return LabeledDataset(np.array(pts), np.array(labs))

@@ -21,8 +21,8 @@ from gtflow.cost import HessianAggregate, QuadraticCost, aggregate_hessian
 from gtflow.engine import SolverConfig, integrate
 from gtflow.graph import SwitchingSchedule, SwitchMode, laplacian, make_khop_ring
 from gtflow.nonlinear import log_quantizer, sector_bounds
-from gtflow.spectral import (assemble, spectral_report, stability_sweep,
-                             step_size_bounds)
+from gtflow.spectral import (assemble, laplacian_rates, spectral_report,
+                             stability_sweep, step_size_bounds)
 from gtflow.svmlab import dsvm_experiment
 
 
@@ -194,12 +194,10 @@ def test_criterion_8_bound_conservatism_and_trends():
     for directed in (False, True):
         for k in (1, 2):
             lap = laplacian(make_khop_ring(5, k, 0.8, directed=directed))
-            base = spectral_report(assemble(lap, hess, None, 0.0, 1))
+            slowest, radius = laplacian_rates(lap)
             for rho in rhos:
                 kap, up = np.exp(-rho / 2), np.exp(rho / 2)
-                bounds = step_size_bounds(kap, up, hess.infinity_norm,
-                                          base.slowest_decay, base.spectral_radius,
-                                          5, 1)
+                bounds = step_size_bounds(kap, up, hess.infinity_norm, slowest, radius, 5, 1)
                 rng = np.random.default_rng(99)
                 regimes = {
                     "lower": np.full(5, kap),

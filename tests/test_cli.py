@@ -90,6 +90,19 @@ CROSS_FIELD_CASES = {
     "section-seed-negative": ({"network": {"seed": -1}, "partition": {"seed": -2}},
                               ["network.seed=-1 must be non-negative",
                                "partition.seed=-2 must be non-negative"]),
+    "switch-period-steps": ({"network": {"switch_period": 1e-9}},
+                            ["solver.t_end=80 with solver.eta=0.001 and "
+                             "network.switch_period=1e-09", "implies 8e+10 steps"]),
+    "sweep-eta-steps": ({"sweep": {"mode": "dynamics", "axes": {"eta": [1e-7]}}},
+                        ["sweep.t_end=60 with sweep.axes.eta=1e-07 and "
+                         "network.switch_period=0.001", "implies 6e+08 steps"]),
+    "eta-subnormal": ({"solver": {"eta": 1e-320}}, ["solver.eta=9.99989e-321", "implies inf steps"]),
+    "cost-m-zero": ({"cost": {"kind": "quadratic", "m": 0}}, ["cost.m must be at least 1"]),
+    "cost-curvature-zero": ({"cost": {"kind": "quadratic", "curvature_scale": 0}},
+                            ["cost.curvature_scale must be positive"]),
+    "cost-curvature-negative": ({"cost": {"kind": "quadratic", "m": -1, "curvature_scale": -1}},
+                                ["cost.m must be at least 1",
+                                 "cost.curvature_scale must be positive"]),
     "all-at-once": ({"partition": {"n_agents": 2},
                      "nonlinearity": {"kind": "uniform_quantizer", "rho": -1}},
                     ["network.khop=2 out of range", "nonlinearity.rho must be positive"]),
@@ -126,12 +139,15 @@ def test_missing_dataset_csv_exits_3(tmp_path, capsys):
 
 def test_malformed_dataset_csv_exits_3(tmp_path, capsys):
     data = tmp_path / "data.csv"
-    data.write_text("chi1,chi2,label\n0.1,0.2,1\n\n0.3,abc,-1\n", encoding="utf-8")
     cfg = write_config(tmp_path, {"seed": 1, "data": {"kind": "csv", "path": str(data)}})
-    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert f"data.path {str(data)!r}" in err
-    assert "line 4: could not convert string to float" in err
+    for row, message in [("0.3,abc,-1", "line 4: could not convert string to float"),
+                         ("inf,0.2,1", "line 4: coordinates must be finite"),
+                         ("0.3,nan,-1", "line 4: coordinates must be finite")]:
+        data.write_text(f"chi1,chi2,label\n0.1,0.2,1\n\n{row}\n", encoding="utf-8")
+        assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"data.path {str(data)!r}" in err
+        assert message in err
 
 
 def test_sweep_dynamics_programming_error_propagates(tmp_path, monkeypatch):
@@ -164,14 +180,16 @@ def read_result(out):
 
 
 def test_run_metadata_reports_step_actually_used(tmp_path):
-    # eta 0.03 does not divide the switching period 0.05, so 0.025 is used
-    body = {**QUAD_CONFIG, "solver": {**QUAD_CONFIG["solver"], "eta": 0.03}}
-    cfg = write_config(tmp_path, body)
-    with pytest.warns(UserWarning, match="does not divide"):
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
-    meta = read_result(tmp_path / "o")
-    assert float(meta["eta_used"]) == 0.025
-    assert meta["steps"] == "200"
+    # eta 0.03 does not divide the switching period 0.05, so 0.025 is used;
+    # an eta far above the period is cut to the period itself
+    for eta, eta_used, steps in [(0.03, 0.025, "200"), (1e9, 0.05, "100")]:
+        body = {**QUAD_CONFIG, "solver": {**QUAD_CONFIG["solver"], "eta": eta}}
+        cfg = write_config(tmp_path, body)
+        with pytest.warns(UserWarning, match="does not divide"):
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+        meta = read_result(tmp_path / "o")
+        assert float(meta["eta_used"]) == eta_used
+        assert meta["steps"] == steps
 
 
 def test_bounds_reports_three_values(tmp_path, capsys):
@@ -182,6 +200,20 @@ def test_bounds_reports_three_values(tmp_path, capsys):
                 "kappa", "gamma", "eigen_ratio"):
         assert key in text
     assert (tmp_path / "o" / "bounds.txt").exists()
+
+
+def test_bounds_need_no_system_matrix(tmp_path, monkeypatch):
+    # the bound constants come from the n-by-n Laplacian alone
+    argv = ["bounds", "--preset", "fig2-nonlinear-dsvm", "--out"]
+    assert main(argv + [str(tmp_path / "a")]) == EXIT_OK
+
+    def no_assemble(*args):
+        raise AssertionError("bounds assembled the 2nm-by-2nm system matrix")
+
+    monkeypatch.setattr(spectral, "assemble", no_assemble)
+    assert main(argv + [str(tmp_path / "b")]) == EXIT_OK
+    assert ((tmp_path / "a" / "bounds.txt").read_bytes()
+            == (tmp_path / "b" / "bounds.txt").read_bytes())
 
 
 def test_bounds_identity_reduces_to_slow_over_gamma(tmp_path, capsys):

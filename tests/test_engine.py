@@ -5,7 +5,7 @@ from gtflow.cost import QuadraticCost, SvmHingeCost, aggregate_hessian, sum_grad
 from gtflow.engine import SolverConfig, conservation_residual, derivative, integrate
 from gtflow.graph import SwitchingSchedule, SwitchMode, laplacian, make_khop_ring
 from gtflow.nonlinear import apply, identity, log_quantizer, saturation
-from gtflow.spectral import assemble, spectral_report, step_size_bounds
+from gtflow.spectral import assemble, laplacian_rates, spectral_report, step_size_bounds
 
 
 def quadratic_fixture(n=5, m=2, seed=0, curvature=1.0):
@@ -136,9 +136,7 @@ def test_integrate_diverges_far_above_bound():
     costs, sched, x0 = quadratic_fixture()
     lap = laplacian(sched.base_graph)
     hess = aggregate_hessian(costs, x0)
-    base = spectral_report(assemble(lap, hess, None, 0.0, 2))
-    bounds = step_size_bounds(1.0, 1.0, hess.infinity_norm, base.slowest_decay,
-                              base.spectral_radius, 5, 2)
+    bounds = step_size_bounds(1.0, 1.0, hess.infinity_norm, *laplacian_rates(lap), 5, 2)
     cfg = SolverConfig(alpha=1e3 * bounds.tight, eta=0.05, t_end=50.0,
                        schedule=sched, sample_stride=100)
     trace = integrate(costs, x0, cfg)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from gtflow.graph import (SwitchingSchedule, SwitchMode, WeightedGraph,
-                          check_weight_balanced, from_edge_list, graph_at,
-                          is_strongly_connected, laplacian, make_khop_ring,
-                          to_edge_list)
+                          check_weight_balanced, graph_at, is_strongly_connected,
+                          laplacian, make_khop_ring)
 
 
 def test_khop_ring_rejects_degenerate_n2():
@@ -148,21 +147,6 @@ def test_bidirectional_link_removal_preserves_balance():
     w[2, 0] = 0.0
     ok, imbalance = check_weight_balanced(w)
     assert ok and imbalance == 0.0
-
-
-def test_edge_list_round_trip():
-    g = make_khop_ring(5, 2, 0.8)
-    text = to_edge_list(g)
-    back = from_edge_list(text)
-    assert back.n == g.n
-    assert (back.weights == g.weights).all()
-
-
-def test_edge_list_rejects_malformed():
-    with pytest.raises(ValueError):
-        from_edge_list("not a header\n0 1 0.5\n")
-    with pytest.raises(ValueError):
-        from_edge_list("n 2\n0 1\n")
 
 
 def test_random_rings_have_single_zero_eigenvalue():

@@ -5,8 +5,9 @@ import pytest
 
 from gtflow.cost import HessianAggregate
 from gtflow.graph import laplacian, make_khop_ring
-from gtflow.spectral import (assemble, eigen_derivative_check, matching_distance,
-                             spectral_report, stability_sweep, step_size_bounds)
+from gtflow.spectral import (assemble, eigen_derivative_check, laplacian_rates,
+                             matching_distance, spectral_report, stability_sweep,
+                             step_size_bounds)
 
 
 def _identity_hessian(n, m):
@@ -98,11 +99,10 @@ def test_spectral_report_bound_constants_match_unit_gain_diffusion(directed):
     base = np.linalg.eigvals(assemble(lap, hess, None, 0.0, m).diffusion)
     radius = np.abs(base).max()
     slowest = np.abs(base[np.abs(base) > 1e-8 * radius].real).min()
-    # the constants describe the unit-gain diffusion whatever gains and alpha
-    gains = rng.uniform(0.5, 2.0, size=n * m)
-    rep = spectral_report(assemble(lap, hess, gains, 0.7, m))
-    assert rep.spectral_radius == pytest.approx(radius, rel=1e-6)
-    assert rep.slowest_decay == pytest.approx(slowest, rel=1e-6)
+    # read off the n-by-n Laplacian, not the 2nm-by-2nm diffusion matrix
+    rate_slowest, rate_radius = laplacian_rates(lap)
+    assert rate_radius == pytest.approx(radius, rel=1e-6)
+    assert rate_slowest == pytest.approx(slowest, rel=1e-6)
 
 
 def test_spectral_report_large_alpha_goes_unstable_on_directed_ring():
@@ -115,9 +115,7 @@ def test_spectral_report_large_alpha_goes_unstable_on_directed_ring():
     rng = np.random.default_rng(12)
     hvals = rng.uniform(0.5, 8.0, size=6)
     hess = HessianAggregate(tuple(np.array([[h]]) for h in hvals), float(hvals.max()))
-    base = spectral_report(assemble(lap, hess, None, 0.0, 1))
-    bounds = step_size_bounds(1.0, 1.0, hess.infinity_norm, base.slowest_decay,
-                              base.spectral_radius, 6, 1)
+    bounds = step_size_bounds(1.0, 1.0, hess.infinity_norm, *laplacian_rates(lap), 6, 1)
     low = spectral_report(assemble(lap, hess, None, 0.9 * bounds.tight, 1))
     assert low.stable
     rep = spectral_report(assemble(lap, hess, None, 1.0, 1))
@@ -218,10 +216,8 @@ def _sweep_fixture():
     rng = np.random.default_rng(4)
     blocks = tuple(np.diag(rng.uniform(0.5, 2.0, size=m)) for _ in range(n))
     hess = HessianAggregate(blocks, max(float(b.max()) for b in blocks))
-    base = spectral_report(assemble(lap, hess, None, 0.0, m))
     kappa, upper = 0.5, 1.5
-    bounds = step_size_bounds(kappa, upper, hess.infinity_norm,
-                              base.slowest_decay, base.spectral_radius, n, m)
+    bounds = step_size_bounds(kappa, upper, hess.infinity_norm, *laplacian_rates(lap), n, m)
     return lap, hess, kappa, upper, bounds
 
 

@@ -5,7 +5,7 @@ from gtflow.config import build_svm_costs, parse_config
 from gtflow.engine import SolverConfig
 from gtflow.graph import SwitchingSchedule, SwitchMode, make_khop_ring
 from gtflow.svmlab import (Classifier, LabeledDataset, centralized_oracle,
-                           dataset_from_csv, dataset_to_csv, dsvm_experiment,
+                           dataset_from_csv, dsvm_experiment,
                            evaluate, feature_map, generate_ellipse_data,
                            partition)
 
@@ -141,7 +141,9 @@ def test_evaluate_negation_flips_non_ties():
 
 def test_dataset_csv_round_trip():
     data = generate_ellipse_data(40, seed=29, radius=0.6, margin_gap=0.0)
-    back = dataset_from_csv(dataset_to_csv(data))
+    rows = [f"{format(p[0], '.17g')},{format(p[1], '.17g')},{int(l)}"
+            for p, l in zip(data.points, data.labels)]
+    back = dataset_from_csv("chi1,chi2,label\n" + "\n".join(rows) + "\n")
     assert (back.points == data.points).all()
     assert (back.labels == data.labels).all()
 
