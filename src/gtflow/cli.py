@@ -21,7 +21,7 @@ import numpy as np
 from . import config as cfgmod
 from . import spectral, svg, verify
 from .config import ConfigError, ExperimentConfig, parse_config
-from .cost import aggregate_hessian, sum_gradient
+from .cost import aggregate_hessian, infinity_norm, sum_gradient
 from .engine import integrate
 from .graph import laplacian
 from .nonlinear import sector_bounds
@@ -139,7 +139,7 @@ def _bound_report(cfg: ExperimentConfig, costs, x0):
     else:
         kappa_eff, flagged = kappa, False
     bounds = spectral.step_size_bounds(
-        kappa_eff, upper, hess.infinity_norm, slowest, radius,
+        kappa_eff, upper, infinity_norm(hess), slowest, radius,
         schedule.base_graph.n, x0.shape[1])
     return bounds, flagged
 

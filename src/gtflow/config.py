@@ -10,6 +10,7 @@ parse again yields the identical structure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -195,6 +196,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 if not ok(value) and not (value is None and default is None):
                     problems.append(f"{name}.{key} must be a {type_name}")
                     value = default
+                elif isinstance(value, float) and not math.isfinite(value):
+                    problems.append(f"{name}.{key} must be finite")
+                    value = default
             else:
                 value = default
             filled[key] = value
@@ -273,6 +277,8 @@ def _validate_values(seed, sections, problems):
             problems.append(f"sweep axis {axis!r} not in {_SWEEP_AXES}")
         elif not _LIST[1](values) or not values:
             problems.append(f"sweep.axes.{axis} must be a non-empty list of numbers")
+        elif any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            problems.append(f"sweep.axes.{axis} values must be finite")
         elif axis == "khop":
             khops += [("sweep.axes.khop", k) for k in values]
             problems += [f"sweep.axes.khop={k} must be an integer"
@@ -280,7 +286,10 @@ def _validate_values(seed, sections, problems):
         else:
             if min(values) <= 0:
                 problems.append(f"sweep.axes.{axis} values must be positive")
-            if axis == "rho" and link["kind"] not in _QUANTIZERS:
+            if axis == "eta" and sections["sweep"]["mode"] == "spectral":
+                problems.append("sweep.axes.eta sets the integration step, which a spectral "
+                                "sweep never reads: it needs sweep.mode 'dynamics'")
+            elif axis == "rho" and link["kind"] not in _QUANTIZERS:
                 problems.append("sweep.axes.rho sets the quantizer level, but no nonlinearity "
                                 "line is a log_quantizer or uniform_quantizer")
             elif axis == "rho" and link["kind"] == "log_quantizer" and max(values) >= 2:

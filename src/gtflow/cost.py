@@ -19,8 +19,8 @@ __all__ = [
     "smoothed_hinge",
     "QuadraticCost",
     "SvmHingeCost",
-    "HessianAggregate",
     "aggregate_hessian",
+    "infinity_norm",
     "global_cost",
     "sum_gradient",
 ]
@@ -111,8 +111,10 @@ class SvmHingeCost:
         self.mu = mu
         self.eps_nu = eps_nu
         self.m = features.shape[1] + 1
-        features.flags.writeable = False
-        labels.flags.writeable = False
+        # dz_j/dx = [-l_j chi_j; l_j], the margin Jacobian the Hessian reuses
+        self.U = np.concatenate([-labels[:, None] * features, labels[:, None]], axis=1)
+        for arr in (features, labels, self.U):
+            arr.flags.writeable = False
 
     def _margins(self, x: np.ndarray) -> np.ndarray:
         w, nu = x[:-1], x[-1]
@@ -135,10 +137,7 @@ class SvmHingeCost:
     def hessian(self, x: np.ndarray) -> np.ndarray:
         x = self._check(x)
         _, _, curv = smoothed_hinge(self._margins(x), self.mu)
-        # dz_j/dx = [-l_j chi_j; l_j]
-        U = np.concatenate([-self.labels[:, None] * self.features,
-                            self.labels[:, None]], axis=1)
-        H = self.C * (U.T * curv) @ U
+        H = self.C * (self.U.T * curv) @ self.U
         H[:-1, :-1] += 2.0 * np.eye(self.m - 1)
         H[-1, -1] += 2.0 * self.eps_nu
         return H
@@ -150,43 +149,17 @@ class SvmHingeCost:
         return x
 
 
-@dataclass(frozen=True)
-class HessianAggregate:
-    """Block-diagonal Hessian of the stacked cost plus its infinity norm.
-
-    ``blocks[i]`` is agent i's m-by-m Hessian; ``infinity_norm`` is the max
-    absolute row sum over the block diagonal, the curvature constant used by
-    every step-size bound. The dense nm-by-nm matrix is never materialized
-    here; callers that need it assemble it from the blocks.
-    """
-
-    blocks: tuple[np.ndarray, ...]
-    infinity_norm: float
-
-    @property
-    def n(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def m(self) -> int:
-        return self.blocks[0].shape[0]
-
-    def dense(self) -> np.ndarray:
-        n, m = self.n, self.m
-        H = np.zeros((n * m, n * m))
-        for i, blk in enumerate(self.blocks):
-            H[i * m:(i + 1) * m, i * m:(i + 1) * m] = blk
-        return H
-
-
-def aggregate_hessian(costs, x_stack: np.ndarray) -> HessianAggregate:
-    """Per-agent Hessians at the stacked state (n rows of length m)."""
+def aggregate_hessian(costs, x_stack: np.ndarray) -> np.ndarray:
+    """Per-agent Hessians at the stacked state (n rows of length m), shape (n, m, m)."""
     X = np.atleast_2d(np.asarray(x_stack, dtype=float))
     if X.shape[0] != len(costs):
         raise ValueError("one state row per agent required")
-    blocks = tuple(np.atleast_2d(c.hessian(X[i])) for i, c in enumerate(costs))
-    gamma = max(float(np.abs(b).sum(axis=1).max()) for b in blocks)
-    return HessianAggregate(blocks, gamma)
+    return np.array([c.hessian(X[i]) for i, c in enumerate(costs)])
+
+
+def infinity_norm(H: np.ndarray) -> float:
+    """Max absolute row sum over the (n, m, m) blocks: the curvature constant gamma."""
+    return float(np.abs(H).sum(axis=2).max())
 
 
 def global_cost(costs, x_stack: np.ndarray) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import global_cost, sum_gradient
+from .cost import aggregate_hessian, global_cost, sum_gradient
 from .graph import SwitchingSchedule, graph_at, laplacian
 from .nonlinear import LinkNonlinearity, apply, identity
 
@@ -156,7 +156,7 @@ def derivative(
     """dS for the stacked state S = [X, Y] of shape (2, n, m); the graph is frozen by the caller."""
     dS = lap @ apply(g, S)
     dS[0] -= alpha * S[1]
-    H = np.array([c.hessian(S[0, i]) for i, c in enumerate(costs)])
+    H = aggregate_hessian(costs, S[0])
     dS[1] += (H @ dS[0][:, :, None])[:, :, 0]
     return dS
 

@@ -158,13 +158,11 @@ def laplacian(g: WeightedGraph | np.ndarray) -> np.ndarray:
     return w - np.diag(w.sum(axis=1))
 
 
-def check_weight_balanced(
-    g: WeightedGraph | np.ndarray, tol: float = 1e-12
-) -> tuple[bool, float]:
-    """Return (balanced?, max per-node |in-sum - out-sum|)."""
+def check_weight_balanced(g: WeightedGraph | np.ndarray) -> tuple[bool, float]:
+    """Return (balanced to 1e-12?, max per-node |in-sum - out-sum|)."""
     w = g.weights if isinstance(g, WeightedGraph) else np.asarray(g, dtype=float)
     imbalance = float(np.max(np.abs(w.sum(axis=0) - w.sum(axis=1))))
-    return imbalance <= tol, imbalance
+    return imbalance <= 1e-12, imbalance
 
 
 def is_strongly_connected(w: np.ndarray) -> bool:

@@ -187,14 +187,14 @@ def verify_link_properties(
     bounds: SectorBounds,
     samples: int = 2000,
     seed: int = 0,
-    tol: float = 1e-12,
 ) -> LinkPropertyReport:
     """Randomized check of oddness, monotonicity, and sector containment.
 
     Sampling is log-uniform in magnitude over the bounded part of the domain
     (falling back to 12 decades around 1 when unbounded), signed both ways.
-    Failures are reported with the worst offending input, never raised; step
-    discontinuities with upward jumps count as monotone.
+    Each property holds to an absolute 1e-12. Failures are reported with the
+    worst offending input, never raised; step discontinuities with upward
+    jumps count as monotone.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -208,20 +208,20 @@ def verify_link_properties(
     gz = apply(g, z)
 
     odd_gap = np.abs(apply(g, -z) + gz)
-    odd_ok = bool(np.all(odd_gap <= tol))
+    odd_ok = bool(np.all(odd_gap <= 1e-12))
     io = int(np.argmax(odd_gap))
 
     zs = np.sort(z)
     gzs = apply(g, zs)
     drops = np.diff(gzs)
-    mono_ok = bool(np.all(drops >= -tol))
+    mono_ok = bool(np.all(drops >= -1e-12))
     im = int(np.argmin(drops)) if drops.size else 0
 
     ratio = gz / z
     lo_viol = bounds.kappa - ratio
     hi_viol = ratio - bounds.upper
     viol = np.maximum(lo_viol, hi_viol)
-    sector_ok = bool(np.all(viol <= tol))
+    sector_ok = bool(np.all(viol <= 1e-12))
     iv = int(np.argmax(viol))
 
     return LinkPropertyReport(

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import HessianAggregate
-
 __all__ = [
     "SystemMatrices",
     "SpectralReport",
@@ -49,17 +47,17 @@ class SystemMatrices:
 
 def assemble(
     lap: np.ndarray,
-    hess: HessianAggregate,
+    H: np.ndarray,
     gains: np.ndarray | None,
     alpha: float,
-    m: int,
 ) -> SystemMatrices:
     """Exact block assembly of the linearized system.
 
     ``lap`` is the n-by-n Laplacian driving both the state and the tracker
-    line; its Kronecker lift to m components is materialized here.
-    ``gains`` is the length-nm diagonal of instantaneous link gains (None
-    means unit gains).
+    line; its Kronecker lift to m components is materialized here. ``H``
+    holds the agents' m-by-m Hessians as one (n, m, m) array. ``gains`` is
+    the length-nm diagonal of instantaneous link gains (None means unit
+    gains).
     """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
@@ -67,18 +65,22 @@ def assemble(
     n = lap.shape[0]
     if lap.shape != (n, n):
         raise ValueError("the Laplacian must be square")
-    if hess.n != n or hess.m != m:
-        raise ValueError("Hessian blocks do not match (n, m)")
+    H = np.asarray(H, dtype=float)
+    if H.ndim != 3 or H.shape[0] != n or H.shape[1] != H.shape[2]:
+        raise ValueError(f"Hessian blocks must have shape (n, m, m), n={n}; got {H.shape}")
+    m = H.shape[1]
     xi = np.ones(n * m) if gains is None else np.asarray(gains, dtype=float)
     if xi.shape != (n * m,):
         raise ValueError(f"gain vector must have length n*m={n*m}")
 
     LG = np.kron(lap, np.eye(m)) * xi[None, :]
-    H = hess.dense()
     nm = n * m
+    block_diag = np.zeros((n, m, n, m))
+    block_diag[np.arange(n), :, np.arange(n), :] = H
+    block_diag = block_diag.reshape(nm, nm)
     zero = np.zeros((nm, nm))
-    diffusion = np.block([[LG, zero], [H @ LG, LG]])
-    descent = np.block([[zero, -np.eye(nm)], [zero, -H]])
+    diffusion = np.block([[LG, zero], [block_diag @ LG, LG]])
+    descent = np.block([[zero, -np.eye(nm)], [zero, -block_diag]])
     return SystemMatrices(diffusion, descent, diffusion + alpha * descent, m)
 
 
@@ -156,9 +158,8 @@ class EigenDerivativeReport:
 
 def eigen_derivative_check(
     lap: np.ndarray,
-    hess: HessianAggregate,
+    H: np.ndarray,
     gains: np.ndarray | None = None,
-    eps: float = 1e-6,
 ) -> EigenDerivativeReport:
     """How the 2m-fold zero eigenvalue splits when the step size turns on.
 
@@ -170,28 +171,23 @@ def eigen_derivative_check(
     assembled spectrum, pairing the moving branches by averaging the two
     one-sided slopes.
     """
-    n, m = hess.n, hess.m
+    n, m = H.shape[:2]
     xi = np.ones(n * m) if gains is None else np.asarray(gains, dtype=float)
 
     # display-convention reduced matrix (unnormalized ones eigenvectors)
-    ones = np.zeros((n * m, m))
-    for i in range(n):
-        ones[i * m:(i + 1) * m] = np.eye(m)
+    ones = np.tile(np.eye(m), (n, 1))
     V = np.zeros((2 * n * m, 2 * m))
     V[:n * m, :m] = ones
     V[n * m:, m:] = ones
-    mats0 = assemble(lap, hess, xi, 0.0, m)
+    mats0 = assemble(lap, H, xi, 0.0)
     reduced = V.T @ mats0.descent @ V
     zero_block_norm = float(np.abs(reduced[:, :m]).max())
     reduced_eigs = np.sort_complex(np.linalg.eigvals(reduced[m:, m:]))
 
     # biorthonormal closed form for the moving branches
-    T = np.zeros((m, m))
-    S = np.zeros((m, m))
-    for i in range(n):
-        d_inv = np.diag(1.0 / xi[i * m:(i + 1) * m])
-        T += hess.blocks[i] @ d_inv
-        S += d_inv
+    d_inv = 1.0 / xi.reshape(n, m)
+    T = (H * d_inv[:, None, :]).sum(axis=0)
+    S = np.diag(d_inv.sum(axis=0))
     predicted = np.sort_complex(np.linalg.eigvals(-T @ np.linalg.inv(S)))
 
     def one_sided(a):
@@ -200,7 +196,7 @@ def eigen_derivative_check(
         eigs = eigs[np.argsort(np.abs(eigs))]
         return np.sort_complex(eigs[m:2 * m] / a)
 
-    fd = 0.5 * (one_sided(eps) + one_sided(-eps))
+    fd = 0.5 * (one_sided(1e-6) + one_sided(-1e-6))
     rel = float(np.max(np.abs(fd - predicted) / np.maximum(np.abs(predicted), 1e-300)))
     return EigenDerivativeReport(reduced, zero_block_norm, reduced_eigs, predicted, fd, rel)
 
@@ -333,7 +329,7 @@ def step_size_bounds(
                           slowest_decay, spectral_radius, n, m)
 
 
-def _argmin_abs(excess, target, grid_points: int = 1024):
+def _argmin_abs(excess, target):
     """argmin over alpha > 0 of |excess(alpha) - target|.
 
     ``excess`` is monotone increasing from 0, so the objective is unimodal;
@@ -343,10 +339,10 @@ def _argmin_abs(excess, target, grid_points: int = 1024):
     lo_exp, hi_exp = -6.0, 3.0
     while excess(10.0 ** lo_exp) > target and lo_exp > -300:
         lo_exp -= 12.0
-    grid = np.logspace(lo_exp, hi_exp, grid_points)
+    grid = np.logspace(lo_exp, hi_exp, 1024)
     vals = np.array([abs(excess(a) - target) for a in grid])
     i = int(np.argmin(vals))
-    a, b = grid[max(i - 1, 0)], grid[min(i + 1, grid_points - 1)]
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
 
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = b - phi * (b - a)
@@ -377,7 +373,7 @@ class SweepCell:
 
 def stability_sweep(
     lap: np.ndarray,
-    hess: HessianAggregate,
+    H: np.ndarray,
     alpha_grid,
     xi_regimes: dict[str, np.ndarray],
 ) -> list[SweepCell]:
@@ -387,11 +383,10 @@ def stability_sweep(
     so constant gain vectors in the sector are the faithful test objects.
     Cells are independent; results come back in deterministic grid order.
     """
-    m = hess.m
     cells = []
     for label, xi in xi_regimes.items():
         for alpha in alpha_grid:
-            rep = spectral_report(assemble(lap, hess, xi, float(alpha), m))
+            rep = spectral_report(assemble(lap, H, xi, float(alpha)))
             cells.append(SweepCell(float(alpha), label, rep.zero_count,
                                    rep.max_nonzero_real, rep.stable))
     return cells

@@ -198,7 +198,6 @@ def centralized_oracle(
     tol: float = 1e-6,
     regularizer_scale: float = 1.0,
     max_iter: int = 200000,
-    x0: np.ndarray | None = None,
 ) -> OracleResult:
     """Centralized baseline via gradient descent with backtracking.
 
@@ -215,7 +214,7 @@ def centralized_oracle(
     # same minimizer: scale the hinge term down instead of the regularizer up
     cost = SvmHingeCost(feature_map(data.points), data.labels,
                         C=C / regularizer_scale, mu=mu, eps_nu=eps_nu)
-    x = np.zeros(cost.m) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(cost.m)
     step = 1.0
     value = cost.value(x)
     for it in range(max_iter):

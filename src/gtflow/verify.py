@@ -16,7 +16,7 @@ import numpy as np
 from . import cost as costmod
 from . import nonlinear as nl
 from . import spectral
-from .cost import QuadraticCost, SvmHingeCost, aggregate_hessian
+from .cost import QuadraticCost, SvmHingeCost, aggregate_hessian, infinity_norm
 from .engine import SolverConfig, conservation_residual, derivative, integrate
 from .graph import (SwitchingSchedule, SwitchMode, check_weight_balanced, graph_at,
                     is_strongly_connected, laplacian, make_khop_ring)
@@ -56,11 +56,10 @@ def random_fixture(rng: np.random.Generator):
         q = a @ a.T + np.diag(rng.uniform(0.5, 3.0, size=m))
         q += np.eye(m) * 0.1 * np.abs(q).sum(axis=1).max()
         blocks.append(q)
-    hess = costmod.HessianAggregate(
-        tuple(blocks), max(float(np.abs(b).sum(axis=1).max()) for b in blocks))
+    hess = np.array(blocks)
 
     slowest, radius = spectral.laplacian_rates(lap)
-    bounds = spectral.step_size_bounds(kappa, upper, hess.infinity_norm, slowest, radius, n, m)
+    bounds = spectral.step_size_bounds(kappa, upper, infinity_norm(hess), slowest, radius, n, m)
     xi = rng.uniform(kappa, upper, size=n * m)
     alpha = float(rng.uniform(0.0, 1.0)) * bounds.tight * 0.999
     return {
@@ -238,7 +237,7 @@ def theorem1_suite(
         fx = random_fixture(rng)
         if fx["alpha"] <= 0:
             continue
-        mats = assemble_fn(fx["lap"], fx["hess"], fx["xi"], fx["alpha"], fx["m"])
+        mats = assemble_fn(fx["lap"], fx["hess"], fx["xi"], fx["alpha"])
         rep = spectral.spectral_report(mats)
         if rep.zero_count != fx["m"] or rep.max_nonzero_real >= 0:
             failures.append({
@@ -323,7 +322,7 @@ def check_linear_step_oracle(trials: int = 25, seed: int = 9) -> CheckResult:
         Y = rng.normal(size=(n, m))
         alpha, eta = float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.001, 0.05))
         hess = aggregate_hessian(costs, X)
-        mats = spectral.assemble(lap, hess, None, alpha, m)
+        mats = spectral.assemble(lap, hess, None, alpha)
         stacked = np.concatenate([X.ravel(), Y.ravel()])
         oracle_next = stacked + eta * (mats.full @ stacked)
         dX, dY = derivative(np.stack([X, Y]), lap, costs, alpha, nl.identity())

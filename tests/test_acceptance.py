@@ -17,7 +17,7 @@ from gtflow import config as cfgmod
 from gtflow import verify
 from gtflow.cli import main as cli_main
 from gtflow.config import load_preset, parse_config
-from gtflow.cost import HessianAggregate, QuadraticCost, aggregate_hessian
+from gtflow.cost import QuadraticCost, aggregate_hessian, infinity_norm
 from gtflow.engine import SolverConfig, integrate
 from gtflow.graph import SwitchingSchedule, SwitchMode, laplacian, make_khop_ring
 from gtflow.nonlinear import log_quantizer, sector_bounds
@@ -185,7 +185,7 @@ def test_criterion_8_bound_conservatism_and_trends():
     start = time.time()
     rng0 = np.random.default_rng(12)
     hvals = rng0.uniform(0.5, 8.0, size=5)
-    hess = HessianAggregate(tuple(np.array([[h]]) for h in hvals), float(hvals.max()))
+    hess = hvals.reshape(5, 1, 1)
     alphas = np.logspace(np.log10(0.02), np.log10(2.0), 25)
     rhos = (0.25, 1.0, 1.6)
 
@@ -197,7 +197,7 @@ def test_criterion_8_bound_conservatism_and_trends():
             slowest, radius = laplacian_rates(lap)
             for rho in rhos:
                 kap, up = np.exp(-rho / 2), np.exp(rho / 2)
-                bounds = step_size_bounds(kap, up, hess.infinity_norm, slowest, radius, 5, 1)
+                bounds = step_size_bounds(kap, up, infinity_norm(hess), slowest, radius, 5, 1)
                 rng = np.random.default_rng(99)
                 regimes = {
                     "lower": np.full(5, kap),
@@ -261,7 +261,7 @@ def test_criterion_9_lyapunov_decrease():
             # log-envelope decay within a factor two of the spectral rate
             hess = aggregate_hessian(costs, ref)
             lap = laplacian(sched.base_graph)
-            rep = spectral_report(assemble(lap, hess, None, 0.3, m))
+            rep = spectral_report(assemble(lap, hess, None, 0.3))
             keep = v > 1e-18
             slope = np.polyfit(trace.times[keep], np.log(v[keep]), 1)[0]
             predicted = 2 * abs(rep.max_nonzero_real)

@@ -103,6 +103,19 @@ CROSS_FIELD_CASES = {
     "cost-curvature-negative": ({"cost": {"kind": "quadratic", "m": -1, "curvature_scale": -1}},
                                 ["cost.m must be at least 1",
                                  "cost.curvature_scale must be positive"]),
+    # json.dumps writes these as the NaN / Infinity tokens json.loads accepts
+    "alpha-nan": ({"solver": {"alpha": float("nan")}}, ["solver.alpha must be finite"]),
+    "eta-infinity": ({"solver": {"eta": float("inf")}}, ["solver.eta must be finite"]),
+    "switch-period-nan": ({"network": {"switch_period": float("nan")}},
+                          ["network.switch_period must be finite"]),
+    "rho-nan": ({"nonlinearity": {"kind": "log_quantizer", "rho": float("nan")}},
+                ["nonlinearity.rho must be finite"]),
+    "sweep-alpha-nan": ({"sweep": {"mode": "dynamics", "axes": {"alpha": [float("nan"), 0.5]}}},
+                        ["sweep.axes.alpha values must be finite"]),
+    "sweep-eta-spectral": ({"cost": {"kind": "quadratic"},
+                            "sweep": {"mode": "spectral", "axes": {"eta": [0.001, 0.002]}}},
+                           ["sweep.axes.eta sets the integration step, which a spectral "
+                            "sweep never reads"]),
     "all-at-once": ({"partition": {"n_agents": 2},
                      "nonlinearity": {"kind": "uniform_quantizer", "rho": -1}},
                     ["network.khop=2 out of range", "nonlinearity.rho must be positive"]),
@@ -321,8 +334,8 @@ def test_verify_command_passes(capsys):
 
 def test_theorem1_suite_catches_sign_mutation():
     # flip the sign of the descent coupling: the suite must notice
-    def broken_assemble(lap, hess, gains, alpha, m):
-        mats = spectral.assemble(lap, hess, gains, alpha, m)
+    def broken_assemble(lap, hess, gains, alpha):
+        mats = spectral.assemble(lap, hess, gains, alpha)
         full = mats.diffusion - alpha * mats.descent
         return dataclasses.replace(mats, descent=-mats.descent, full=full)
 

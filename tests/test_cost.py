@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gtflow.cost import (QuadraticCost, SvmHingeCost,
-                         aggregate_hessian, global_cost, smoothed_hinge,
-                         sum_gradient)
+                         aggregate_hessian, global_cost, infinity_norm,
+                         smoothed_hinge, sum_gradient)
 
 
 def test_smoothed_hinge_at_zero():
@@ -103,16 +103,17 @@ def test_quadratic_cost_closed_forms():
 
 def test_aggregate_hessian_scalar_blocks():
     costs = [QuadraticCost(np.array([[2.0]]), np.zeros(1)) for _ in range(3)]
-    agg = aggregate_hessian(costs, np.zeros((3, 1)))
-    assert np.allclose(agg.dense(), np.diag([2.0, 2.0, 2.0]))
-    assert agg.infinity_norm == pytest.approx(2.0)
+    H = aggregate_hessian(costs, np.zeros((3, 1)))
+    assert H.shape == (3, 1, 1)
+    assert np.allclose(H, 2.0)
+    assert infinity_norm(H) == pytest.approx(2.0)
 
 
 def test_aggregate_hessian_row_sum():
     q = np.array([[2.0, 1.0], [1.0, 2.0]])
     costs = [QuadraticCost(q, np.zeros(2)) for _ in range(4)]
-    agg = aggregate_hessian(costs, np.zeros((4, 2)))
-    assert agg.infinity_norm == pytest.approx(3.0)
+    H = aggregate_hessian(costs, np.zeros((4, 2)))
+    assert infinity_norm(H) == pytest.approx(3.0)
 
 
 def test_aggregate_hessian_matches_brute_force_on_svm():
@@ -120,10 +121,43 @@ def test_aggregate_hessian_matches_brute_force_on_svm():
     costs = [SvmHingeCost(rng.normal(size=(8, 3)), rng.choice([-1.0, 1.0], size=8))
              for _ in range(3)]
     x = rng.normal(size=(3, 4))
-    agg = aggregate_hessian(costs, x)
-    dense = agg.dense()
-    assert agg.infinity_norm == pytest.approx(float(np.abs(dense).sum(axis=1).max()))
-    assert min(np.linalg.eigvalsh(b).min() for b in agg.blocks) > 0
+    H = aggregate_hessian(costs, x)
+    dense = np.zeros((12, 12))
+    for i in range(3):
+        dense[4 * i:4 * i + 4, 4 * i:4 * i + 4] = H[i]
+    assert infinity_norm(H) == pytest.approx(float(np.abs(dense).sum(axis=1).max()))
+    assert np.linalg.eigvalsh(H).min() > 0
+
+
+def test_aggregate_hessian_stacks_per_agent_hessians():
+    rng = np.random.default_rng(3)
+    costs = [SvmHingeCost(rng.normal(size=(6, 2)), rng.choice([-1.0, 1.0], size=6))
+             for _ in range(4)]
+    x = rng.normal(size=(4, 3))
+    H = aggregate_hessian(costs, x)
+    assert H.shape == (4, 3, 3)
+    assert np.array_equal(H, np.array([c.hessian(x[i]) for i, c in enumerate(costs)]))
+    with pytest.raises(ValueError, match="one state row per agent"):
+        aggregate_hessian(costs, x[:3])
+
+
+def test_svm_margin_jacobian_is_stored_read_only():
+    rng = np.random.default_rng(4)
+    feats = rng.normal(size=(10, 3))
+    labs = rng.choice([-1.0, 1.0], size=10)
+    c = SvmHingeCost(feats, labs, C=1.3, mu=2.5, eps_nu=1e-4)
+    assert not c.U.flags.writeable
+    with pytest.raises(ValueError):
+        c.U[0, 0] = 1.0
+    for _ in range(5):
+        x = rng.normal(size=4)
+        # the formula with U rebuilt from the shard on every call
+        _, _, curv = smoothed_hinge(c._margins(x), c.mu)
+        U = np.concatenate([-c.labels[:, None] * c.features, c.labels[:, None]], axis=1)
+        expected = c.C * (U.T * curv) @ U
+        expected[:-1, :-1] += 2.0 * np.eye(3)
+        expected[-1, -1] += 2.0 * c.eps_nu
+        assert np.array_equal(c.hessian(x), expected)
 
 
 def test_global_cost_quadratic_optimum_has_zero_gradient_sum():

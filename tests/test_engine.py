@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gtflow.cost import QuadraticCost, SvmHingeCost, aggregate_hessian, sum_gradient
+from gtflow.cost import (QuadraticCost, SvmHingeCost, aggregate_hessian, infinity_norm,
+                         sum_gradient)
 from gtflow.engine import SolverConfig, conservation_residual, derivative, integrate
 from gtflow.graph import SwitchingSchedule, SwitchMode, laplacian, make_khop_ring
 from gtflow.nonlinear import apply, identity, log_quantizer, saturation
@@ -60,7 +61,7 @@ def test_derivative_matches_system_matrix():
     lap = laplacian(sched.base_graph)
     alpha = 0.4
     dX, dY = derivative(np.stack([X, Y]), lap, costs, alpha, identity())
-    mats = assemble(lap, aggregate_hessian(costs, X), None, alpha, 2)
+    mats = assemble(lap, aggregate_hessian(costs, X), None, alpha)
     stacked = mats.full @ np.concatenate([X.ravel(), Y.ravel()])
     got = np.concatenate([dX.ravel(), dY.ravel()])
     assert np.max(np.abs(got - stacked)) < 1e-12
@@ -136,7 +137,7 @@ def test_integrate_diverges_far_above_bound():
     costs, sched, x0 = quadratic_fixture()
     lap = laplacian(sched.base_graph)
     hess = aggregate_hessian(costs, x0)
-    bounds = step_size_bounds(1.0, 1.0, hess.infinity_norm, *laplacian_rates(lap), 5, 2)
+    bounds = step_size_bounds(1.0, 1.0, infinity_norm(hess), *laplacian_rates(lap), 5, 2)
     cfg = SolverConfig(alpha=1e3 * bounds.tight, eta=0.05, t_end=50.0,
                        schedule=sched, sample_stride=100)
     trace = integrate(costs, x0, cfg)
@@ -213,7 +214,7 @@ def test_lyapunov_monotone_and_rate_on_stable_fixture():
     # log-envelope decay against the operating-point spectrum
     hess = aggregate_hessian(costs, np.tile(x_star, (5, 1)))
     lap = laplacian(sched.base_graph)
-    rep = spectral_report(assemble(lap, hess, None, 0.3, 2))
+    rep = spectral_report(assemble(lap, hess, None, 0.3))
     keep = v > 1e-18
     slope = np.polyfit(trace.times[keep], np.log(v[keep]), 1)[0]
     predicted = 2 * abs(rep.max_nonzero_real)

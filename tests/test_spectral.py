@@ -3,7 +3,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from gtflow.cost import HessianAggregate
+from gtflow.cost import infinity_norm
 from gtflow.graph import laplacian, make_khop_ring
 from gtflow.spectral import (assemble, eigen_derivative_check, laplacian_rates,
                              matching_distance, spectral_report, stability_sweep,
@@ -11,13 +11,13 @@ from gtflow.spectral import (assemble, eigen_derivative_check, laplacian_rates,
 
 
 def _identity_hessian(n, m):
-    return HessianAggregate(tuple(np.eye(m) for _ in range(n)), 1.0)
+    return np.tile(np.eye(m), (n, 1, 1))
 
 
 def two_node_system(alpha=0.1):
     w = np.array([[0.0, 0.4], [0.4, 0.0]])
     lap = laplacian(w)
-    return assemble(lap, _identity_hessian(2, 1), None, alpha, 1)
+    return assemble(lap, _identity_hessian(2, 1), None, alpha)
 
 
 def test_assemble_two_node_by_hand():
@@ -40,9 +40,8 @@ def test_assemble_alpha_zero_spectrum_is_laplacian_union():
     g = make_khop_ring(5, 1, 0.8)
     lap = laplacian(g)
     rng = np.random.default_rng(0)
-    blocks = tuple(np.diag(rng.uniform(1, 3, size=2)) for _ in range(5))
-    hess = HessianAggregate(blocks, 3.0)
-    mats = assemble(lap, hess, None, 0.0, 2)
+    hess = np.array([np.diag(rng.uniform(1, 3, size=2)) for _ in range(5)])
+    mats = assemble(lap, hess, None, 0.0)
     got = np.sort(np.linalg.eigvals(mats.full).real)
     lap_eigs = np.linalg.eigvals(np.kron(lap, np.eye(2))).real
     expected = np.sort(np.concatenate([lap_eigs, lap_eigs]))
@@ -54,8 +53,8 @@ def test_assemble_uniform_gain_scales_diffusion():
     lap = laplacian(g)
     hess = _identity_hessian(4, 2)
     c = 1.37
-    scaled = assemble(lap, hess, np.full(8, c), 0.0, 2)
-    unit = assemble(lap, hess, None, 0.0, 2)
+    scaled = assemble(lap, hess, np.full(8, c), 0.0)
+    unit = assemble(lap, hess, None, 0.0)
     assert np.allclose(scaled.diffusion, c * unit.diffusion, atol=1e-14)
 
 
@@ -63,11 +62,15 @@ def test_assemble_dimension_checks():
     lap = laplacian(make_khop_ring(3, 1, 0.5))
     hess = _identity_hessian(3, 1)
     with pytest.raises(ValueError):
-        assemble(lap, hess, np.ones(5), 0.1, 1)
+        assemble(lap, hess, np.ones(5), 0.1)
     with pytest.raises(ValueError):
-        assemble(lap, _identity_hessian(4, 1), None, 0.1, 1)
+        assemble(lap, _identity_hessian(4, 1), None, 0.1)
     with pytest.raises(ValueError):
-        assemble(lap, hess, None, -0.1, 1)
+        assemble(lap, hess, None, -0.1)
+    with pytest.raises(ValueError, match=r"\(n, m, m\)"):
+        assemble(lap, np.eye(3), None, 0.1)
+    with pytest.raises(ValueError, match=r"\(n, m, m\)"):
+        assemble(lap, np.zeros((3, 1, 2)), None, 0.1)
 
 
 def test_spectral_report_two_node_stable():
@@ -81,7 +84,7 @@ def test_spectral_report_alpha_zero_doubles_zeros():
     g = make_khop_ring(5, 1, 0.8)
     lap = laplacian(g)
     hess = _identity_hessian(5, 2)
-    rep = spectral_report(assemble(lap, hess, None, 0.0, 2))
+    rep = spectral_report(assemble(lap, hess, None, 0.0))
     assert rep.zero_count == 4  # 2m zeros: both Laplacians contribute
     assert not rep.stable
 
@@ -95,8 +98,7 @@ def test_spectral_report_bound_constants_match_unit_gain_diffusion(directed):
     for _ in range(n):
         a = rng.normal(size=(m, m))
         blocks.append(a @ a.T + np.eye(m))
-    hess = HessianAggregate(tuple(blocks), 1.0)
-    base = np.linalg.eigvals(assemble(lap, hess, None, 0.0, m).diffusion)
+    base = np.linalg.eigvals(assemble(lap, np.array(blocks), None, 0.0).diffusion)
     radius = np.abs(base).max()
     slowest = np.abs(base[np.abs(base) > 1e-8 * radius].real).min()
     # read off the n-by-n Laplacian, not the 2nm-by-2nm diffusion matrix
@@ -114,11 +116,11 @@ def test_spectral_report_large_alpha_goes_unstable_on_directed_ring():
     lap = laplacian(g)
     rng = np.random.default_rng(12)
     hvals = rng.uniform(0.5, 8.0, size=6)
-    hess = HessianAggregate(tuple(np.array([[h]]) for h in hvals), float(hvals.max()))
-    bounds = step_size_bounds(1.0, 1.0, hess.infinity_norm, *laplacian_rates(lap), 6, 1)
-    low = spectral_report(assemble(lap, hess, None, 0.9 * bounds.tight, 1))
+    hess = hvals.reshape(6, 1, 1)
+    bounds = step_size_bounds(1.0, 1.0, infinity_norm(hess), *laplacian_rates(lap), 6, 1)
+    low = spectral_report(assemble(lap, hess, None, 0.9 * bounds.tight))
     assert low.stable
-    rep = spectral_report(assemble(lap, hess, None, 1.0, 1))
+    rep = spectral_report(assemble(lap, hess, None, 1.0))
     assert not rep.stable
     assert rep.max_nonzero_real > 0
 
@@ -142,8 +144,7 @@ def test_eigen_derivative_quadratic_blocks():
     for _ in range(n):
         a = rng.normal(size=(m, m))
         blocks.append(a @ a.T + 2 * np.eye(m))
-    hess = HessianAggregate(tuple(blocks), 1.0)
-    rep = eigen_derivative_check(lap, hess)
+    rep = eigen_derivative_check(lap, np.array(blocks))
     total = sum(blocks)
     assert np.allclose(np.sort_complex(rep.reduced_eigenvalues),
                        np.sort_complex(np.linalg.eigvals(-total)), atol=1e-10)
@@ -214,10 +215,9 @@ def _sweep_fixture():
     n, m = 5, 1
     lap = laplacian(make_khop_ring(n, 1, 0.8))
     rng = np.random.default_rng(4)
-    blocks = tuple(np.diag(rng.uniform(0.5, 2.0, size=m)) for _ in range(n))
-    hess = HessianAggregate(blocks, max(float(b.max()) for b in blocks))
+    hess = np.array([np.diag(rng.uniform(0.5, 2.0, size=m)) for _ in range(n)])
     kappa, upper = 0.5, 1.5
-    bounds = step_size_bounds(kappa, upper, hess.infinity_norm, *laplacian_rates(lap), n, m)
+    bounds = step_size_bounds(kappa, upper, infinity_norm(hess), *laplacian_rates(lap), n, m)
     return lap, hess, kappa, upper, bounds
 
 
