@@ -24,7 +24,7 @@ from .config import ConfigError, ExperimentConfig, parse_config
 from .cost import aggregate_hessian, infinity_norm, sum_gradient
 from .engine import integrate
 from .graph import laplacian
-from .nonlinear import sector_bounds
+from .nonlinear import SectorBounds, sector_bounds
 from .svmlab import dsvm_experiment
 
 EXIT_OK = 0
@@ -106,8 +106,8 @@ def _write(out_dir: Path, name: str, text: str) -> None:
 SATURATION_DOMAIN = 100.0  # operating interval for domain-relative bounds
 
 
-def _combined_sector(cfg: ExperimentConfig, mode: str = "linearized"):
-    """Sector (kappa, upper) of the link map both dynamics lines apply.
+def _combined_sector(cfg: ExperimentConfig, mode: str = "linearized") -> SectorBounds:
+    """Sector bounds of the link map both dynamics lines apply.
 
     Saturation is only sector-bounded on a bounded interval; its bounds are
     evaluated on the default operating domain and the run report warns when
@@ -116,8 +116,7 @@ def _combined_sector(cfg: ExperimentConfig, mode: str = "linearized"):
     g = cfgmod.build_nonlinearity(cfg["nonlinearity"])
     domain = ((-SATURATION_DOMAIN, SATURATION_DOMAIN)
               if g.kind == "saturation" else (-np.inf, np.inf))
-    bounds = sector_bounds(g, domain, mode=mode)
-    return bounds.kappa, bounds.upper
+    return sector_bounds(g, domain, mode=mode)
 
 
 def _initial_state(cfg: ExperimentConfig, n: int, m: int) -> np.ndarray:
@@ -130,16 +129,16 @@ def _bound_report(cfg: ExperimentConfig, costs, x0):
     lap = laplacian(schedule.base_graph)
     hess = aggregate_hessian(costs, x0)
     slowest, radius = spectral.laplacian_rates(lap)
-    kappa, upper = _combined_sector(cfg)
-    if kappa <= 0:
+    sector = _combined_sector(cfg)
+    if sector.kappa <= 0:
         # dead-zone links: no positive lower sector slope exists; report the
         # bounds for the identity envelope and flag it
         kappa_eff = 1e-9
         flagged = True
     else:
-        kappa_eff, flagged = kappa, False
+        kappa_eff, flagged = sector.kappa, False
     bounds = spectral.step_size_bounds(
-        kappa_eff, upper, infinity_norm(hess), slowest, radius,
+        kappa_eff, sector.upper, infinity_norm(hess), slowest, radius,
         schedule.base_graph.n, x0.shape[1])
     return bounds, flagged
 
@@ -278,26 +277,33 @@ def cmd_sweep(args) -> int:
         csv_lines.append(",".join(_csv_cell(row[k]) for k in header))
     _write(args.out, "sweep.csv", "\n".join(csv_lines) + "\n")
 
-    axis_names = sorted(axes)
-    if len(axis_names) >= 2:
-        a_name, b_name = axis_names[0], axis_names[1]
-    else:
-        a_name, b_name = axis_names[0], None
-    a_vals = sorted({row[a_name] for row in rows})
-    b_vals = sorted({row[b_name] for row in rows}) if b_name else [0]
-    grid = np.full((len(b_vals), len(a_vals)), np.nan)
-    for row in rows:
-        ia = a_vals.index(row[a_name])
-        ib = b_vals.index(row[b_name]) if b_name else 0
-        grid[ib, ia] = 1.0 if row["stable"] else 0.0
-    _write(args.out, "sweep.svg", svg.heat_map(
-        grid, [f"{v:g}" for v in a_vals],
-        [f"{v:g}" for v in b_vals] if b_name else [""],
-        title=f"stability frontier ({mode})", x_label=a_name, y_label=b_name or ""))
+    if cfg["outputs"]["plots"]:
+        _write(args.out, "sweep.svg", _stability_map(rows, sorted(axes), mode))
 
     stable = sum(1 for r in rows if r["stable"])
     print(f"sweep: {stable}/{len(rows)} cells stable  (artifacts in {args.out})")
     return EXIT_OK
+
+
+def _stability_map(rows: list[dict], axis_names: list[str], mode: str) -> str:
+    """Heat map over the first two axes of the share of stable cells.
+
+    Each map cell averages the verdicts over the remaining axes, so a
+    three-axis sweep shows 0.5 where half of its third-axis values are stable.
+    """
+    a_name, b_name = (axis_names + [None])[:2]
+    a_vals = sorted({row[a_name] for row in rows})
+    b_vals = sorted({row[b_name] for row in rows}) if b_name else [0]
+    stable = np.zeros((len(b_vals), len(a_vals)))
+    total = np.zeros_like(stable)
+    for row in rows:
+        at = (b_vals.index(row[b_name]) if b_name else 0, a_vals.index(row[a_name]))
+        stable[at] += row["stable"]
+        total[at] += 1
+    return svg.heat_map(
+        stable / total, [f"{v:g}" for v in a_vals],
+        [f"{v:g}" for v in b_vals] if b_name else [""],
+        title=f"stability frontier ({mode})", x_label=a_name, y_label=b_name or "")
 
 
 def _csv_cell(v) -> str:
@@ -343,10 +349,8 @@ def _sweep_spectral(cfg: ExperimentConfig, axes: dict, jobs: int) -> list[dict]:
     def worker(cell):
         cell_cfg = cfgmod.sweep_cell(cfg, cell)
         lap = laplacian(cfgmod.build_schedule(cell_cfg).base_graph)
-        kappa, upper = _combined_sector(cell_cfg, mode="tight")
-        kappa = max(kappa, 1e-9)
-        kp, up = _combined_sector(cell_cfg)
-        ratio = up / kp if kp > 0 else float("inf")
+        tight = _combined_sector(cell_cfg, mode="tight")
+        kappa, upper = max(tight.kappa, 1e-9), tight.upper
         rng = np.random.default_rng([cfg.seed + 11, *(int(v * 1e6) for v in cell.values())])
         regimes = {
             "lower": np.full(n * m, kappa),
@@ -354,13 +358,14 @@ def _sweep_spectral(cfg: ExperimentConfig, axes: dict, jobs: int) -> list[dict]:
             "upper": np.full(n * m, upper),
             "random": rng.uniform(kappa, upper, size=n * m),
         }
-        cells_out = spectral.stability_sweep(lap, hess, [cell_cfg["solver"]["alpha"]], regimes)
-        worst = min(cells_out, key=lambda c: c.stable)
+        reports = spectral.stability_sweep(
+            lap, hess, cell_cfg["solver"]["alpha"], regimes).values()
+        worst = min(reports, key=lambda r: r.stable)
         return {**{k: cell.get(k, None) for k in sorted(axes)},
-                "sector_ratio": ratio,
+                "sector_ratio": _combined_sector(cell_cfg).ratio,
                 "zero_count": worst.zero_count,
                 "max_nonzero_real": worst.max_nonzero_real,
-                "stable": all(c.stable for c in cells_out)}
+                "stable": all(r.stable for r in reports)}
 
     return _run_cells(_axis_grid(axes), worker, jobs)
 

@@ -194,7 +194,8 @@ def parse_config(text: str) -> ExperimentConfig:
             if key in body:
                 value = body[key]
                 if not ok(value) and not (value is None and default is None):
-                    problems.append(f"{name}.{key} must be a {type_name}")
+                    article = "an" if type_name[0] in "aeiou" else "a"
+                    problems.append(f"{name}.{key} must be {article} {type_name}")
                     value = default
                 elif isinstance(value, float) and not math.isfinite(value):
                     problems.append(f"{name}.{key} must be finite")
@@ -273,6 +274,10 @@ def _validate_values(seed, sections, problems):
         problems.append("sweep.t_end must be positive")
     khops = [("network.khop", net["khop"])]
     for axis, values in sections["sweep"]["axes"].items():
+        if _LIST[1](values):
+            # a repeated value would run the same cell twice
+            problems += [f"sweep.axes.{axis} repeats the value {v}"
+                         for v in sorted({v for i, v in enumerate(values) if v in values[:i]})]
         if axis not in _SWEEP_AXES:
             problems.append(f"sweep axis {axis!r} not in {_SWEEP_AXES}")
         elif not _LIST[1](values) or not values:

@@ -26,6 +26,7 @@ __all__ = [
     "laplacian_rates",
     "eigen_derivative_check",
     "matching_distance",
+    "matching_excess",
     "step_size_bounds",
     "stability_sweep",
 ]
@@ -302,21 +303,17 @@ def step_size_bounds(
 
     tight = min(kappa * slowest_decay / gamma, slowest_decay / (upper * gamma))
 
-    power = 1.0 - 1.0 / nm
-    root = 1.0 / nm
-
-    def matching_excess(alpha):
-        # infinity-norm perturbation estimate of the matching distance
-        if gamma < 1:
-            base = 2 * upper * (1 + gamma) + max(
-                2 * upper + gamma * (2 * upper + alpha), 2 * upper + alpha)
-            pert = alpha
+    # matching_excess rises strictly from 0 at alpha = 0: double hi past the
+    # root of matching_excess = target, then bisect down to adjacent floats
+    lo, hi = 0.0, 1.0
+    while matching_excess(hi, upper, gamma, nm) < target:
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if matching_excess(mid, upper, gamma, nm) < target:
+            lo = mid
         else:
-            base = 4 * upper + gamma * (4 * upper + alpha)
-            pert = alpha * gamma
-        return 4.0 * base ** power * pert ** root
-
-    matching = _argmin_abs(matching_excess, target)
+            hi = mid
+    matching = mid
 
     spectral = (target ** nm) / (
         4 ** nm
@@ -329,65 +326,36 @@ def step_size_bounds(
                           slowest_decay, spectral_radius, n, m)
 
 
-def _argmin_abs(excess, target):
-    """argmin over alpha > 0 of |excess(alpha) - target|.
+def matching_excess(alpha: float, upper: float, gamma: float, nm: int) -> float:
+    """Infinity-norm perturbation estimate of the matching distance.
 
-    ``excess`` is monotone increasing from 0, so the objective is unimodal;
-    a coarse log grid brackets the minimum and golden-section refines it. The
-    grid extends downward until the left edge overshoots are cleared.
+    The Elsner-type bound 4 * base^(1 - 1/nm) * pert^(1/nm) on the distance
+    between the eigenvalues of the alpha = 0 system and the alpha system,
+    with nm = n * m (agents times components). It is 0 at alpha = 0 and
+    strictly increasing; ``StepSizeBounds.matching`` is the alpha where it
+    reaches kappa * slowest_decay.
     """
-    lo_exp, hi_exp = -6.0, 3.0
-    while excess(10.0 ** lo_exp) > target and lo_exp > -300:
-        lo_exp -= 12.0
-    grid = np.logspace(lo_exp, hi_exp, 1024)
-    vals = np.array([abs(excess(a) - target) for a in grid])
-    i = int(np.argmin(vals))
-    a, b = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = abs(excess(x1) - target), abs(excess(x2) - target)
-    for _ in range(200):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = abs(excess(x1) - target)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = abs(excess(x2) - target)
-        if b - a <= 1e-15 * b:
-            break
-    return 0.5 * (a + b)
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    alpha: float
-    xi_label: str
-    zero_count: int
-    max_nonzero_real: float
-    stable: bool
+    if gamma < 1:
+        base = 2 * upper * (1 + gamma) + max(
+            2 * upper + gamma * (2 * upper + alpha), 2 * upper + alpha)
+        pert = alpha
+    else:
+        base = 4 * upper + gamma * (4 * upper + alpha)
+        pert = alpha * gamma
+    return 4.0 * base ** (1.0 - 1.0 / nm) * pert ** (1.0 / nm)
 
 
 def stability_sweep(
     lap: np.ndarray,
     H: np.ndarray,
-    alpha_grid,
-    xi_regimes: dict[str, np.ndarray],
-) -> list[SweepCell]:
-    """Spectral verdict for every (alpha, gain regime) cell.
+    alpha: float,
+    regimes: dict[str, np.ndarray],
+) -> dict[str, SpectralReport]:
+    """Spectral verdict at one step size for every named gain regime.
 
     Gains are frozen snapshots: the stability argument is pointwise in time,
     so constant gain vectors in the sector are the faithful test objects.
-    Cells are independent; results come back in deterministic grid order.
+    Reports come back in the regimes' order.
     """
-    cells = []
-    for label, xi in xi_regimes.items():
-        for alpha in alpha_grid:
-            rep = spectral_report(assemble(lap, H, xi, float(alpha)))
-            cells.append(SweepCell(float(alpha), label, rep.zero_count,
-                                   rep.max_nonzero_real, rep.stable))
-    return cells
-
+    return {label: spectral_report(assemble(lap, H, xi, alpha))
+            for label, xi in regimes.items()}

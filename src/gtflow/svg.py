@@ -108,22 +108,21 @@ def heat_map(
     x_label: str = "",
     y_label: str = "",
 ) -> str:
-    """Cell grid colored from blue (low) through white to red (high)."""
+    """Grid of values in [0, 1] colored from blue (0) through white to red (1).
+
+    The scale is fixed, so one color means one value across maps; a
+    non-finite cell is grey.
+    """
     vals = np.asarray(values, dtype=float)
     ny, nx = vals.shape
     if len(x_labels) != nx or len(y_labels) != ny:
         raise ValueError("label counts must match the value grid")
-    finite = vals[np.isfinite(vals)]
-    lo = float(finite.min()) if finite.size else 0.0
-    hi = float(finite.max()) if finite.size else 1.0
-    span = hi - lo if hi > lo else 1.0
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
     cw, ch = pw / nx, ph / ny
 
-    def color(v):
-        if not math.isfinite(v):
+    def color(f):
+        if not math.isfinite(f):
             return "#999999"
-        f = (v - lo) / span
         if f < 0.5:
             t = f / 0.5
             r, g, b = int(49 + t * (255 - 49)), int(54 + t * (255 - 54)), 149 + int(t * (255 - 149))

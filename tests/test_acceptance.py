@@ -208,8 +208,8 @@ def test_criterion_8_bound_conservatism_and_trends():
                 }
                 frontier = 0.0
                 for a in alphas:
-                    cells = stability_sweep(lap, hess, [float(a)], regimes)
-                    stable = all(c.stable for c in cells)
+                    reports = stability_sweep(lap, hess, float(a), regimes)
+                    stable = all(r.stable for r in reports.values())
                     if stable:
                         frontier = float(a)
                     else:

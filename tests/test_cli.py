@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -68,6 +69,8 @@ CROSS_FIELD_CASES = {
                              "sweep": {"mode": "spectral", "axes": {"khop": [2, 2.5]}}},
                             ["sweep.axes.khop=2.5 must be an integer"]),
     "alpha-null": ({"solver": {"alpha": None}}, ["solver.alpha must be a number"]),
+    "khop-nan": ({"network": {"khop": float("nan")}}, ["network.khop must be an integer"]),
+    "sweep-axes-list": ({"sweep": {"axes": [0.5]}}, ["sweep.axes must be an object"]),
     "rho-null": ({"nonlinearity": {"kind": "log_quantizer", "rho": None}},
                  ["nonlinearity.rho must be a number"]),
     "sweep-rho": ({"sweep": {"axes": {"rho": [0.5, -0.5]}}},
@@ -112,6 +115,8 @@ CROSS_FIELD_CASES = {
                 ["nonlinearity.rho must be finite"]),
     "sweep-alpha-nan": ({"sweep": {"mode": "dynamics", "axes": {"alpha": [float("nan"), 0.5]}}},
                         ["sweep.axes.alpha values must be finite"]),
+    "sweep-alpha-repeated": ({"sweep": {"mode": "dynamics", "axes": {"alpha": [0.5, 0.5, 1]}}},
+                             ["sweep.axes.alpha repeats the value 0.5"]),
     "sweep-eta-spectral": ({"cost": {"kind": "quadratic"},
                             "sweep": {"mode": "spectral", "axes": {"eta": [0.001, 0.002]}}},
                            ["sweep.axes.eta sets the integration step, which a spectral "
@@ -297,6 +302,53 @@ def test_sweep_spectral_grid(tmp_path):
     ratios = {float(c["rho"]): float(c["sector_ratio"]) for c in cells}
     assert ratios[0.25] == pytest.approx(9 / 7)
     assert ratios[1.0] == pytest.approx(3.0)
+
+
+def _map_fills(svg_text):
+    """Fill colors of the heat-map cells, row by row."""
+    return re.findall(r'<rect x="[^"]*" y="[^"]*" width="[^"]*" height="[^"]*" '
+                      r'fill="(#[0-9a-f]{6})"', svg_text)
+
+
+STABLE_FILL, HALF_FILL, UNSTABLE_FILL = "#ff1d26", "#ffffff", "#313695"
+
+
+def test_sweep_map_of_all_stable_grid_is_drawn_stable(tmp_path):
+    body = dict(QUAD_CONFIG)
+    body["nonlinearity"] = {"kind": "log_quantizer", "rho": 1.0}
+    body["sweep"] = {"mode": "spectral", "axes": {"alpha": [0.01, 0.02], "rho": [0.25, 1.0]}}
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(write_config(tmp_path, body)), "--out", str(out)]) == EXIT_OK
+    assert "False" not in (out / "sweep.csv").read_text()
+    assert _map_fills((out / "sweep.svg").read_text()) == [STABLE_FILL] * 4
+
+
+def test_sweep_map_averages_verdicts_over_a_third_axis(tmp_path, monkeypatch):
+    # (alpha=1, khop=1) is stable at rho=0.5 only; the last rho must not decide its cell
+    verdicts = {(1.0, 0.5): True, (1.0, 1.0): False, (2.0, 0.5): False, (2.0, 1.0): False}
+
+    def fake_rows(cfg, axes, jobs):
+        return [{"alpha": a, "khop": 1.0, "rho": r, "stable": ok}
+                for (a, r), ok in verdicts.items()]
+
+    monkeypatch.setattr(cli, "_sweep_spectral", fake_rows)
+    body = dict(QUAD_CONFIG)
+    body["nonlinearity"] = {"kind": "log_quantizer", "rho": 1.0}
+    body["sweep"] = {"mode": "spectral",
+                     "axes": {"alpha": [1.0, 2.0], "khop": [1], "rho": [0.5, 1.0]}}
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(write_config(tmp_path, body)), "--out", str(out)]) == EXIT_OK
+    assert _map_fills((out / "sweep.svg").read_text()) == [HALF_FILL, UNSTABLE_FILL]
+
+
+def test_sweep_without_plots_writes_no_map(tmp_path):
+    body = dict(QUAD_CONFIG)
+    body["outputs"] = {"plots": False}
+    body["sweep"] = {"mode": "spectral", "axes": {"alpha": [0.01, 30.0]}}
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(write_config(tmp_path, body)), "--out", str(out)]) == EXIT_OK
+    assert (out / "sweep.csv").exists()
+    assert not (out / "sweep.svg").exists()
 
 
 def test_sweep_spectral_directed_shows_unstable_cells(tmp_path):

@@ -5,19 +5,25 @@ as committed; variant v adds v to every seed) through the CLI and compares
 what ``perfbench/golden.json`` pins: each sweep cell's stable/diverged
 verdict exactly, and every number (sweep.csv columns, distance to the
 oracle, final agent states) within rtol 1e-6 plus an absolute floor of
-1e-12, NaN equal to NaN. Both files are only read.
+1e-12, NaN equal to NaN. Both files are only read. A smoke test also runs
+the benchmark's tracer, which wraps gtflow functions by name, so renaming one
+of them fails here as well as in the benchmark's trace mode.
 """
 
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from gtflow.cli import EXIT_OK, main
 
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
 GOLDEN = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
 RTOL, ATOL = 1e-6, 1e-12
 
@@ -61,3 +67,14 @@ def test_workload_variant_0_matches_golden(tmp_path, name):
         assert len(got) == len(want), key
         off = [(i, x, g) for i, (x, g) in enumerate(zip(got, want)) if not close(x, g)]
         assert not off, f"{key} off golden at (index, value, golden): {off[:5]}"
+
+
+def test_tracer_wraps_every_layer_on_bounds(tmp_path):
+    summary = tmp_path / "summary.json"
+    argv = [sys.executable, str(BENCH / "traced.py"), str(summary), "bounds",
+            "--config", str(BENCH / "workloads" / "dsvm-logq.json"), "--out", str(tmp_path / "out")]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(summary.read_text(encoding="utf-8"))
+    assert metrics["cost.hessian.calls"] > 0

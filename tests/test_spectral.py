@@ -6,8 +6,8 @@ import pytest
 from gtflow.cost import infinity_norm
 from gtflow.graph import laplacian, make_khop_ring
 from gtflow.spectral import (assemble, eigen_derivative_check, laplacian_rates,
-                             matching_distance, spectral_report, stability_sweep,
-                             step_size_bounds)
+                             matching_distance, matching_excess, spectral_report,
+                             stability_sweep, step_size_bounds)
 
 
 def _identity_hessian(n, m):
@@ -204,6 +204,17 @@ def test_step_size_bounds_all_positive_and_matching_hits_target():
     assert excess == pytest.approx(b.kappa * b.slowest_decay, rel=1e-6)
 
 
+@pytest.mark.parametrize("gamma", [0.4, 3.0])
+def test_matching_bound_is_the_root_to_adjacent_floats(gamma):
+    # both branches of matching_excess; the bound sits where it crosses the target
+    b = step_size_bounds(0.5, 1.5, gamma, 0.8, 1.6, 5, 2)
+    target = b.kappa * b.slowest_decay
+    below, above = np.nextafter(b.matching, 0.0), np.nextafter(b.matching, np.inf)
+    assert matching_excess(0.0, b.upper, gamma, 10) == 0.0
+    assert matching_excess(below, b.upper, gamma, 10) < target
+    assert matching_excess(above, b.upper, gamma, 10) >= target
+
+
 def test_step_size_bounds_rejects_bad_inputs():
     with pytest.raises(ValueError):
         step_size_bounds(0.0, 1.0, 1.0, 1.0, 1.0, 3, 1)
@@ -229,16 +240,17 @@ def test_sweep_below_tight_bound_is_stable():
         "upper": np.full(5, upper),
         "random": rng.uniform(kappa, upper, size=5),
     }
-    alphas = np.linspace(0.05, 0.999, 8) * bounds.tight
-    cells = stability_sweep(lap, hess, alphas, regimes)
-    assert all(c.stable for c in cells)
+    for alpha in np.linspace(0.05, 0.999, 8) * bounds.tight:
+        reports = stability_sweep(lap, hess, alpha, regimes)
+        assert list(reports) == ["lower", "upper", "random"]
+        assert all(r.stable for r in reports.values())
 
 
 def test_sweep_alpha_zero_column_unstable():
     lap, hess, kappa, upper, _ = _sweep_fixture()
-    cells = stability_sweep(lap, hess, [0.0], {"unit": np.ones(5)})
-    assert cells[0].zero_count == 2
-    assert not cells[0].stable
+    report = stability_sweep(lap, hess, 0.0, {"unit": np.ones(5)})["unit"]
+    assert report.zero_count == 2
+    assert not report.stable
 
 
 def test_sweep_extreme_gains_bracket_unit_decay():
@@ -247,10 +259,10 @@ def test_sweep_extreme_gains_bracket_unit_decay():
     # decaying fastest (stronger step-size slaving at higher gain)
     lap, hess, kappa, upper, bounds = _sweep_fixture()
     alpha = 0.5 * bounds.tight
-    cells = stability_sweep(lap, hess, [alpha], {
+    reports = stability_sweep(lap, hess, alpha, {
         "lower": np.full(5, kappa),
         "unit": np.ones(5),
         "upper": np.full(5, upper),
     })
-    by_label = {c.xi_label: c.max_nonzero_real for c in cells}
+    by_label = {label: r.max_nonzero_real for label, r in reports.items()}
     assert by_label["lower"] <= by_label["unit"] <= by_label["upper"] < 0
