@@ -1,6 +1,6 @@
 """Gradient-tracking consensus optimization over networks with nonlinear links.
 
-Subpackages by role:
+Modules by role:
 
 - :mod:`gtflow.graph` — weight-balanced topologies, Laplacians, switching.
 - :mod:`gtflow.nonlinear` — link nonlinearities and sector bounds.

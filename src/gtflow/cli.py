@@ -6,7 +6,7 @@ Subcommands: ``run`` (one experiment), ``bounds`` (step-size bound report),
 byte-reproducible: re-running an identical config yields identical CSVs.
 
 Exit codes: 0 success, 1 property-suite failure or internal error,
-2 divergence, 3 configuration validation failure.
+2 divergence, 3 a bad command line, configuration or output directory.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from . import config as cfgmod
 from . import spectral, svg, verify
 from .config import ConfigError, ExperimentConfig, parse_config
-from .cost import aggregate_hessian, infinity_norm, sum_gradient
+from .cost import aggregate_hessian, infinity_norm
 from .engine import integrate
 from .graph import laplacian
 from .nonlinear import SectorBounds, sector_bounds
@@ -35,15 +35,30 @@ EXIT_CONFIG = 3
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as stop:  # argparse has printed the usage and the problem
+        return EXIT_OK if stop.code == 0 else EXIT_CONFIG
     if args.command is None:
         parser.print_help()
         return EXIT_OK
+    if "out" in args:
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            print(f"gtflow: cannot use --out {str(args.out)!r}: {err.strerror}", file=sys.stderr)
+            return EXIT_CONFIG
     try:
         return args.handler(args)
     except ConfigError as err:
         print(err, file=sys.stderr)
         return EXIT_CONFIG
+
+
+def _job_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="stability sweep over config axes")
     add_common(p_sweep)
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
+    p_sweep.add_argument("--jobs", type=_job_count, default=1, help="parallel sweep cells (at least 1)")
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the property corpus")
@@ -88,8 +103,8 @@ def _load_config(args) -> ExperimentConfig:
     else:
         try:
             text = args.config.read_text(encoding="utf-8")
-        except OSError as err:
-            raise ConfigError([f"cannot read config: {err}"])
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError([f"cannot read config {str(args.config)!r}: {err}"])
     cfg = parse_config(text)
     if args.seed is not None:
         raw = cfg.normalized()
@@ -210,13 +225,11 @@ def cmd_run(args) -> int:
         x_star = np.linalg.solve(q_sum, sum(c.Q @ c.b for c in costs))
         reference = np.tile(x_star, (len(costs), 1))
         trace = integrate(costs, x0, solver, reference=reference)
-        status = trace.status
-        final_gn = float(np.linalg.norm(sum_gradient(costs, trace.final_x)))
         meta += ["", "result:",
-                 f"  status: {status}",
+                 f"  status: {trace.status}",
                  f"  optimizer: {' '.join(format(v, '.17g') for v in x_star)}",
-                 f"  final_grad_sum_norm: {format(final_gn, '.17g')}",
-                 f"  final_consensus_error: {format(trace.consensus_error[-1], '.17g')}"]
+                 f"  final_grad_sum_norm: {format(float(trace.grad_sum_norm[-1]), '.17g')}",
+                 f"  final_consensus_error: {format(float(trace.consensus_error[-1]), '.17g')}"]
     else:
         data, _ = context
         cost_cfg = cfg["cost"]
@@ -227,7 +240,6 @@ def cmd_run(args) -> int:
             oracle_tol=cost_cfg["oracle_tol"],
         )
         trace = report.trace
-        status = report.status
         meta += ["", "result:"] + ["  " + ln for ln in report.summary_lines()]
         _write(out, "oracle_classifier.txt",
                report.oracle.classifier.to_text(objective=report.oracle.objective,
@@ -247,9 +259,9 @@ def cmd_run(args) -> int:
     _write(out, "metadata.txt", "\n".join(meta) + "\n")
 
     if cfg["outputs"]["plots"]:
-        n, m = trace.states_x.shape[1:]
+        n, m = trace.states.shape[2:]
         state_series = {
-            f"agent{i}[{j}]": (trace.times, trace.states_x[:, i, j])
+            f"agent{i}[{j}]": (trace.times, trace.states[:, 0, i, j])
             for i in range(n) for j in range(m)
         }
         _write(out, "states.svg", svg.line_chart(state_series, "agent states", "t", "x"))
@@ -259,8 +271,8 @@ def cmd_run(args) -> int:
             {"|sum grad|": (trace.times, trace.grad_sum_norm)},
             "gradient-sum norm", "t", "norm", log_y=True))
 
-    print(f"status: {status}  (artifacts in {out})")
-    return EXIT_OK if status == "completed" else EXIT_DIVERGED
+    print(f"status: {trace.status}  (artifacts in {out})")
+    return EXIT_OK if trace.status == "completed" else EXIT_DIVERGED
 
 
 def cmd_sweep(args) -> int:
@@ -378,10 +390,9 @@ def _sweep_dynamics(cfg: ExperimentConfig, axes: dict, jobs: int) -> list[dict]:
         cell_cfg = cfgmod.sweep_cell(cfg, cell)
         solver = cfgmod.build_solver(cell_cfg, cfgmod.build_schedule(cell_cfg))
         trace = integrate(costs, x0, solver)
-        gn = float(np.linalg.norm(sum_gradient(costs, trace.final_x)))
         return {**{k: cell.get(k, None) for k in sorted(axes)},
                 "status": trace.status,
-                "final_grad_sum_norm": gn,
+                "final_grad_sum_norm": float(trace.grad_sum_norm[-1]),
                 "stable": trace.status == "completed"}
 
     return _run_cells(_axis_grid(axes), worker, jobs)

@@ -100,19 +100,22 @@ class SolverConfig:
 class Trace:
     """Sampled trajectory plus derived diagnostics.
 
-    Rows are recorded every ``sample_stride`` steps starting at t=0; with
-    S total steps that is floor(S/stride) + 1 rows. The conserved-quantity
-    residual measures drift of (sum_i y_i - sum_i grad f_i) from its initial
-    value, which the exact flow keeps constant on weight-balanced graphs.
-    ``max_abs_state`` is the largest state magnitude seen at any step, the
-    quantity to compare against a domain-relative sector bound. ``eta`` is
-    the step actually used (see ``SolverConfig.aligned_eta``) and ``steps``
-    the number of steps taken, the diverging one included.
+    ``states[r]`` is the stacked state [x, y] of shape (2, n, m) at
+    ``times[r]``. Rows are recorded every ``sample_stride`` steps starting at
+    t=0, and the last row is always the state after the last step taken,
+    whether or not the stride divides the step count and including a step
+    that diverged; every final value is therefore a ``[-1]`` read. The
+    conserved-quantity residual measures drift of (sum_i y_i - sum_i grad f_i)
+    from its initial value, which the exact flow keeps constant on
+    weight-balanced graphs. ``max_abs_state`` is the largest state magnitude
+    seen at any step, the quantity to compare against a domain-relative
+    sector bound. ``eta`` is the step actually used (see
+    ``SolverConfig.aligned_eta``) and ``steps`` the number of steps taken,
+    the diverging one included.
     """
 
     times: np.ndarray
-    states_x: np.ndarray  # (rows, n, m)
-    states_y: np.ndarray
+    states: np.ndarray  # (rows, 2, n, m)
     cost: np.ndarray
     grad_sum_norm: np.ndarray
     consensus_error: np.ndarray
@@ -121,28 +124,21 @@ class Trace:
     status: str
     eta: float
     steps: int
-    final_x: np.ndarray
-    final_y: np.ndarray
     max_abs_state: float = 0.0
 
     def to_csv(self) -> str:
-        rows, n, m = self.states_x.shape
+        rows, _, n, m = self.states.shape
         head = ["t"]
         head += [f"x_{i}_{j}" for i in range(n) for j in range(m)]
         head += [f"y_{i}_{j}" for i in range(n) for j in range(m)]
         head += ["cost", "grad_sum_norm", "consensus_error", "conservation_residual"]
+        columns = [self.cost, self.grad_sum_norm, self.consensus_error, self.conservation]
         if self.lyapunov is not None:
             head.append("lyapunov")
+            columns.append(self.lyapunov)
+        table = np.column_stack([self.times, self.states.reshape(rows, -1), *columns])
         lines = [",".join(head)]
-        for r in range(rows):
-            vals = [self.times[r]]
-            vals += list(self.states_x[r].ravel())
-            vals += list(self.states_y[r].ravel())
-            vals += [self.cost[r], self.grad_sum_norm[r],
-                     self.consensus_error[r], self.conservation[r]]
-            if self.lyapunov is not None:
-                vals.append(self.lyapunov[r])
-            lines.append(",".join(format(v, ".17g") for v in vals))
+        lines += [",".join(format(v, ".17g") for v in row) for row in table]
         return "\n".join(lines) + "\n"
 
 
@@ -170,8 +166,9 @@ def integrate(
     """Run the hybrid dynamics from stacked initial state x0 (n rows).
 
     A supplied ``reference`` optimizer turns on the Lyapunov column
-    V = 0.5 ||[x; y] - [x*; 0]||^2. Divergence (non-finite entries or norm
-    beyond 1e12) truncates the trace with status 'diverged'.
+    V = 0.5 ||[x; y] - [x*; 0]||^2. Divergence (a non-finite entry or one
+    beyond 1e12) stops the run with status 'diverged'; the trace then ends on
+    the state that diverged.
     """
     X = np.array(x0, dtype=float)
     n, m = X.shape
@@ -188,39 +185,22 @@ def integrate(
     offset0 = Y.sum(axis=0) - sum_gradient(costs, X)
     S = np.stack([X, Y])
     stride = config.sample_stride
-    rec: dict[str, list] = {k: [] for k in
-                            ("t", "x", "y", "F", "gn", "ce", "cons", "lya")}
-
-    def record(t, X, Y):
-        rec["t"].append(t)
-        rec["x"].append(X.copy())
-        rec["y"].append(Y.copy())
-        rec["F"].append(global_cost(costs, X))
-        grad_sum = sum_gradient(costs, X)
-        rec["gn"].append(float(np.linalg.norm(grad_sum)))
-        xbar = X.mean(axis=0)
-        rec["ce"].append(float(np.max(np.linalg.norm(X - xbar, axis=1))))
-        drift = (Y.sum(axis=0) - grad_sum) - offset0
-        rec["cons"].append(float(np.linalg.norm(drift)))
-        if reference is not None:
-            dx = X - reference
-            rec["lya"].append(0.5 * (float(np.sum(dx * dx)) + float(np.sum(Y * Y))))
+    rows = []  # (t, S); S is rebound by every step, never written in place
 
     status = "completed"
+    taken = steps
     max_abs = 0.0
     interval = -1
     L = None
     args = (costs, config.alpha, config.g)
-    for k in range(steps + 1):
+    for k in range(steps):
         t = k * eta
         ix = config.schedule.interval_index(t)
         if ix != interval:
             L = laplacian(graph_at(config.schedule, t))
             interval = ix
         if k % stride == 0:
-            record(t, S[0], S[1])
-        if k == steps:
-            break
+            rows.append((t, S))
         if config.method == "euler":
             S = S + eta * derivative(S, L, *args)
         else:
@@ -234,23 +214,30 @@ def integrate(
         max_abs = max(max_abs, float(max(ax, ay)))
         if not (ax <= BLOWUP_THRESHOLD and ay <= BLOWUP_THRESHOLD):
             status = "diverged"
-            k += 1  # the step that diverged was taken
+            taken = k + 1  # the step that diverged was taken
             break
+    rows.append((taken * eta, S))
 
+    states = np.array([S for _, S in rows])
+    xs, ys = states[:, 0], states[:, 1]
+    grad_sums = [sum_gradient(costs, X) for X in xs]
+    lyapunov = None
+    if reference is not None:
+        dx = xs - reference
+        lyapunov = 0.5 * (np.sum(dx * dx, axis=(1, 2)) + np.sum(ys * ys, axis=(1, 2)))
     return Trace(
-        times=np.array(rec["t"]),
-        states_x=np.array(rec["x"]),
-        states_y=np.array(rec["y"]),
-        cost=np.array(rec["F"]),
-        grad_sum_norm=np.array(rec["gn"]),
-        consensus_error=np.array(rec["ce"]),
-        conservation=np.array(rec["cons"]),
-        lyapunov=np.array(rec["lya"]) if reference is not None else None,
+        times=np.array([t for t, _ in rows]),
+        states=states,
+        cost=np.array([global_cost(costs, X) for X in xs]),
+        grad_sum_norm=np.array([float(np.linalg.norm(g)) for g in grad_sums]),
+        consensus_error=np.array([float(np.max(np.linalg.norm(X - X.mean(axis=0), axis=1)))
+                                  for X in xs]),
+        conservation=np.array([float(np.linalg.norm((Y.sum(axis=0) - g) - offset0))
+                               for Y, g in zip(ys, grad_sums)]),
+        lyapunov=lyapunov,
         status=status,
         eta=eta,
-        steps=k,
-        final_x=S[0],
-        final_y=S[1],
+        steps=taken,
         max_abs_state=max_abs,
     )
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import SvmHingeCost, sum_gradient
+from .cost import SvmHingeCost
 from .engine import SolverConfig, Trace, integrate
 
 __all__ = [
@@ -266,17 +266,15 @@ class DsvmReport:
     distance_to_oracle: float
     consensus_accuracy: float
     oracle_accuracy: float
-    final_grad_sum_norm: float
-    status: str
 
     def summary_lines(self) -> list[str]:
         out = [
-            f"status: {self.status}",
+            f"status: {self.trace.status}",
             f"consensus_spread: {self.consensus_spread!r}",
             f"distance_to_oracle: {self.distance_to_oracle!r}",
             f"consensus_accuracy: {self.consensus_accuracy!r}",
             f"oracle_accuracy: {self.oracle_accuracy!r}",
-            f"final_grad_sum_norm: {self.final_grad_sum_norm!r}",
+            f"final_grad_sum_norm: {float(self.trace.grad_sum_norm[-1])!r}",
             f"oracle_objective: {self.oracle.objective!r}",
         ]
         for i, clf in enumerate(self.agent_classifiers):
@@ -313,15 +311,14 @@ def dsvm_experiment(
 
     trace = integrate(costs, x0, solver, reference=reference)
 
-    agent_clfs = [Classifier(trace.final_x[i, :-1], float(trace.final_x[i, -1]))
-                  for i in range(n)]
-    mean_state = trace.final_x.mean(axis=0)
+    final_x = trace.states[-1, 0]
+    agent_clfs = [Classifier(final_x[i, :-1], float(final_x[i, -1])) for i in range(n)]
+    mean_state = final_x.mean(axis=0)
     consensus = Classifier(mean_state[:-1], float(mean_state[-1]))
-    spread = float(np.max(np.abs(trace.final_x - mean_state)))
+    spread = float(np.max(np.abs(final_x - mean_state)))
     distance = float(np.max(np.abs(consensus.stacked - oracle.classifier.stacked)))
     consensus_acc, _ = evaluate(consensus, data)
     oracle_acc, _ = evaluate(oracle.classifier, data)
-    final_gn = float(np.linalg.norm(sum_gradient(costs, trace.final_x)))
 
     return DsvmReport(
         trace=trace,
@@ -332,8 +329,6 @@ def dsvm_experiment(
         distance_to_oracle=distance,
         consensus_accuracy=consensus_acc,
         oracle_accuracy=oracle_acc,
-        final_grad_sum_norm=final_gn,
-        status=trace.status,
     )
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
 from gtflow import cli, spectral
@@ -191,6 +192,31 @@ def test_run_divergent_config_exits_2(tmp_path):
     assert 0 < int(meta["steps"]) < 100
 
 
+def _final_row(out):
+    """The last trace.csv row by column name, and its agent states as an (n, m) array."""
+    head, *rows = (out / "trace.csv").read_text().splitlines()
+    row = dict(zip(head.split(","), map(float, rows[-1].split(","))))
+    n = 1 + max(int(k.split("_")[1]) for k in row if k.startswith("x_"))
+    return row, np.array([v for k, v in row.items() if k.startswith("x_")]).reshape(n, -1)
+
+
+@pytest.mark.parametrize("solver", [{"t_end": 1.0, "sample_stride": 7},
+                                    {"alpha": 500.0, "eta": 0.05}], ids=["stride-7", "diverged"])
+def test_run_metadata_reports_the_final_state(tmp_path, solver):
+    body = {**QUAD_CONFIG, "solver": {**QUAD_CONFIG["solver"], **solver}}
+    if "alpha" in solver:  # the divergent config of test_run_divergent_config_exits_2
+        body["cost"] = {**QUAD_CONFIG["cost"], "curvature_scale": 50.0}
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(write_config(tmp_path, body)), "--out", str(out)])
+    assert code == (EXIT_DIVERGED if "alpha" in solver else EXIT_OK)
+    meta = read_result(out)
+    row, X = _final_row(out)
+    assert row["t"] == int(meta["steps"]) * float(meta["eta_used"])
+    consensus = np.max(np.linalg.norm(X - X.mean(axis=0), axis=1))
+    assert float(meta["final_consensus_error"]) == consensus == row["consensus_error"]
+    assert float(meta["final_grad_sum_norm"]) == row["grad_sum_norm"]
+
+
 def read_result(out):
     text = (out / "metadata.txt").read_text()
     block = text.split("\nresult:\n")[1]
@@ -208,6 +234,54 @@ def test_run_metadata_reports_step_actually_used(tmp_path):
         meta = read_result(tmp_path / "o")
         assert float(meta["eta_used"]) == eta_used
         assert meta["steps"] == steps
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--preset", "fig5-sensitivity", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["run", "--out", "o"], "one of the arguments --config --preset is required"),
+    (["bounds", "--preset", "fig5-sensitivity", "--fast"], "unrecognized arguments: --fast"),
+    (["sweep", "--preset", "fig5-sensitivity", "--jobs", "0"], "argument --jobs: must be an integer of at least 1, got '0'"),
+    (["sweep", "--preset", "fig5-sensitivity", "--jobs", "-4"], "got '-4'"),
+    (["sweep", "--preset", "fig5-sensitivity", "--jobs", "two"], "got 'two'"),
+], ids=["seed-not-int", "no-config", "unknown-flag", "jobs-zero", "jobs-negative", "jobs-word"])
+def test_bad_command_line_exits_3_with_usage(capsys, argv, message):
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gtflow ")
+    assert message in err
+
+
+def test_help_exits_0(capsys):
+    assert main(["-h"]) == EXIT_OK
+    assert main(["sweep", "--help"]) == EXIT_OK
+    assert "--jobs" in capsys.readouterr().out
+
+
+def test_config_that_is_not_utf8_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b'{"seed": 1, "description": "\xff"}')
+    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"cannot read config {str(cfg)!r}" in err
+    assert "can't decode byte 0xff" in err
+
+
+@pytest.mark.parametrize("command", ["run", "bounds", "sweep"])
+def test_unusable_out_exits_3_before_any_work(tmp_path, capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("integrate", "_build_costs"):
+        monkeypatch.setattr(cli, name, no_work)
+    cfg = write_config(tmp_path, QUAD_CONFIG)
+    taken = tmp_path / "taken"
+    taken.write_text("a file", encoding="utf-8")
+    for out, reason in [(taken, "File exists"), (taken / "sub", "Not a directory")]:
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gtflow: cannot use --out {str(out)!r}: {reason}\n"
+    assert taken.read_text(encoding="utf-8") == "a file"
 
 
 def test_bounds_reports_three_values(tmp_path, capsys):

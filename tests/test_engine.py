@@ -103,9 +103,9 @@ def test_nan_in_tracker_line_alone_ends_run_as_diverged():
     trace = integrate(costs, x0, cfg)
     assert trace.status == "diverged"
     assert trace.steps == 1
-    assert np.isfinite(trace.final_x).all() and np.isnan(trace.final_y).all()
+    assert np.isfinite(trace.states[-1, 0]).all() and np.isnan(trace.states[-1, 1]).all()
     # the NaN line does not enter the largest magnitude seen
-    assert trace.max_abs_state == np.abs(trace.final_x).max()
+    assert trace.max_abs_state == np.abs(trace.states[-1, 0]).max()
 
 
 def test_integrate_constant_at_equilibrium():
@@ -117,8 +117,8 @@ def test_integrate_constant_at_equilibrium():
                        y_init="zero", sample_stride=10)
     trace = integrate(costs, x0, cfg)
     assert trace.status == "completed"
-    assert np.allclose(trace.states_x, trace.states_x[0], atol=1e-10)
-    assert np.abs(trace.states_y).max() < 1e-10
+    assert np.allclose(trace.states[:, 0], trace.states[0, 0], atol=1e-10)
+    assert np.abs(trace.states[:, 1]).max() < 1e-10
 
 
 def test_integrate_quadratic_converges_to_closed_form():
@@ -129,8 +129,8 @@ def test_integrate_quadratic_converges_to_closed_form():
     trace = integrate(costs, x0, cfg)
     assert trace.status == "completed"
     assert trace.consensus_error[-1] < 1e-6
-    assert float(np.linalg.norm(sum_gradient(costs, trace.final_x))) < 1e-6
-    assert np.max(np.abs(trace.final_x - x_star)) < 1e-6
+    assert float(np.linalg.norm(sum_gradient(costs, trace.states[-1, 0]))) < 1e-6
+    assert np.max(np.abs(trace.states[-1, 0] - x_star)) < 1e-6
 
 
 def test_integrate_diverges_far_above_bound():
@@ -142,6 +142,10 @@ def test_integrate_diverges_far_above_bound():
                        schedule=sched, sample_stride=100)
     trace = integrate(costs, x0, cfg)
     assert trace.status == "diverged"
+    # the trace ends on the state the diverging step produced
+    assert len(trace.times) == 2 and 1 < trace.steps < 100
+    assert trace.times[-1] == trace.steps * trace.eta
+    assert np.abs(trace.states[-1]).max() == trace.max_abs_state > 1e12
 
 
 def test_trace_row_count_and_times():
@@ -150,8 +154,44 @@ def test_trace_row_count_and_times():
                        sample_stride=7)
     trace = integrate(costs, x0, cfg)
     steps = round(1.0 / 0.01)
-    assert len(trace.times) == steps // 7 + 1
+    # every 7th step from t=0, plus the final state at step 100
+    assert len(trace.times) == steps // 7 + 2
     assert np.all(np.diff(trace.times) > 0)
+
+
+def test_trace_ends_on_final_state_when_stride_does_not_divide_steps():
+    costs, sched, x0 = quadratic_fixture()
+    runs = {stride: integrate(costs, x0, SolverConfig(alpha=0.3, eta=0.01, t_end=1.0,
+                                                      schedule=sched, sample_stride=stride))
+            for stride in (1, 7)}
+    sparse, dense = runs[7], runs[1]
+    assert sparse.states.shape == (16, 2, 5, 2)
+    assert sparse.times[-1] == 100 * sparse.eta == dense.times[-1]
+    assert np.array_equal(sparse.states[-1], dense.states[-1])
+    assert np.array_equal(sparse.states[:-1], dense.states[:99:7])
+    for name in ("cost", "grad_sum_norm", "consensus_error", "conservation"):
+        assert getattr(sparse, name)[-1] == getattr(dense, name)[-1], name
+
+
+@pytest.mark.parametrize("with_reference", [False, True])
+def test_to_csv_layout_reads_the_stacked_states(with_reference):
+    costs, sched, x0 = quadratic_fixture(n=3, m=2)
+    cfg = SolverConfig(alpha=0.3, eta=0.01, t_end=0.5, schedule=sched, sample_stride=20)
+    reference = np.tile(closed_form_optimum(costs), (3, 1)) if with_reference else None
+    trace = integrate(costs, x0, cfg, reference=reference)
+    head, *rows = trace.to_csv().splitlines()
+    states = [f"{line}_{i}_{j}" for line in "xy" for i in range(3) for j in range(2)]
+    diagnostics = ["cost", "grad_sum_norm", "consensus_error", "conservation_residual"]
+    assert head.split(",") == ["t", *states, *diagnostics] + ["lyapunov"] * with_reference
+    assert len(rows) == len(trace.times) == trace.states.shape[0]
+    columns = [trace.cost, trace.grad_sum_norm, trace.consensus_error, trace.conservation]
+    if with_reference:
+        columns.append(trace.lyapunov)
+    for r, row in enumerate(rows):
+        values = [float(v) for v in row.split(",")]
+        assert values[0] == trace.times[r]
+        assert np.array_equal(values[1:13], trace.states[r].ravel())
+        assert values[13:] == [c[r] for c in columns]
 
 
 def test_eta_is_reduced_to_divide_switch_period():
@@ -173,8 +213,8 @@ def test_conservation_gradient_init_binds_tracker_to_gradients():
     # quadratic costs: the discrete update conserves the offset exactly
     assert conservation_residual(trace) < 1e-10
     # with gradient init the offset is zero, so sum(y) tracks sum(grad f)
-    sum_y = trace.states_y[-1].sum(axis=0)
-    assert np.allclose(sum_y, sum_gradient(costs, trace.states_x[-1]), atol=1e-9)
+    sum_y = trace.states[-1, 1].sum(axis=0)
+    assert np.allclose(sum_y, sum_gradient(costs, trace.states[-1, 0]), atol=1e-9)
 
 
 def test_conservation_zero_init_reports_offset():
@@ -184,7 +224,7 @@ def test_conservation_zero_init_reports_offset():
     trace = integrate(costs, x0, cfg)
     assert conservation_residual(trace) < 1e-10
     # the conserved offset itself is the initial gradient sum, measurably
-    offset = trace.states_y[-1].sum(axis=0) - sum_gradient(costs, trace.states_x[-1])
+    offset = trace.states[-1, 1].sum(axis=0) - sum_gradient(costs, trace.states[-1, 0])
     assert np.allclose(offset, -sum_gradient(costs, x0), atol=1e-9)
 
 
@@ -208,8 +248,8 @@ def test_lyapunov_monotone_and_rate_on_stable_fixture():
     v = trace.lyapunov
     assert v[-1] < 1e-10
     assert np.all(np.diff(v) <= 1e-10 * v[0])
-    dx = trace.states_x - ref
-    series = 0.5 * (np.sum(dx * dx, axis=(1, 2)) + np.sum(trace.states_y ** 2, axis=(1, 2)))
+    dx = trace.states[:, 0] - ref
+    series = 0.5 * (np.sum(dx * dx, axis=(1, 2)) + np.sum(trace.states[:, 1] ** 2, axis=(1, 2)))
     assert np.allclose(series, v, rtol=1e-12)
     # log-envelope decay against the operating-point spectrum
     hess = aggregate_hessian(costs, np.tile(x_star, (5, 1)))
@@ -231,7 +271,7 @@ def test_integrate_determinism():
     a = integrate(costs, x0, cfg)
     b = integrate(costs, x0, cfg)
     assert a.to_csv() == b.to_csv()
-    assert (a.final_x == b.final_x).all()
+    assert (a.states == b.states).all()
 
 
 def test_solver_config_validation():

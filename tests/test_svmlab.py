@@ -165,7 +165,7 @@ def test_dsvm_experiment_smoke():
     x0 = np.random.default_rng(3).uniform(0.0, 1.0, size=(3, 4))
     report = dsvm_experiment(data, costs, solver, x0, C=1.0, mu=2.0,
                              regularizer_mode="matched")
-    assert report.status == "completed"
+    assert report.trace.status == "completed"
     assert len(report.agent_classifiers) == 3
     assert report.consensus_spread >= 0
     assert 0 <= report.consensus_accuracy <= 1
