@@ -22,7 +22,7 @@ from . import config as cfgmod
 from . import spectral, svg, verify
 from .config import ConfigError, ExperimentConfig, parse_config
 from .cost import aggregate_hessian, infinity_norm
-from .engine import integrate
+from .engine import SolverBatch, integrate
 from .graph import laplacian
 from .nonlinear import SectorBounds, sector_bounds
 from .svmlab import dsvm_experiment
@@ -85,7 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="stability sweep over config axes")
     add_common(p_sweep)
-    p_sweep.add_argument("--jobs", type=_job_count, default=1, help="parallel sweep cells (at least 1)")
+    p_sweep.add_argument("--jobs", type=_job_count, default=1,
+                         help="parallel sweep workers, at least 1: one cell each (spectral) "
+                         "or one group of cells sharing eta and khop (dynamics)")
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the property corpus")
@@ -332,10 +334,10 @@ def _axis_grid(axes: dict) -> list[dict]:
     return cells
 
 
-def _run_cells(cells, worker, jobs: int) -> list[dict]:
-    """Evaluate independent sweep cells, optionally on a thread pool.
+def _run_cells(cells, worker, jobs: int) -> list:
+    """Evaluate independent sweep cells (or groups of cells), optionally on a thread pool.
 
-    Results come back in grid order regardless of scheduling; each cell is
+    Results come back in input order regardless of scheduling; each cell is
     seeded independently so parallel and serial runs agree exactly.
     """
     if jobs <= 1 or len(cells) <= 1:
@@ -383,19 +385,32 @@ def _sweep_spectral(cfg: ExperimentConfig, axes: dict, jobs: int) -> list[dict]:
 
 
 def _sweep_dynamics(cfg: ExperimentConfig, axes: dict, jobs: int) -> list[dict]:
-    """Integration verdict per cell, over ``sweep.t_end``."""
+    """Integration verdict per cell, over ``sweep.t_end``.
+
+    Cells that share ``eta`` and ``khop`` differ only in alpha and the link
+    level, so each such group runs as one ``SolverBatch`` in lock step, one
+    group per worker; the rows come back in grid order.
+    """
     costs, x0, _ = _build_costs(cfg)
+    cells = _axis_grid(axes)
+    cell_cfgs = [cfgmod.sweep_cell(cfg, cell) for cell in cells]
+    groups: dict[tuple, list[int]] = {}
+    for i, c in enumerate(cell_cfgs):
+        groups.setdefault((c["solver"]["eta"], c["network"]["khop"]), []).append(i)
 
-    def worker(cell):
-        cell_cfg = cfgmod.sweep_cell(cfg, cell)
-        solver = cfgmod.build_solver(cell_cfg, cfgmod.build_schedule(cell_cfg))
-        trace = integrate(costs, x0, solver)
-        return {**{k: cell.get(k, None) for k in sorted(axes)},
-                "status": trace.status,
-                "final_grad_sum_norm": float(trace.grad_sum_norm[-1]),
-                "stable": trace.status == "completed"}
+    def worker(group):
+        schedule = cfgmod.build_schedule(cell_cfgs[group[0]])
+        batch = SolverBatch(tuple(cfgmod.build_solver(cell_cfgs[i], schedule) for i in group))
+        return integrate(costs, x0, batch)
 
-    return _run_cells(_axis_grid(axes), worker, jobs)
+    rows = [None] * len(cells)
+    for group, traces in zip(groups.values(), _run_cells(list(groups.values()), worker, jobs)):
+        for i, trace in zip(group, traces):
+            rows[i] = {**{k: cells[i].get(k, None) for k in sorted(axes)},
+                       "status": trace.status,
+                       "final_grad_sum_norm": float(trace.grad_sum_norm[-1]),
+                       "stable": trace.status == "completed"}
+    return rows
 
 
 def cmd_verify(args) -> int:

@@ -315,10 +315,13 @@ def _validate_values(seed, sections, problems):
             continue  # reported above
         step = aligned_step(eta, period)
         steps = t_end / step if step else float("inf")
+        implies = (f"{t_name}={t_end:g} with {eta_name}={eta:g} and "
+                   f"network.switch_period={period:g} (step {step:g}) implies")
         if steps > MAX_STEPS + 0.5:
-            problems.append(f"{t_name}={t_end:g} with {eta_name}={eta:g} and "
-                            f"network.switch_period={period:g} (step {step:g}) implies "
-                            f"{steps:.3g} steps, above the limit of {MAX_STEPS:.0e}")
+            problems.append(f"{implies} {steps:.3g} steps, above the limit of {MAX_STEPS:.0e}")
+        elif round(steps) == 0:
+            # a run of no steps would report its initial state as completed
+            problems.append(f"{implies} 0 steps: {t_name} must exceed half the step")
     # the k-hop ring links each node to k neighbours per side
     k_max = (n_agents - 1) // 2
     for name, k in khops:

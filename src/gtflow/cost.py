@@ -39,15 +39,20 @@ def smoothed_hinge(z, mu: float):
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
     val = (np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))) / mu
+    s, curv = _slopes(t, mu)
+    if scalar:
+        return float(val[0]), float(s[0]), float(curv[0])
+    return val, s, curv
+
+
+def _slopes(t: np.ndarray, mu: float):
+    """L' and L'' of the smoothed hinge at t = mu * z, without L itself."""
     s = np.empty_like(t)
     pos = t >= 0
     s[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
     et = np.exp(t[~pos])
     s[~pos] = et / (1.0 + et)
-    curv = mu * s * (1.0 - s)
-    if scalar:
-        return float(val[0]), float(s[0]), float(curv[0])
-    return val, s, curv
+    return s, mu * s * (1.0 - s)
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,7 @@ class QuadraticCost:
         return self.Q @ (np.asarray(x, dtype=float) - self.b)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
+        """Q, whatever x; it broadcasts against a stack of Hessians."""
         return self.Q
 
 
@@ -111,14 +117,19 @@ class SvmHingeCost:
         self.mu = mu
         self.eps_nu = eps_nu
         self.m = features.shape[1] + 1
-        # dz_j/dx = [-l_j chi_j; l_j], the margin Jacobian the Hessian reuses
+        # dz_j/dx = [-l_j chi_j; l_j], the margin Jacobian the Hessian reuses,
+        # and the Hessian of the w.w regularizer
         self.U = np.concatenate([-labels[:, None] * features, labels[:, None]], axis=1)
-        for arr in (features, labels, self.U):
+        self._ridge = 2.0 * np.eye(self.m - 1)
+        for arr in (features, labels, self.U, self._ridge):
             arr.flags.writeable = False
 
     def _margins(self, x: np.ndarray) -> np.ndarray:
-        w, nu = x[:-1], x[-1]
-        return 1.0 - self.labels * (self.features @ w - nu)
+        # one matrix-vector product per row of a stacked x, each rounding as
+        # the product of a lone point does; one matrix product with all rows
+        # could round differently
+        w, nu = x[..., :-1], x[..., -1:]
+        return 1.0 - self.labels * (np.matmul(self.features, w[..., None])[..., 0] - nu)
 
     def value(self, x: np.ndarray) -> float:
         x = self._check(x)
@@ -135,26 +146,37 @@ class SvmHingeCost:
         return np.concatenate([gw, [gnu]])
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        x = self._check(x)
-        _, _, curv = smoothed_hinge(self._margins(x), self.mu)
-        H = self.C * (self.U.T * curv) @ self.U
-        H[:-1, :-1] += 2.0 * np.eye(self.m - 1)
-        H[-1, -1] += 2.0 * self.eps_nu
+        """Hessian at x of shape (m,), or one per row of x of shape (..., m).
+
+        Every row gets the same arithmetic as a lone point, so a row's
+        Hessian is bit-identical to the one computed for it alone.
+        """
+        x = self._check(x, stacked=True)
+        _, curv = _slopes(self.mu * self._margins(x), self.mu)
+        H = self.C * (self.U.T * curv[..., None, :]) @ self.U
+        H[..., :-1, :-1] += self._ridge
+        H[..., -1, -1] += 2.0 * self.eps_nu
         return H
 
-    def _check(self, x) -> np.ndarray:
+    def _check(self, x, stacked: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.m,):
-            raise ValueError(f"decision variable must have shape ({self.m},), got {x.shape}")
+        if x.shape != (self.m,) and not (stacked and x.shape[-1:] == (self.m,)):
+            shape = f"(..., {self.m})" if stacked else f"({self.m},)"
+            raise ValueError(f"decision variable must have shape {shape}, got {x.shape}")
         return x
 
 
 def aggregate_hessian(costs, x_stack: np.ndarray) -> np.ndarray:
-    """Per-agent Hessians at the stacked state (n rows of length m), shape (n, m, m)."""
+    """Per-agent Hessians at stacked states of shape (..., n, m), shape (..., n, m, m).
+
+    Each agent's handle is called once, on its rows of every stacked state. A
+    constant-curvature handle returns one (m, m) block whatever the rows, so
+    for it the result is (n, m, m) and broadcasts over the leading axes.
+    """
     X = np.atleast_2d(np.asarray(x_stack, dtype=float))
-    if X.shape[0] != len(costs):
+    if X.shape[-2] != len(costs):
         raise ValueError("one state row per agent required")
-    return np.array([c.hessian(X[i]) for i, c in enumerate(costs)])
+    return np.stack([c.hessian(X[..., i, :]) for i, c in enumerate(costs)], axis=-3)
 
 
 def infinity_norm(H: np.ndarray) -> float:

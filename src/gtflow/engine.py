@@ -14,6 +14,10 @@ within each switching interval.
 Topology switches are aligned to step boundaries: the step size must divide
 the switching period (it is shrunk to the nearest divisor with a warning
 otherwise), so no integration step ever straddles a switch.
+
+Configs that differ only in alpha and the link level run in lock step as one
+``SolverBatch``: the state gains a leading member axis, and one Laplacian
+per switch and one derivative evaluation per stage serve every member.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .nonlinear import LinkNonlinearity, apply, identity
 
 __all__ = [
     "MAX_STEPS",
+    "SolverBatch",
     "SolverConfig",
     "Trace",
     "aligned_step",
@@ -146,78 +151,137 @@ def derivative(
     S: np.ndarray,
     lap: np.ndarray,
     costs,
-    alpha: float,
+    alpha,
     g: LinkNonlinearity,
+    rho=None,
 ) -> np.ndarray:
-    """dS for the stacked state S = [X, Y] of shape (2, n, m); the graph is frozen by the caller."""
-    dS = lap @ apply(g, S)
-    dS[0] -= alpha * S[1]
-    H = aggregate_hessian(costs, S[0])
-    dS[1] += (H @ dS[0][:, :, None])[:, :, 0]
+    """dS for stacked states S = [X, Y] of shape (..., 2, n, m); the graph is frozen by the caller.
+
+    Leading axes are batch members: ``alpha`` (a float or shape (B, 1, 1))
+    and the link level ``rho`` (see ``nonlinear.apply``) broadcast over them.
+    """
+    dS = lap @ apply(g, S, rho)
+    dS[..., 0, :, :] -= alpha * S[..., 1, :, :]
+    H = aggregate_hessian(costs, S[..., 0, :, :])
+    dS[..., 1, :, :] += (H @ dS[..., 0, :, :, None])[..., 0]
     return dS
+
+
+@dataclass(frozen=True)
+class SolverBatch:
+    """Solver configs that one ``integrate`` call runs in lock step, one member each.
+
+    Members may differ in ``alpha`` and in the link level ``g.rho`` only:
+    they share the step, horizon, schedule object, method, tracker start,
+    sample stride and link kind, so one Laplacian per switch and one
+    derivative call per stage serve them all.
+    """
+
+    members: tuple[SolverConfig, ...]
+
+    def __post_init__(self):
+        if not self.members:
+            raise ValueError("a solver batch needs at least one member")
+        first = self.members[0]
+        shared = ("eta", "t_end", "method", "y_init", "sample_stride")
+        for c in self.members[1:]:
+            if (any(getattr(c, f) != getattr(first, f) for f in shared)
+                    or c.schedule is not first.schedule
+                    or (c.g.kind, c.g.limit) != (first.g.kind, first.g.limit)):
+                raise ValueError("batch members may differ only in alpha and the link level rho")
+
+    @property
+    def method(self) -> str:
+        return self.members[0].method
 
 
 def integrate(
     costs,
     x0: np.ndarray,
-    config: SolverConfig,
+    config: SolverConfig | SolverBatch,
     reference: np.ndarray | None = None,
-) -> Trace:
+) -> Trace | list[Trace]:
     """Run the hybrid dynamics from stacked initial state x0 (n rows).
+
+    A ``SolverBatch`` of B members runs them in lock step on states of shape
+    (B, 2, n, m) from the same x0 and returns one trace per member; a single
+    ``SolverConfig`` is a batch of one and returns its trace. Each member's
+    arithmetic is the same elementwise or per-matrix arithmetic as a run of
+    its own, so its trace is bit-identical to that run's.
 
     A supplied ``reference`` optimizer turns on the Lyapunov column
     V = 0.5 ||[x; y] - [x*; 0]||^2. Divergence (a non-finite entry or one
-    beyond 1e12) stops the run with status 'diverged'; the trace then ends on
-    the state that diverged.
+    beyond 1e12 in either line) ends that member with status 'diverged'; its
+    trace then ends on the state that diverged, and the others go on.
     """
+    members = config.members if isinstance(config, SolverBatch) else (config,)
+    first = members[0]
     X = np.array(x0, dtype=float)
     n, m = X.shape
     if len(costs) != n:
         raise ValueError("one cost handle per agent required")
-    eta = config.aligned_eta()
-    steps = int(round(config.t_end / eta))
+    eta = first.aligned_eta()
+    steps = int(round(first.t_end / eta))
 
-    if config.y_init == "gradient":
+    if first.y_init == "gradient":
         Y = np.stack([costs[i].gradient(X[i]) for i in range(n)])
     else:
         Y = np.zeros_like(X)
 
     offset0 = Y.sum(axis=0) - sum_gradient(costs, X)
-    S = np.stack([X, Y])
-    stride = config.sample_stride
-    rows = []  # (t, S); S is rebound by every step, never written in place
-
-    status = "completed"
-    taken = steps
-    max_abs = 0.0
+    B = len(members)
+    S = np.repeat(np.stack([X, Y])[None], B, axis=0)
+    alpha = np.array([c.alpha for c in members]).reshape(B, 1, 1)
+    rho = None if first.g.rho is None else np.array([c.g.rho for c in members]).reshape(B, 1, 1, 1)
+    live = np.arange(B)  # the member of each row of S
+    rows = [[] for _ in range(B)]  # (t, state); S is rebound by every step, never written in place
+    ends = [("completed", steps)] * B
+    max_abs = np.zeros(B)
+    stride = first.sample_stride
     interval = -1
     L = None
-    args = (costs, config.alpha, config.g)
     for k in range(steps):
         t = k * eta
-        ix = config.schedule.interval_index(t)
+        ix = first.schedule.interval_index(t)
         if ix != interval:
-            L = laplacian(graph_at(config.schedule, t))
+            L = laplacian(graph_at(first.schedule, t))
             interval = ix
         if k % stride == 0:
-            rows.append((t, S))
-        if config.method == "euler":
-            S = S + eta * derivative(S, L, *args)
+            for j, b in enumerate(live):
+                rows[b].append((t, S[j]))
+        args = (L, costs, alpha, first.g, rho)
+        if first.method == "euler":
+            S = S + eta * derivative(S, *args)
         else:
-            k1 = derivative(S, L, *args)
-            k2 = derivative(S + 0.5 * eta * k1, L, *args)
-            k3 = derivative(S + 0.5 * eta * k2, L, *args)
-            k4 = derivative(S + eta * k3, L, *args)
+            k1 = derivative(S, *args)
+            k2 = derivative(S + 0.5 * eta * k1, *args)
+            k3 = derivative(S + 0.5 * eta * k2, *args)
+            k4 = derivative(S + eta * k3, *args)
             S = S + (eta / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        # test each line: max(ax, ay) drops a NaN in ay
-        ax, ay = np.abs(S).max(axis=(1, 2))
-        max_abs = max(max_abs, float(max(ax, ay)))
-        if not (ax <= BLOWUP_THRESHOLD and ay <= BLOWUP_THRESHOLD):
-            status = "diverged"
-            taken = k + 1  # the step that diverged was taken
-            break
-    rows.append((taken * eta, S))
+        # test each line: a NaN in ay alone must end the member
+        ax, ay = np.abs(S).max(axis=(2, 3)).T
+        # the largest magnitude as Python's max(max_abs, max(ax, ay)) takes it: never a NaN
+        seen = np.where(ay > ax, ay, ax)
+        max_abs[live] = np.where(seen > max_abs[live], seen, max_abs[live])
+        ok = (ax <= BLOWUP_THRESHOLD) & (ay <= BLOWUP_THRESHOLD)
+        if not ok.all():
+            for j in np.flatnonzero(~ok):
+                rows[live[j]].append(((k + 1) * eta, S[j]))  # the step that diverged was taken
+                ends[live[j]] = ("diverged", k + 1)
+            S, alpha, live = S[ok], alpha[ok], live[ok]
+            rho = None if rho is None else rho[ok]
+            if not live.size:
+                break
+    for j, b in enumerate(live):
+        rows[b].append((steps * eta, S[j]))
 
+    traces = [_trace(costs, rows[b], offset0, reference, *ends[b], eta, float(max_abs[b]))
+              for b in range(B)]
+    return traces if isinstance(config, SolverBatch) else traces[0]
+
+
+def _trace(costs, rows, offset0, reference, status, steps, eta, max_abs) -> Trace:
+    """One member's trace: its sampled states plus the per-row diagnostics."""
     states = np.array([S for _, S in rows])
     xs, ys = states[:, 0], states[:, 1]
     grad_sums = [sum_gradient(costs, X) for X in xs]
@@ -237,7 +301,7 @@ def integrate(
         lyapunov=lyapunov,
         status=status,
         eta=eta,
-        steps=taken,
+        steps=steps,
         max_abs_state=max_abs,
     )
 

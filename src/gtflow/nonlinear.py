@@ -91,19 +91,25 @@ class SectorBounds:
         return self.upper / self.kappa if self.kappa > 0 else math.inf
 
 
-def apply(g: LinkNonlinearity, z):
-    """Evaluate g componentwise. Total on finite inputs; g(0) = 0 for every kind."""
+def apply(g: LinkNonlinearity, z, rho=None):
+    """Evaluate g componentwise. Total on finite inputs; g(0) = 0 for every kind.
+
+    ``rho`` replaces a quantizer's level ``g.rho``: an array that broadcasts
+    against z, such as one of shape (B, 1, 1, 1) for B stacked states, gives
+    each its own level with the same elementwise arithmetic.
+    """
     arr = np.asarray(z, dtype=float)
     scalar = arr.ndim == 0
     x = np.atleast_1d(arr)
+    rho = g.rho if rho is None else rho
     if g.kind == "identity":
         out = x.copy()
     elif g.kind == "log_quantizer":
         # sgn(z) * exp(rho * round(log|z| / rho)); at 0, log gives -inf and exp 0
         with np.errstate(divide="ignore"):
-            out = np.sign(x) * np.exp(g.rho * np.round(np.log(np.abs(x)) / g.rho))
+            out = np.sign(x) * np.exp(rho * np.round(np.log(np.abs(x)) / rho))
     elif g.kind == "uniform_quantizer":
-        out = g.rho * np.round(x / g.rho)
+        out = rho * np.round(x / rho)
     else:  # saturation
         out = np.clip(x, -g.limit, g.limit)
     return float(out[0]) if scalar else out.reshape(arr.shape)

@@ -17,7 +17,8 @@ from . import cost as costmod
 from . import nonlinear as nl
 from . import spectral
 from .cost import QuadraticCost, SvmHingeCost, aggregate_hessian, infinity_norm
-from .engine import SolverConfig, conservation_residual, derivative, integrate
+from .engine import (SolverBatch, SolverConfig, conservation_residual, derivative,
+                     integrate)
 from .graph import (SwitchingSchedule, SwitchMode, check_weight_balanced, graph_at,
                     is_strongly_connected, laplacian, make_khop_ring)
 
@@ -418,6 +419,49 @@ def check_determinism(seed: int = 12) -> CheckResult:
                        "identical config twice gives byte-identical CSV")
 
 
+def check_member_axis(members: int = 5, seed: int = 13) -> CheckResult:
+    """Members run in lock step equal their own runs and each conserve their offset.
+
+    A quadratic and a smoothed-hinge fixture each run one ``SolverBatch`` of
+    log-quantized members with mixed alpha and rho on a permuting ring, the
+    last member far above any bound. Every member must be bit-identical to
+    its run alone (states, status, steps), the last one must diverge, and the
+    others must complete with a conservation drift at float noise
+    (quadratic, exact in discrete time) or below 1% of the initial gradient
+    sum (smoothed hinge, Euler drift of order eta).
+    """
+    rng = np.random.default_rng(seed)
+    costs, _, x0 = _quadratic_setup(seed=seed)
+    n = len(costs)
+    svm_costs = [SvmHingeCost(rng.normal(size=(8, 2)), rng.choice([-1.0, 1.0], size=8),
+                              C=1.0, mu=2.0, eps_nu=1e-3) for _ in range(n)]
+    x0s = rng.uniform(-1, 1, size=(n, 3))
+    sched = SwitchingSchedule(make_khop_ring(n, 2, 0.8), 0.5, rng_seed=seed,
+                              mode=SwitchMode.PERMUTE)
+    failures = []
+    for name, fx_costs, fx_x0, rel_tol in (("quadratic", costs, x0, 1e-10),
+                                           ("svm", svm_costs, x0s, 1e-2)):
+        alphas = [*rng.uniform(0.1, 0.5, size=members - 1), 1e4]
+        batch = SolverBatch(tuple(
+            SolverConfig(alpha=float(a), eta=0.01, t_end=10.0, schedule=sched,
+                         g=nl.log_quantizer(float(rho)), sample_stride=25)
+            for a, rho in zip(alphas, rng.uniform(0.1, 1.9, size=members))))
+        scale = float(np.linalg.norm(costmod.sum_gradient(fx_costs, fx_x0)))
+        for b, (trace, cfg) in enumerate(zip(integrate(fx_costs, fx_x0, batch), batch.members)):
+            alone = integrate(fx_costs, fx_x0, cfg)
+            if ((trace.status, trace.steps) != (alone.status, alone.steps)
+                    or not np.array_equal(trace.states, alone.states)):
+                failures.append((name, b, "differs from its own run"))
+            expected = "diverged" if b == members - 1 else "completed"
+            if trace.status != expected:
+                failures.append((name, b, trace.status, f"expected {expected}"))
+            elif expected == "completed" and conservation_residual(trace) > rel_tol * scale:
+                failures.append((name, b, "drift", conservation_residual(trace)))
+    return CheckResult("member axis", not failures,
+                       f"2 fixtures x {members} lock-step members, each bit-identical to "
+                       "its own run; drift exact (quadratic) or < 1% (svm)", failures)
+
+
 ALL_CHECKS = [
     check_graph_invariants,
     check_graph_at_reproducible,
@@ -431,6 +475,7 @@ ALL_CHECKS = [
     check_equilibrium_invariance,
     check_conservation,
     check_determinism,
+    check_member_axis,
 ]
 
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from gtflow import cli, spectral
+from gtflow import config as cfgmod
 from gtflow.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
+from gtflow.engine import integrate
 from gtflow.verify import theorem1_suite
 
 QUAD_CONFIG = {
@@ -100,6 +102,19 @@ CROSS_FIELD_CASES = {
     "sweep-eta-steps": ({"sweep": {"mode": "dynamics", "axes": {"eta": [1e-7]}}},
                         ["sweep.t_end=60 with sweep.axes.eta=1e-07 and "
                          "network.switch_period=0.001", "implies 6e+08 steps"]),
+    "t-end-zero-steps": ({"solver": {"t_end": 0.0004}},
+                         ["solver.t_end=0.0004 with solver.eta=0.001 and "
+                          "network.switch_period=0.001 (step 0.001) implies 0 steps"]),
+    "sweep-t-end-zero-steps": ({"cost": {"kind": "quadratic"}, "solver": {"eta": 0.001},
+                                "sweep": {"mode": "dynamics", "t_end": 0.0004,
+                                          "axes": {"alpha": [0.1, 0.2]}}},
+                               ["sweep.t_end=0.0004 with solver.eta=0.001 and "
+                                "network.switch_period=0.001 (step 0.001) implies 0 steps"]),
+    "sweep-eta-zero-steps": ({"network": {"switch_period": 1.0},
+                              "sweep": {"mode": "dynamics", "t_end": 0.01,
+                                        "axes": {"eta": [0.001, 0.05]}}},
+                             ["sweep.t_end=0.01 with sweep.axes.eta=0.05 and "
+                              "network.switch_period=1 (step 0.05) implies 0 steps"]),
     "eta-subnormal": ({"solver": {"eta": 1e-320}}, ["solver.eta=9.99989e-321", "implies inf steps"]),
     "cost-m-zero": ({"cost": {"kind": "quadratic", "m": 0}}, ["cost.m must be at least 1"]),
     "cost-curvature-zero": ({"cost": {"kind": "quadratic", "curvature_scale": 0}},
@@ -179,6 +194,41 @@ def test_sweep_dynamics_programming_error_propagates(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, body)
     with pytest.raises(TypeError, match="integrate bug"):
         main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("axes", [
+    {"khop": [1, 2], "alpha": [0.3, 3.0, 400.0]},
+    {"eta": [0.005, 0.01, 0.025], "alpha": [0.3, 3.0, 400.0]},
+    {"rho": [0.25, 1.0, 1.9], "alpha": [0.3, 3.0, 400.0]},
+], ids=lambda axes: "-".join(axes))
+def test_sweep_dynamics_rows_match_one_run_per_cell(tmp_path, axes):
+    body = {**QUAD_CONFIG, "partition": {"n_agents": 5},
+            "nonlinearity": {"kind": "log_quantizer", "rho": 1.0},
+            "outputs": {"plots": False},
+            "sweep": {"mode": "dynamics", "t_end": 2.0, "axes": axes}}
+    path = write_config(tmp_path, body)
+    outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
+    for jobs, out in outs.items():
+        argv = ["sweep", "--config", str(path), "--out", str(out), "--jobs", str(jobs)]
+        assert main(argv) == EXIT_OK
+    text = (outs[1] / "sweep.csv").read_text()
+    assert (outs[2] / "sweep.csv").read_text() == text
+    header, *lines = text.splitlines()
+    names = sorted(axes)
+    assert header.split(",") == names + ["status", "final_grad_sum_norm", "stable"]
+    cfg = cfgmod.parse_config(json.dumps(body))
+    costs, x0, _ = cli._build_costs(cfg)
+    statuses = set()
+    for cell, line in zip(cli._axis_grid(axes), lines, strict=True):
+        cell_cfg = cfgmod.sweep_cell(cfg, cell)
+        solver = cfgmod.build_solver(cell_cfg, cfgmod.build_schedule(cell_cfg))
+        trace = integrate(costs, x0, solver)
+        *values, status, grad, stable = line.split(",")
+        assert [float(v) for v in values] == [cell[k] for k in names]
+        assert (status, stable) == (trace.status, str(trace.status == "completed"))
+        assert float(grad) == trace.grad_sum_norm[-1]
+        statuses.add(status)
+    assert statuses == {"completed", "diverged"}
 
 
 def test_run_divergent_config_exits_2(tmp_path):

@@ -141,6 +141,42 @@ def test_aggregate_hessian_stacks_per_agent_hessians():
         aggregate_hessian(costs, x[:3])
 
 
+def test_svm_hessian_of_stacked_rows_equals_each_row_alone():
+    rng = np.random.default_rng(5)
+    c = SvmHingeCost(3.0 * rng.normal(size=(40, 3)), rng.choice([-1.0, 1.0], size=40),
+                     C=1.3, mu=2.5, eps_nu=1e-4)
+    X = rng.normal(size=(3, 2, 4))
+    H = c.hessian(X)
+    assert H.shape == (3, 2, 4, 4)
+    for idx in np.ndindex(3, 2):
+        # a lone point's arithmetic: one matrix-vector product for its margins
+        x = X[idx]
+        _, _, curv = smoothed_hinge(1.0 - c.labels * (c.features @ x[:-1] - x[-1]), c.mu)
+        expected = c.C * (c.U.T * curv) @ c.U
+        expected[:-1, :-1] += 2.0 * np.eye(3)
+        expected[-1, -1] += 2.0 * c.eps_nu
+        assert np.array_equal(H[idx], expected)
+        assert np.array_equal(c.hessian(x), expected)
+    with pytest.raises(ValueError, match=r"shape \(\.\.\., 4\)"):
+        c.hessian(np.zeros((2, 3)))
+
+
+def test_aggregate_hessian_over_a_member_axis():
+    rng = np.random.default_rng(6)
+    svm = [SvmHingeCost(rng.normal(size=(6, 2)), rng.choice([-1.0, 1.0], size=6))
+           for _ in range(4)]
+    quad = [QuadraticCost(np.diag(rng.uniform(0.5, 1.0, size=3)), rng.normal(size=3))
+            for _ in range(4)]
+    X = rng.normal(size=(5, 4, 3))
+    H = aggregate_hessian(svm, X)
+    assert H.shape == (5, 4, 3, 3)
+    assert np.array_equal(H, np.array([aggregate_hessian(svm, x) for x in X]))
+    # constant curvature: one block per agent, broadcast over the members
+    assert np.array_equal(aggregate_hessian(quad, X), aggregate_hessian(quad, X[0]))
+    with pytest.raises(ValueError, match="one state row per agent"):
+        aggregate_hessian(svm, X[:, :3])
+
+
 def test_svm_margin_jacobian_is_stored_read_only():
     rng = np.random.default_rng(4)
     feats = rng.normal(size=(10, 3))

@@ -3,9 +3,11 @@ import pytest
 
 from gtflow.cost import (QuadraticCost, SvmHingeCost, aggregate_hessian, infinity_norm,
                          sum_gradient)
-from gtflow.engine import SolverConfig, conservation_residual, derivative, integrate
-from gtflow.graph import SwitchingSchedule, SwitchMode, laplacian, make_khop_ring
-from gtflow.nonlinear import apply, identity, log_quantizer, saturation
+from gtflow.engine import (SolverBatch, SolverConfig, conservation_residual, derivative,
+                           integrate)
+from gtflow.graph import SwitchingSchedule, SwitchMode, graph_at, laplacian, make_khop_ring
+from gtflow.nonlinear import (apply, identity, log_quantizer, saturation,
+                              uniform_quantizer)
 from gtflow.spectral import assemble, laplacian_rates, spectral_report, step_size_bounds
 
 
@@ -282,3 +284,136 @@ def test_solver_config_validation():
         SolverConfig(alpha=0.1, eta=0.01, t_end=1.0, schedule=sched, method="rk5")
     with pytest.raises(ValueError):
         SolverConfig(alpha=0.1, eta=0.01, t_end=1.0, schedule=sched, y_init="warm")
+
+
+def serial_reference(costs, x0, cfg):
+    """One run on a single (2, n, m) state, a Laplacian per step: the member axis's reference.
+
+    Returns the sampled times and states, the status, the steps taken and the
+    largest state magnitude seen, as the integrator before the member axis
+    recorded them.
+    """
+    eta = cfg.aligned_eta()
+    steps = int(round(cfg.t_end / eta))
+    X = np.array(x0, dtype=float)
+    Y = (np.stack([c.gradient(x) for c, x in zip(costs, X)]) if cfg.y_init == "gradient"
+         else np.zeros_like(X))
+    S = np.stack([X, Y])
+    rows, max_abs, status, taken = [], 0.0, "completed", steps
+    for k in range(steps):
+        L = laplacian(graph_at(cfg.schedule, k * eta))
+        if k % cfg.sample_stride == 0:
+            rows.append((k * eta, S))
+
+        def f(state):
+            return derivative(state, L, costs, cfg.alpha, cfg.g)
+
+        if cfg.method == "euler":
+            S = S + eta * f(S)
+        else:
+            k1 = f(S)
+            k2 = f(S + 0.5 * eta * k1)
+            k3 = f(S + 0.5 * eta * k2)
+            k4 = f(S + eta * k3)
+            S = S + (eta / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        ax, ay = np.abs(S).max(axis=(1, 2))
+        max_abs = max(max_abs, float(max(ax, ay)))
+        if not (ax <= 1e12 and ay <= 1e12):
+            status, taken = "diverged", k + 1
+            break
+    rows.append((taken * eta, S))
+    return (np.array([t for t, _ in rows]), np.array([S for _, S in rows]),
+            status, taken, max_abs)
+
+
+def assert_matches_reference(trace, costs, x0, cfg):
+    times, states, status, steps, max_abs = serial_reference(costs, x0, cfg)
+    assert (trace.status, trace.steps) == (status, steps)
+    assert np.array_equal(trace.times, times)
+    assert np.array_equal(trace.states, states, equal_nan=True)
+    assert trace.max_abs_state == max_abs
+
+
+def permuting_schedule(n):
+    return SwitchingSchedule(make_khop_ring(n, 2, 0.8), 0.1, rng_seed=4, mode=SwitchMode.PERMUTE)
+
+
+LINKS = {"log_quantizer": [log_quantizer(r) for r in (0.5, 1.0, 1.5, 1.9)],
+         "uniform_quantizer": [uniform_quantizer(r) for r in (0.05, 0.2, 0.1, 0.4)],
+         "saturation": [saturation(0.7)] * 4}
+
+
+@pytest.mark.parametrize("link", sorted(LINKS))
+@pytest.mark.parametrize("kind", ["quadratic", "svm"])
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_batch_members_equal_their_own_runs(method, kind, link):
+    costs = quadratic_fixture()[0] if kind == "quadratic" else svm_fixture()
+    x0 = np.random.default_rng(7).uniform(-1, 1, size=(5, costs[0].m))
+    sched = permuting_schedule(5)
+    # the last alpha diverges within a few steps; the others run to t_end
+    members = tuple(SolverConfig(alpha=a, eta=0.01, t_end=2.0, schedule=sched, g=g,
+                                 method=method, sample_stride=7)
+                    for a, g in zip((0.3, 1.2, 0.6, 5e4), LINKS[link]))
+    traces = integrate(costs, x0, SolverBatch(members))
+    assert [t.status for t in traces] == ["completed"] * 3 + ["diverged"]
+    for trace, cfg in zip(traces, members):
+        alone = integrate(costs, x0, cfg)
+        assert trace.to_csv() == alone.to_csv()
+        assert (trace.status, trace.steps, trace.eta) == (alone.status, alone.steps, alone.eta)
+        assert np.array_equal(trace.states, alone.states)
+        assert trace.max_abs_state == alone.max_abs_state
+        assert_matches_reference(trace, costs, x0, cfg)
+
+
+class NanCurvatureAbove(QuadraticCost):
+    """A quadratic whose Hessian turns NaN where |x| exceeds 3: only the tracker line blows up."""
+
+    def hessian(self, x):
+        far = (np.abs(x) > 3.0).any(axis=-1)[..., None, None]
+        return np.where(far, np.nan, self.Q)
+
+
+def test_nan_in_one_members_tracker_line_ends_only_that_member():
+    costs, _, x0 = quadratic_fixture()
+    costs = [NanCurvatureAbove(c.Q, c.b) for c in costs]
+    sched = permuting_schedule(5)
+    members = tuple(SolverConfig(alpha=a, eta=0.01, t_end=1.0, schedule=sched,
+                                 g=log_quantizer(1.0), sample_stride=10)
+                    for a in (0.3, 400.0, 0.6))
+    traces = integrate(costs, x0, SolverBatch(members))
+    assert [t.status for t in traces] == ["completed", "diverged", "completed"]
+    ended = traces[1]
+    assert ended.steps < 100 and ended.times[-1] == ended.steps * ended.eta
+    assert np.isfinite(ended.states[-1, 0]).all() and np.isnan(ended.states[-1, 1]).any()
+    # the NaN line does not enter the largest magnitude seen
+    assert ended.max_abs_state == np.abs(ended.states[-1, 0]).max()
+    for trace, cfg in zip(traces, members):
+        assert_matches_reference(trace, costs, x0, cfg)
+
+
+def test_single_member_batch_is_the_run_byte_for_byte():
+    costs, _, x0 = quadratic_fixture()
+    cfg = SolverConfig(alpha=0.3, eta=0.01, t_end=3.0, schedule=permuting_schedule(5),
+                       g=log_quantizer(1.0), method="rk4", sample_stride=7)
+    reference = np.tile(closed_form_optimum(costs), (5, 1))
+    run = integrate(costs, x0, cfg, reference=reference)
+    [member] = integrate(costs, x0, SolverBatch((cfg,)), reference=reference)
+    assert member.to_csv() == run.to_csv()
+    assert_matches_reference(run, costs, x0, cfg)
+
+
+def test_solver_batch_members_share_all_but_alpha_and_rho():
+    sched = permuting_schedule(5)
+    base = SolverConfig(alpha=0.3, eta=0.01, t_end=1.0, schedule=sched, g=log_quantizer(1.0))
+    SolverBatch((base, SolverConfig(alpha=2.0, eta=0.01, t_end=1.0, schedule=sched,
+                                    g=log_quantizer(0.5))))
+    others = [{"eta": 0.02}, {"t_end": 2.0}, {"method": "rk4"}, {"y_init": "zero"},
+              {"sample_stride": 2}, {"g": uniform_quantizer(1.0)},
+              {"schedule": permuting_schedule(5)}]
+    for change in others:
+        fields = {"alpha": 0.3, "eta": 0.01, "t_end": 1.0, "schedule": sched,
+                  "g": log_quantizer(1.0), **change}
+        with pytest.raises(ValueError, match="differ only in alpha"):
+            SolverBatch((base, SolverConfig(**fields)))
+    with pytest.raises(ValueError, match="at least one member"):
+        SolverBatch(())

@@ -78,3 +78,27 @@ def test_tracer_wraps_every_layer_on_bounds(tmp_path):
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(summary.read_text(encoding="utf-8"))
     assert metrics["cost.hessian.calls"] > 0
+
+
+def test_tracer_sees_every_step_of_a_dynamics_sweep(tmp_path):
+    # a group of cells shares one integrate call, one Laplacian per switch
+    # and one derivative call per stage; the tracer must see all three
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "seed": 3, "partition": {"n_agents": 5},
+        "network": {"khop": 1, "switch_period": 0.5, "switch_mode": "permute"},
+        "nonlinearity": {"kind": "log_quantizer"},
+        "cost": {"kind": "quadratic"},
+        "solver": {"eta": 0.01, "method": "euler"},
+        "outputs": {"plots": False},
+        "sweep": {"mode": "dynamics", "t_end": 2.0,
+                  "axes": {"alpha": [0.5, 64.0, 500.0], "rho": [0.5, 1.0]}}}), encoding="utf-8")
+    summary = tmp_path / "summary.json"
+    argv = [sys.executable, str(BENCH / "traced.py"), str(summary), "sweep",
+            "--config", str(config), "--out", str(tmp_path / "out")]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(summary.read_text(encoding="utf-8"))
+    assert metrics["engine.steps"] > 0
+    assert metrics["graph.graph_at.calls"] <= metrics["engine.steps"] / 20

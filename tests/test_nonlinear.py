@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -39,6 +40,18 @@ def test_apply_vector_form():
     out = apply(g, z)
     assert out.shape == z.shape
     assert np.allclose(out, [1.0, math.e, 0.0, -math.e])
+
+
+@pytest.mark.parametrize("g", [log_quantizer(1.0), uniform_quantizer(0.3)], ids=lambda g: g.kind)
+def test_apply_with_one_level_per_member(g):
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=(3, 2, 4, 2)) * 10.0 ** rng.uniform(-3, 3, size=(3, 2, 4, 2))
+    z[0, 0, 0, 0] = 0.0
+    rho = np.array([0.25, 1.0, 1.9])
+    out = apply(g, z, rho.reshape(3, 1, 1, 1))
+    assert out.shape == z.shape
+    for b in range(3):
+        assert np.array_equal(out[b], apply(dataclasses.replace(g, rho=rho[b]), z[b]))
 
 
 def test_sector_bounds_table_values():
