@@ -86,8 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="stability sweep over config axes")
     add_common(p_sweep)
     p_sweep.add_argument("--jobs", type=_job_count, default=1,
-                         help="parallel sweep workers, at least 1: one cell each (spectral) "
-                         "or one group of cells sharing eta and khop (dynamics)")
+                         help="parallel sweep workers, at least 1: one group of cells "
+                         "that share a network each")
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the property corpus")
@@ -335,7 +335,7 @@ def _axis_grid(axes: dict) -> list[dict]:
 
 
 def _run_cells(cells, worker, jobs: int) -> list:
-    """Evaluate independent sweep cells (or groups of cells), optionally on a thread pool.
+    """Evaluate independent groups of sweep cells, optionally on a thread pool.
 
     Results come back in input order regardless of scheduling; each cell is
     seeded independently so parallel and serial runs agree exactly.
@@ -347,70 +347,78 @@ def _run_cells(cells, worker, jobs: int) -> list:
         return list(pool.map(worker, cells))
 
 
+def _sweep_rows(cfg: ExperimentConfig, axes: dict, jobs: int, shared, evaluate) -> list[dict]:
+    """Sweep rows in grid order; cells whose configs agree on ``shared`` form a group.
+
+    Each worker hands one group's (cell, cell_cfg) pairs to ``evaluate``,
+    which returns the result columns of each cell.
+    """
+    cells = [(cell, cfgmod.sweep_cell(cfg, cell)) for cell in _axis_grid(axes)]
+    groups: dict = {}
+    for i, (_, cell_cfg) in enumerate(cells):
+        groups.setdefault(shared(cell_cfg), []).append(i)
+    rows = [None] * len(cells)
+    worker = lambda group: evaluate([cells[i] for i in group])
+    for group, results in zip(groups.values(), _run_cells(list(groups.values()), worker, jobs)):
+        for i, columns in zip(group, results, strict=True):
+            rows[i] = {**cells[i][0], **columns}
+    return rows
+
+
 def _sweep_spectral(cfg: ExperimentConfig, axes: dict, jobs: int) -> list[dict]:
     """Frozen-gain eigenvalue verdicts per cell.
 
-    For each cell the gains are pinned at the sector edges and at a seeded
-    random draw inside the sector; the cell is stable only if every regime
-    is. The gains live in the tight (envelope) sector; the tabulated ratio
-    uses the linearized convention.
+    For each cell the gains are pinned at the sector edges, at one and at a
+    seeded random draw inside the sector; the cell is stable only if every
+    regime is. The gains live in the tight (envelope) sector; the tabulated
+    ratio uses the linearized convention. Cells that share khop and alpha
+    share the Laplacian and the unit-gain verdict, computed once per group.
     """
     costs, x0, _ = _build_costs(cfg)
-    m = x0.shape[1]
-    n = len(costs)
+    n, m = x0.shape
     hess = aggregate_hessian(costs, x0)
 
-    def worker(cell):
-        cell_cfg = cfgmod.sweep_cell(cfg, cell)
-        lap = laplacian(cfgmod.build_schedule(cell_cfg).base_graph)
-        tight = _combined_sector(cell_cfg, mode="tight")
-        kappa, upper = max(tight.kappa, 1e-9), tight.upper
-        rng = np.random.default_rng([cfg.seed + 11, *(int(v * 1e6) for v in cell.values())])
-        regimes = {
-            "lower": np.full(n * m, kappa),
-            "unit": np.ones(n * m),
-            "upper": np.full(n * m, upper),
-            "random": rng.uniform(kappa, upper, size=n * m),
-        }
-        reports = spectral.stability_sweep(
-            lap, hess, cell_cfg["solver"]["alpha"], regimes).values()
-        worst = min(reports, key=lambda r: r.stable)
-        return {**{k: cell.get(k, None) for k in sorted(axes)},
-                "sector_ratio": _combined_sector(cell_cfg).ratio,
-                "zero_count": worst.zero_count,
-                "max_nonzero_real": worst.max_nonzero_real,
-                "stable": all(r.stable for r in reports)}
+    def evaluate(group):
+        lap = laplacian(cfgmod.build_schedule(group[0][1]).base_graph)
+        alpha = group[0][1]["solver"]["alpha"]
+        verdict = lambda gains: spectral.spectral_report(spectral.assemble(lap, hess, gains, alpha))
+        unit = verdict(np.ones(n * m))
+        results = []
+        for cell, cell_cfg in group:
+            tight = _combined_sector(cell_cfg, mode="tight")
+            kappa, upper = max(tight.kappa, 1e-9), tight.upper
+            rng = np.random.default_rng([cfg.seed + 11, *(int(v * 1e6) for v in cell.values())])
+            reports = (verdict(np.full(n * m, kappa)), unit, verdict(np.full(n * m, upper)),
+                       verdict(rng.uniform(kappa, upper, size=n * m)))
+            worst = min(reports, key=lambda r: r.stable)
+            results.append({"sector_ratio": _combined_sector(cell_cfg).ratio,
+                            "zero_count": worst.zero_count,
+                            "max_nonzero_real": worst.max_nonzero_real,
+                            "stable": all(r.stable for r in reports)})
+        return results
 
-    return _run_cells(_axis_grid(axes), worker, jobs)
+    shared = lambda c: (c["network"]["khop"], c["solver"]["alpha"])
+    return _sweep_rows(cfg, axes, jobs, shared, evaluate)
 
 
 def _sweep_dynamics(cfg: ExperimentConfig, axes: dict, jobs: int) -> list[dict]:
     """Integration verdict per cell, over ``sweep.t_end``.
 
     Cells that share ``eta`` and ``khop`` differ only in alpha and the link
-    level, so each such group runs as one ``SolverBatch`` in lock step, one
-    group per worker; the rows come back in grid order.
+    level, so each such group runs as one ``SolverBatch`` in lock step.
     """
     costs, x0, _ = _build_costs(cfg)
-    cells = _axis_grid(axes)
-    cell_cfgs = [cfgmod.sweep_cell(cfg, cell) for cell in cells]
-    groups: dict[tuple, list[int]] = {}
-    for i, c in enumerate(cell_cfgs):
-        groups.setdefault((c["solver"]["eta"], c["network"]["khop"]), []).append(i)
 
-    def worker(group):
-        schedule = cfgmod.build_schedule(cell_cfgs[group[0]])
-        batch = SolverBatch(tuple(cfgmod.build_solver(cell_cfgs[i], schedule) for i in group))
-        return integrate(costs, x0, batch)
+    def evaluate(group):
+        schedule = cfgmod.build_schedule(group[0][1])
+        batch = SolverBatch(tuple(cfgmod.build_solver(c, schedule) for _, c in group))
+        return [{"status": trace.status,
+                 "final_grad_sum_norm": float(trace.grad_sum_norm[-1]),
+                 "stable": trace.status == "completed"}
+                for trace in integrate(costs, x0, batch)]
 
-    rows = [None] * len(cells)
-    for group, traces in zip(groups.values(), _run_cells(list(groups.values()), worker, jobs)):
-        for i, trace in zip(group, traces):
-            rows[i] = {**{k: cells[i].get(k, None) for k in sorted(axes)},
-                       "status": trace.status,
-                       "final_grad_sum_norm": float(trace.grad_sum_norm[-1]),
-                       "stable": trace.status == "completed"}
-    return rows
+    shared = lambda c: (c["solver"]["eta"], c["network"]["khop"])
+    return _sweep_rows(cfg, axes, jobs, shared, evaluate)
 
 
 def cmd_verify(args) -> int:

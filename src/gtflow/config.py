@@ -115,6 +115,8 @@ _SWEEP_AXES = ("alpha", "rho", "khop", "eta")
 # the link-map parameter each kind reads
 _LEVEL_KEY = {"log_quantizer": "rho", "uniform_quantizer": "rho", "saturation": "limit"}
 _QUANTIZERS = {"log_quantizer", "uniform_quantizer"}
+# the least axis value whose spectral cell seed int(value * 1e6) overflows
+_SEED_LIMIT = float(np.finfo(float).max) / 1e6
 
 
 def sweep_cell(cfg: ExperimentConfig, cell: dict) -> ExperimentConfig:
@@ -291,6 +293,9 @@ def _validate_values(seed, sections, problems):
         else:
             if min(values) <= 0:
                 problems.append(f"sweep.axes.{axis} values must be positive")
+            if sections["sweep"]["mode"] == "spectral" and max(values) >= _SEED_LIMIT:
+                problems.append(f"sweep.axes.{axis}={max(values)} is too large: a spectral sweep "
+                                "seeds each cell's random gains with int(value * 1e6)")
             if axis == "eta" and sections["sweep"]["mode"] == "spectral":
                 problems.append("sweep.axes.eta sets the integration step, which a spectral "
                                 "sweep never reads: it needs sweep.mode 'dynamics'")

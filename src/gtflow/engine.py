@@ -222,6 +222,8 @@ def integrate(
         raise ValueError("one cost handle per agent required")
     eta = first.aligned_eta()
     steps = int(round(first.t_end / eta))
+    if steps == 0:
+        raise ValueError(f"t_end={first.t_end:g} rounds to 0 steps of {eta:g}, so nothing would run")
 
     if first.y_init == "gradient":
         Y = np.stack([costs[i].gradient(X[i]) for i in range(n)])

@@ -28,7 +28,6 @@ __all__ = [
     "matching_distance",
     "matching_excess",
     "step_size_bounds",
-    "stability_sweep",
 ]
 
 
@@ -343,19 +342,3 @@ def matching_excess(alpha: float, upper: float, gamma: float, nm: int) -> float:
         base = 4 * upper + gamma * (4 * upper + alpha)
         pert = alpha * gamma
     return 4.0 * base ** (1.0 - 1.0 / nm) * pert ** (1.0 / nm)
-
-
-def stability_sweep(
-    lap: np.ndarray,
-    H: np.ndarray,
-    alpha: float,
-    regimes: dict[str, np.ndarray],
-) -> dict[str, SpectralReport]:
-    """Spectral verdict at one step size for every named gain regime.
-
-    Gains are frozen snapshots: the stability argument is pointwise in time,
-    so constant gain vectors in the sector are the faithful test objects.
-    Reports come back in the regimes' order.
-    """
-    return {label: spectral_report(assemble(lap, H, xi, alpha))
-            for label, xi in regimes.items()}

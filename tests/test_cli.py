@@ -8,7 +8,9 @@ import pytest
 from gtflow import cli, spectral
 from gtflow import config as cfgmod
 from gtflow.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
+from gtflow.cost import aggregate_hessian
 from gtflow.engine import integrate
+from gtflow.graph import laplacian
 from gtflow.verify import theorem1_suite
 
 QUAD_CONFIG = {
@@ -137,6 +139,11 @@ CROSS_FIELD_CASES = {
                             "sweep": {"mode": "spectral", "axes": {"eta": [0.001, 0.002]}}},
                            ["sweep.axes.eta sets the integration step, which a spectral "
                             "sweep never reads"]),
+    "sweep-alpha-unseedable": ({"partition": {"n_agents": 5}, "cost": {"kind": "quadratic", "m": 1},
+                                "nonlinearity": {"kind": "log_quantizer", "rho": 1.0},
+                                "sweep": {"mode": "spectral", "axes": {"alpha": [0.1, 1e303]}}},
+                               ["sweep.axes.alpha=1e+303 is too large",
+                                "seeds each cell's random gains with int(value * 1e6)"]),
     "all-at-once": ({"partition": {"n_agents": 2},
                      "nonlinearity": {"kind": "uniform_quantizer", "rho": -1}},
                     ["network.khop=2 out of range", "nonlinearity.rho must be positive"]),
@@ -426,6 +433,50 @@ def test_sweep_spectral_grid(tmp_path):
     ratios = {float(c["rho"]): float(c["sector_ratio"]) for c in cells}
     assert ratios[0.25] == pytest.approx(9 / 7)
     assert ratios[1.0] == pytest.approx(3.0)
+
+
+def test_sweep_spectral_rows_match_four_regimes_per_cell(tmp_path, monkeypatch):
+    # cells that share khop and alpha share one unit-gain decomposition; every
+    # row must still equal its own cell's four regimes, in the order lower,
+    # unit, upper, random, whose first unstable report is the worst
+    axes = {"khop": [1, 2], "rho": [0.25, 1.0, 1.9], "alpha": [0.01, 0.3, 2.0]}
+    body = {**QUAD_CONFIG, "seed": 12, "partition": {"n_agents": 6},
+            "network": {**QUAD_CONFIG["network"], "directed": True, "total_weight": 0.9},
+            "cost": {**QUAD_CONFIG["cost"], "curvature_scale": 8.0},
+            "nonlinearity": {"kind": "log_quantizer", "rho": 1.0},
+            "outputs": {"plots": False}, "sweep": {"mode": "spectral", "axes": axes}}
+    path = write_config(tmp_path, body)
+    report = spectral.spectral_report
+    calls = []
+    monkeypatch.setattr(spectral, "spectral_report", lambda mats: calls.append(0) or report(mats))
+    outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
+    for jobs, out in outs.items():
+        calls.clear()
+        argv = ["sweep", "--config", str(path), "--out", str(out), "--jobs", str(jobs)]
+        assert main(argv) == EXIT_OK
+        assert len(calls) == 3 * 18 + 6  # three per cell, one per (khop, alpha) group
+    text = (outs[1] / "sweep.csv").read_text()
+    assert (outs[2] / "sweep.csv").read_text() == text
+    cfg = cfgmod.parse_config(json.dumps(body))
+    costs, x0, _ = cli._build_costs(cfg)
+    hess = aggregate_hessian(costs, x0)
+    nm = x0.size
+    verdicts = set()
+    for cell, line in zip(cli._axis_grid(axes), text.splitlines()[1:], strict=True):
+        cell_cfg = cfgmod.sweep_cell(cfg, cell)
+        lap = laplacian(cfgmod.build_schedule(cell_cfg).base_graph)
+        tight = cli._combined_sector(cell_cfg, mode="tight")
+        rng = np.random.default_rng([cfg.seed + 11, *(int(v * 1e6) for v in cell.values())])
+        gains = (np.full(nm, tight.kappa), np.ones(nm), np.full(nm, tight.upper),
+                 rng.uniform(tight.kappa, tight.upper, size=nm))
+        regimes = [report(spectral.assemble(lap, hess, xi, cell["alpha"])) for xi in gains]
+        worst = next((r for r in regimes if not r.stable), regimes[0])
+        stable = all(r.stable for r in regimes)
+        expected = [*(cell[k] for k in sorted(axes)), cli._combined_sector(cell_cfg).ratio,
+                    worst.zero_count, worst.max_nonzero_real, stable]
+        assert line == ",".join(cli._csv_cell(v) for v in expected)
+        verdicts.add(stable)
+    assert verdicts == {True, False}
 
 
 def _map_fills(svg_text):

@@ -175,6 +175,20 @@ def test_trace_ends_on_final_state_when_stride_does_not_divide_steps():
         assert getattr(sparse, name)[-1] == getattr(dense, name)[-1], name
 
 
+def test_run_that_rounds_to_no_steps_raises():
+    # a verdict of 'completed' on the initial state would describe a run that never ran
+    costs, sched, x0 = quadratic_fixture()
+    for t_end in (0.004, 0.005):
+        cfg = SolverConfig(alpha=0.3, eta=0.01, t_end=t_end, schedule=sched)
+        with pytest.raises(ValueError, match="rounds to 0 steps"):
+            integrate(costs, x0, cfg)
+        with pytest.raises(ValueError, match="rounds to 0 steps"):
+            integrate(costs, x0, SolverBatch((cfg, SolverConfig(
+                alpha=0.5, eta=0.01, t_end=t_end, schedule=sched))))
+    trace = integrate(costs, x0, SolverConfig(alpha=0.3, eta=0.01, t_end=0.006, schedule=sched))
+    assert (trace.status, trace.steps, len(trace.times)) == ("completed", 1, 2)
+
+
 @pytest.mark.parametrize("with_reference", [False, True])
 def test_to_csv_layout_reads_the_stacked_states(with_reference):
     costs, sched, x0 = quadratic_fixture(n=3, m=2)

@@ -102,3 +102,45 @@ def test_tracer_sees_every_step_of_a_dynamics_sweep(tmp_path):
     metrics = json.loads(summary.read_text(encoding="utf-8"))
     assert metrics["engine.steps"] > 0
     assert metrics["graph.graph_at.calls"] <= metrics["engine.steps"] / 20
+
+
+SVM_TINY = {"seed": 4, "data": {"kind": "ellipse", "n_points": 40},
+            "partition": {"n_agents": 5}, "nonlinearity": {"kind": "log_quantizer"},
+            "network": {"switch_period": 0.01, "switch_mode": "permute"},
+            "cost": {"kind": "svm"}, "solver": {"alpha": 2.0, "eta": 0.01, "t_end": 0.5,
+                                                "method": "rk4", "sample_stride": 7}}
+QUAD_TINY = {"seed": 3, "partition": {"n_agents": 5},
+             "network": {"khop": 1, "switch_period": 0.5, "switch_mode": "permute"},
+             "nonlinearity": {"kind": "log_quantizer"}, "cost": {"kind": "quadratic", "m": 2},
+             "solver": {"eta": 0.01, "method": "euler"}}
+TRACED_COMMANDS = {
+    "run": ("run", SVM_TINY),
+    "bounds": ("bounds", SVM_TINY),
+    "dynamics-sweep": ("sweep", {**QUAD_TINY, "sweep": {
+        "mode": "dynamics", "t_end": 2.0, "axes": {"alpha": [0.5, 500.0], "rho": [0.5, 1.0]}}}),
+    "spectral-sweep": ("sweep", {**QUAD_TINY, "sweep": {
+        "mode": "spectral", "axes": {"khop": [1, 2], "rho": [0.5, 1.0], "alpha": [0.1, 30.0]}}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACED_COMMANDS))
+def test_traced_command_writes_the_untraced_artifacts(tmp_path, case):
+    # the tracer replaces gtflow names in place; a name it wraps that is renamed
+    # or deleted, or a wrapper that changes a result, fails here
+    command, body = TRACED_COMMANDS[case]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(body), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    outs = {}
+    for mode, prefix in (("plain", ["-m", "gtflow.cli"]),
+                         ("traced", [str(BENCH / "traced.py"), str(tmp_path / "summary.json")])):
+        outs[mode] = tmp_path / mode
+        argv = [sys.executable, *prefix, command, "--config", str(config), "--out", str(outs[mode])]
+        proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, (mode, proc.stderr)
+    names = sorted(p.name for p in outs["plain"].iterdir())
+    assert names and sorted(p.name for p in outs["traced"].iterdir()) == names
+    for name in names:
+        assert (outs["traced"] / name).read_bytes() == (outs["plain"] / name).read_bytes(), name
+    metrics = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert metrics["cli.main_s"] > 0

@@ -7,7 +7,7 @@ from gtflow.cost import infinity_norm
 from gtflow.graph import laplacian, make_khop_ring
 from gtflow.spectral import (assemble, eigen_derivative_check, laplacian_rates,
                              matching_distance, matching_excess, spectral_report,
-                             stability_sweep, step_size_bounds)
+                             step_size_bounds)
 
 
 def _identity_hessian(n, m):
@@ -241,14 +241,14 @@ def test_sweep_below_tight_bound_is_stable():
         "random": rng.uniform(kappa, upper, size=5),
     }
     for alpha in np.linspace(0.05, 0.999, 8) * bounds.tight:
-        reports = stability_sweep(lap, hess, alpha, regimes)
-        assert list(reports) == ["lower", "upper", "random"]
-        assert all(r.stable for r in reports.values())
+        reports = {label: spectral_report(assemble(lap, hess, xi, alpha))
+                   for label, xi in regimes.items()}
+        assert all(r.stable for r in reports.values()), reports
 
 
 def test_sweep_alpha_zero_column_unstable():
     lap, hess, kappa, upper, _ = _sweep_fixture()
-    report = stability_sweep(lap, hess, 0.0, {"unit": np.ones(5)})["unit"]
+    report = spectral_report(assemble(lap, hess, np.ones(5), 0.0))
     assert report.zero_count == 2
     assert not report.stable
 
@@ -259,10 +259,6 @@ def test_sweep_extreme_gains_bracket_unit_decay():
     # decaying fastest (stronger step-size slaving at higher gain)
     lap, hess, kappa, upper, bounds = _sweep_fixture()
     alpha = 0.5 * bounds.tight
-    reports = stability_sweep(lap, hess, alpha, {
-        "lower": np.full(5, kappa),
-        "unit": np.ones(5),
-        "upper": np.full(5, upper),
-    })
-    by_label = {label: r.max_nonzero_real for label, r in reports.items()}
+    by_label = {label: spectral_report(assemble(lap, hess, np.full(5, gain), alpha)).max_nonzero_real
+                for label, gain in (("lower", kappa), ("unit", 1.0), ("upper", upper))}
     assert by_label["lower"] <= by_label["unit"] <= by_label["upper"] < 0
