@@ -199,7 +199,7 @@ def parse_config(text: str) -> ExperimentConfig:
                     article = "an" if type_name[0] in "aeiou" else "a"
                     problems.append(f"{name}.{key} must be {article} {type_name}")
                     value = default
-                elif isinstance(value, float) and not math.isfinite(value):
+                elif type_name == "number" and not _finite(value):
                     problems.append(f"{name}.{key} must be finite")
                     value = default
             else:
@@ -224,6 +224,14 @@ def parse_config(text: str) -> ExperimentConfig:
     if problems:
         raise ConfigError(problems)
     return ExperimentConfig(int(raw["seed"]), sections, description)
+
+
+def _finite(v) -> bool:
+    """Whether a JSON number is finite as a float; an integer literal beyond the float range is not."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _validate_values(seed, sections, problems):
@@ -284,7 +292,7 @@ def _validate_values(seed, sections, problems):
             problems.append(f"sweep axis {axis!r} not in {_SWEEP_AXES}")
         elif not _LIST[1](values) or not values:
             problems.append(f"sweep.axes.{axis} must be a non-empty list of numbers")
-        elif any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        elif not all(_finite(v) for v in values):
             problems.append(f"sweep.axes.{axis} values must be finite")
         elif axis == "khop":
             khops += [("sweep.axes.khop", k) for k in values]

@@ -1,8 +1,11 @@
 """Local cost functions: value / gradient / Hessian per agent.
 
 A cost model is a sequence of per-agent handles, each exposing ``value``,
-``gradient`` and ``hessian`` at a point in R^m. Everything downstream
-(the dynamics engine, the spectral analyzer) consumes only that interface.
+``gradient`` and ``hessian`` at a point in R^m or at stacked rows of shape
+(..., m). Every product is the per-row matrix-vector or dot product a lone
+point makes, so each row's result is bit-identical to its own call.
+Everything downstream (the dynamics engine, the spectral analyzer) consumes
+only that interface.
 
 The smoothed hinge is evaluated in the overflow-safe branchless form so the
 exponential never overflows; the exponential-loss inaccuracy this guards
@@ -76,12 +79,14 @@ class QuadraticCost:
     def m(self) -> int:
         return self.b.size
 
-    def value(self, x: np.ndarray) -> float:
-        d = np.asarray(x, dtype=float) - self.b
-        return 0.5 * float(d @ self.Q @ d)
+    def value(self, x: np.ndarray):
+        """f at x of shape (m,) as a float, or at each row of x of shape (..., m)."""
+        d = (np.asarray(x, dtype=float) - self.b)[..., None, :]
+        return _lone(0.5 * (d @ self.Q @ d.swapaxes(-1, -2))[..., 0, 0])
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.Q @ (np.asarray(x, dtype=float) - self.b)
+        """Q (x - b) at x of shape (m,), or at each row of x of shape (..., m)."""
+        return (self.Q @ (np.asarray(x, dtype=float) - self.b)[..., None])[..., 0]
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Q, whatever x; it broadcasts against a stack of Hessians."""
@@ -131,19 +136,22 @@ class SvmHingeCost:
         w, nu = x[..., :-1], x[..., -1:]
         return 1.0 - self.labels * (np.matmul(self.features, w[..., None])[..., 0] - nu)
 
-    def value(self, x: np.ndarray) -> float:
+    def value(self, x: np.ndarray):
+        """Cost at x of shape (m,) as a float, or at each row of x of shape (..., m)."""
         x = self._check(x)
-        w, nu = x[:-1], x[-1]
+        w, nu = x[..., None, :-1], x[..., -1]
         L, _, _ = smoothed_hinge(self._margins(x), self.mu)
-        return float(w @ w + self.C * np.sum(L) + self.eps_nu * nu * nu)
+        ww = (w @ w.swapaxes(-1, -2))[..., 0, 0]
+        return _lone(ww + self.C * np.sum(L, axis=-1) + self.eps_nu * nu * nu)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
+        """Gradient at x of shape (m,), or at each row of x of shape (..., m)."""
         x = self._check(x)
-        w, nu = x[:-1], x[-1]
+        w, nu = x[..., :-1], x[..., -1:]
         _, s, _ = smoothed_hinge(self._margins(x), self.mu)
-        gw = 2.0 * w + self.C * ((-self.labels * s) @ self.features)
-        gnu = self.C * float(self.labels @ s) + 2.0 * self.eps_nu * nu
-        return np.concatenate([gw, [gnu]])
+        gw = 2.0 * w + self.C * ((-self.labels * s)[..., None, :] @ self.features)[..., 0, :]
+        gnu = self.C * (self.labels @ s[..., None]) + 2.0 * self.eps_nu * nu
+        return np.concatenate([gw, gnu], axis=-1)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Hessian at x of shape (m,), or one per row of x of shape (..., m).
@@ -151,19 +159,23 @@ class SvmHingeCost:
         Every row gets the same arithmetic as a lone point, so a row's
         Hessian is bit-identical to the one computed for it alone.
         """
-        x = self._check(x, stacked=True)
+        x = self._check(x)
         _, curv = _slopes(self.mu * self._margins(x), self.mu)
         H = self.C * (self.U.T * curv[..., None, :]) @ self.U
         H[..., :-1, :-1] += self._ridge
         H[..., -1, -1] += 2.0 * self.eps_nu
         return H
 
-    def _check(self, x, stacked: bool = False) -> np.ndarray:
+    def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.m,) and not (stacked and x.shape[-1:] == (self.m,)):
-            shape = f"(..., {self.m})" if stacked else f"({self.m},)"
-            raise ValueError(f"decision variable must have shape {shape}, got {x.shape}")
+        if x.shape[-1:] != (self.m,):
+            raise ValueError(f"decision variable must have shape (..., {self.m}), got {x.shape}")
         return x
+
+
+def _lone(v):
+    """A float for the value at a lone point, the array of values for stacked rows."""
+    return v if np.ndim(v) else float(v)
 
 
 def aggregate_hessian(costs, x_stack: np.ndarray) -> np.ndarray:
@@ -184,17 +196,19 @@ def infinity_norm(H: np.ndarray) -> float:
     return float(np.abs(H).sum(axis=2).max())
 
 
-def global_cost(costs, x_stack: np.ndarray) -> float:
-    """F(x) = sum_i f_i(x_i)."""
+def global_cost(costs, x_stack: np.ndarray):
+    """F(x) = sum_i f_i(x_i) at a state of shape (n, m), or at each state of shape (..., n, m)."""
     X = np.atleast_2d(np.asarray(x_stack, dtype=float))
-    return float(sum(c.value(X[i]) for i, c in enumerate(costs)))
+    total = np.zeros(X.shape[:-2])
+    for i, c in enumerate(costs):
+        total += c.value(X[..., i, :])
+    return _lone(total)
 
 
 def sum_gradient(costs, x_stack: np.ndarray) -> np.ndarray:
-    """sum_i grad f_i(x_i), the optimality residual tracked by the dynamics."""
+    """sum_i grad f_i(x_i), the optimality residual tracked by the dynamics, per state of (..., n, m)."""
     X = np.atleast_2d(np.asarray(x_stack, dtype=float))
-    out = np.zeros(X.shape[1])
+    out = np.zeros(X.shape[:-2] + X.shape[-1:])
     for i, c in enumerate(costs):
-        out += c.gradient(X[i])
+        out += c.gradient(X[..., i, :])
     return out
-

@@ -17,7 +17,8 @@ otherwise), so no integration step ever straddles a switch.
 
 Configs that differ only in alpha and the link level run in lock step as one
 ``SolverBatch``: the state gains a leading member axis, and one Laplacian
-per switch and one derivative evaluation per stage serve every member.
+per switch and one derivative evaluation per stage serve every member. Costs
+of constant curvature have their Hessians evaluated once per run.
 """
 
 from __future__ import annotations
@@ -154,15 +155,18 @@ def derivative(
     alpha,
     g: LinkNonlinearity,
     rho=None,
+    hessian: np.ndarray | None = None,
 ) -> np.ndarray:
     """dS for stacked states S = [X, Y] of shape (..., 2, n, m); the graph is frozen by the caller.
 
     Leading axes are batch members: ``alpha`` (a float or shape (B, 1, 1))
     and the link level ``rho`` (see ``nonlinear.apply``) broadcast over them.
+    ``hessian``, the (n, m, m) stack of costs whose curvature is constant,
+    stands in for evaluating the Hessians at X.
     """
     dS = lap @ apply(g, S, rho)
     dS[..., 0, :, :] -= alpha * S[..., 1, :, :]
-    H = aggregate_hessian(costs, S[..., 0, :, :])
+    H = aggregate_hessian(costs, S[..., 0, :, :]) if hessian is None else hessian
     dS[..., 1, :, :] += (H @ dS[..., 0, :, :, None])[..., 0]
     return dS
 
@@ -233,12 +237,17 @@ def integrate(
     offset0 = Y.sum(axis=0) - sum_gradient(costs, X)
     B = len(members)
     S = np.repeat(np.stack([X, Y])[None], B, axis=0)
+    # constant curvature comes back as one (n, m, m) stack without the member
+    # axis; it is evaluated here once instead of at every stage
+    H = aggregate_hessian(costs, S[:, 0])
+    hessian = H if H.ndim == 3 else None
     alpha = np.array([c.alpha for c in members]).reshape(B, 1, 1)
     rho = None if first.g.rho is None else np.array([c.g.rho for c in members]).reshape(B, 1, 1, 1)
     live = np.arange(B)  # the member of each row of S
     rows = [[] for _ in range(B)]  # (t, state); S is rebound by every step, never written in place
     ends = [("completed", steps)] * B
     max_abs = np.zeros(B)
+    peaks = np.zeros_like(S)  # the largest magnitude each entry of S has reached
     stride = first.sample_stride
     interval = -1
     L = None
@@ -251,7 +260,7 @@ def integrate(
         if k % stride == 0:
             for j, b in enumerate(live):
                 rows[b].append((t, S[j]))
-        args = (L, costs, alpha, first.g, rho)
+        args = (L, costs, alpha, first.g, rho, hessian)
         if first.method == "euler":
             S = S + eta * derivative(S, *args)
         else:
@@ -260,20 +269,25 @@ def integrate(
             k3 = derivative(S + 0.5 * eta * k2, *args)
             k4 = derivative(S + eta * k3, *args)
             S = S + (eta / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        A = np.abs(S)
+        if A.max() <= BLOWUP_THRESHOLD:  # false on a NaN
+            np.maximum(peaks, A, out=peaks)
+            continue
         # test each line: a NaN in ay alone must end the member
-        ax, ay = np.abs(S).max(axis=(2, 3)).T
-        # the largest magnitude as Python's max(max_abs, max(ax, ay)) takes it: never a NaN
+        ax, ay = A.max(axis=(2, 3)).T
         seen = np.where(ay > ax, ay, ax)
-        max_abs[live] = np.where(seen > max_abs[live], seen, max_abs[live])
+        top = peaks.max(axis=(1, 2, 3))
+        # the largest magnitude as Python's max(top, max(ax, ay)) takes it: never a NaN
+        max_abs[live] = np.where(seen > top, seen, top)
         ok = (ax <= BLOWUP_THRESHOLD) & (ay <= BLOWUP_THRESHOLD)
-        if not ok.all():
-            for j in np.flatnonzero(~ok):
-                rows[live[j]].append(((k + 1) * eta, S[j]))  # the step that diverged was taken
-                ends[live[j]] = ("diverged", k + 1)
-            S, alpha, live = S[ok], alpha[ok], live[ok]
-            rho = None if rho is None else rho[ok]
-            if not live.size:
-                break
+        for j in np.flatnonzero(~ok):
+            rows[live[j]].append(((k + 1) * eta, S[j]))  # the step that diverged was taken
+            ends[live[j]] = ("diverged", k + 1)
+        S, alpha, live, peaks = S[ok], alpha[ok], live[ok], np.maximum(peaks, A)[ok]
+        rho = None if rho is None else rho[ok]
+        if not live.size:
+            break
+    max_abs[live] = peaks.max(axis=(1, 2, 3))
     for j, b in enumerate(live):
         rows[b].append((steps * eta, S[j]))
 
@@ -283,10 +297,10 @@ def integrate(
 
 
 def _trace(costs, rows, offset0, reference, status, steps, eta, max_abs) -> Trace:
-    """One member's trace: its sampled states plus the per-row diagnostics."""
+    """One member's trace: its sampled states plus the diagnostics of all rows at once."""
     states = np.array([S for _, S in rows])
     xs, ys = states[:, 0], states[:, 1]
-    grad_sums = [sum_gradient(costs, X) for X in xs]
+    grad_sums = sum_gradient(costs, xs)
     lyapunov = None
     if reference is not None:
         dx = xs - reference
@@ -294,18 +308,21 @@ def _trace(costs, rows, offset0, reference, status, steps, eta, max_abs) -> Trac
     return Trace(
         times=np.array([t for t, _ in rows]),
         states=states,
-        cost=np.array([global_cost(costs, X) for X in xs]),
-        grad_sum_norm=np.array([float(np.linalg.norm(g)) for g in grad_sums]),
-        consensus_error=np.array([float(np.max(np.linalg.norm(X - X.mean(axis=0), axis=1)))
-                                  for X in xs]),
-        conservation=np.array([float(np.linalg.norm((Y.sum(axis=0) - g) - offset0))
-                               for Y, g in zip(ys, grad_sums)]),
+        cost=global_cost(costs, xs),
+        grad_sum_norm=_norms(grad_sums),
+        consensus_error=np.linalg.norm(xs - xs.mean(axis=1, keepdims=True), axis=2).max(axis=1),
+        conservation=_norms((ys.sum(axis=1) - grad_sums) - offset0),
         lyapunov=lyapunov,
         status=status,
         eta=eta,
         steps=steps,
         max_abs_state=max_abs,
     )
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of v, each rounding as np.linalg.norm of that row alone."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
 def conservation_residual(trace: Trace) -> float:

@@ -98,21 +98,22 @@ def apply(g: LinkNonlinearity, z, rho=None):
     against z, such as one of shape (B, 1, 1, 1) for B stacked states, gives
     each its own level with the same elementwise arithmetic.
     """
-    arr = np.asarray(z, dtype=float)
-    scalar = arr.ndim == 0
-    x = np.atleast_1d(arr)
+    x = np.asarray(z, dtype=float)  # a float array passes through as it is
+    scalar = x.ndim == 0
+    if scalar:
+        x = x.reshape(1)
     rho = g.rho if rho is None else rho
     if g.kind == "identity":
         out = x.copy()
     elif g.kind == "log_quantizer":
-        # sgn(z) * exp(rho * round(log|z| / rho)); at 0, log gives -inf and exp 0
+        # sgn(z) * exp(rho * round(log|z| / rho)), ties to even; at 0, log gives -inf and exp 0
         with np.errstate(divide="ignore"):
-            out = np.sign(x) * np.exp(rho * np.round(np.log(np.abs(x)) / rho))
+            out = np.sign(x) * np.exp(rho * np.rint(np.log(np.abs(x)) / rho))
     elif g.kind == "uniform_quantizer":
-        out = rho * np.round(x / rho)
+        out = rho * np.rint(x / rho)
     else:  # saturation
         out = np.clip(x, -g.limit, g.limit)
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return float(out[0]) if scalar else out
 
 
 def sector_bounds(

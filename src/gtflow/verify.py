@@ -419,6 +419,15 @@ def check_determinism(seed: int = 12) -> CheckResult:
                        "identical config twice gives byte-identical CSV")
 
 
+class _PerRowCurvature(QuadraticCost):
+    """A quadratic whose Hessian comes back once per row, so it is evaluated at every stage."""
+
+    def hessian(self, x):
+        # contiguous, as a real handle's Hessians are: a broadcast view would
+        # change the stacked layout and with it the rounding of the products
+        return np.broadcast_to(self.Q, x.shape[:-1] + self.Q.shape).copy()
+
+
 def check_member_axis(members: int = 5, seed: int = 13) -> CheckResult:
     """Members run in lock step equal their own runs and each conserve their offset.
 
@@ -428,7 +437,9 @@ def check_member_axis(members: int = 5, seed: int = 13) -> CheckResult:
     its run alone (states, status, steps), the last one must diverge, and the
     others must complete with a conservation drift at float noise
     (quadratic, exact in discrete time) or below 1% of the initial gradient
-    sum (smoothed hinge, Euler drift of order eta).
+    sum (smoothed hinge, Euler drift of order eta). The quadratic's constant
+    Hessian is evaluated once per run; every member's trace must also match,
+    byte for byte, a batch run that evaluates it at every stage.
     """
     rng = np.random.default_rng(seed)
     costs, _, x0 = _quadratic_setup(seed=seed)
@@ -447,7 +458,13 @@ def check_member_axis(members: int = 5, seed: int = 13) -> CheckResult:
                          g=nl.log_quantizer(float(rho)), sample_stride=25)
             for a, rho in zip(alphas, rng.uniform(0.1, 1.9, size=members))))
         scale = float(np.linalg.norm(costmod.sum_gradient(fx_costs, fx_x0)))
-        for b, (trace, cfg) in enumerate(zip(integrate(fx_costs, fx_x0, batch), batch.members)):
+        traces = integrate(fx_costs, fx_x0, batch)
+        if name == "quadratic":
+            staged = integrate([_PerRowCurvature(c.Q, c.b) for c in fx_costs], fx_x0, batch)
+            failures += [(name, b, "differs from its per-stage Hessian run")
+                         for b, (trace, per_stage) in enumerate(zip(traces, staged))
+                         if trace.to_csv() != per_stage.to_csv()]
+        for b, (trace, cfg) in enumerate(zip(traces, batch.members)):
             alone = integrate(fx_costs, fx_x0, cfg)
             if ((trace.status, trace.steps) != (alone.status, alone.steps)
                     or not np.array_equal(trace.states, alone.states)):
@@ -459,7 +476,8 @@ def check_member_axis(members: int = 5, seed: int = 13) -> CheckResult:
                 failures.append((name, b, "drift", conservation_residual(trace)))
     return CheckResult("member axis", not failures,
                        f"2 fixtures x {members} lock-step members, each bit-identical to "
-                       "its own run; drift exact (quadratic) or < 1% (svm)", failures)
+                       "its own run and the quadratic's to its per-stage Hessian run; "
+                       "drift exact (quadratic) or < 1% (svm)", failures)
 
 
 ALL_CHECKS = [

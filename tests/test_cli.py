@@ -144,6 +144,11 @@ CROSS_FIELD_CASES = {
                                 "sweep": {"mode": "spectral", "axes": {"alpha": [0.1, 1e303]}}},
                                ["sweep.axes.alpha=1e+303 is too large",
                                 "seeds each cell's random gains with int(value * 1e6)"]),
+    # integer literals that no float can hold
+    "alpha-beyond-float-range": ({"solver": {"alpha": 10**400}}, ["solver.alpha must be finite"]),
+    "sweep-alpha-beyond-float-range": ({"sweep": {"mode": "dynamics",
+                                                  "axes": {"alpha": [0.5, 10**400]}}},
+                                       ["sweep.axes.alpha values must be finite"]),
     "all-at-once": ({"partition": {"n_agents": 2},
                      "nonlinearity": {"kind": "uniform_quantizer", "rho": -1}},
                     ["network.khop=2 out of range", "nonlinearity.rho must be positive"]),

@@ -175,6 +175,28 @@ def test_aggregate_hessian_over_a_member_axis():
     assert np.array_equal(aggregate_hessian(quad, X), aggregate_hessian(quad, X[0]))
     with pytest.raises(ValueError, match="one state row per agent"):
         aggregate_hessian(svm, X[:, :3])
+    # values and gradients of stacked rows: bit for bit each row's own call
+    # and, for a lone point, the 1-D formula
+    for costs in (svm, quad):
+        assert np.array_equal(sum_gradient(costs, X), [sum_gradient(costs, x) for x in X])
+        assert np.array_equal(global_cost(costs, X), [global_cost(costs, x) for x in X])
+        assert type(global_cost(costs, X[0])) is float
+        for i, c in enumerate(costs):
+            assert np.array_equal(c.gradient(X[:, i]), [c.gradient(x[i]) for x in X])
+            assert np.array_equal(c.value(X[:, i]), [c.value(x[i]) for x in X])
+            x = X[0, i]
+            assert type(c.value(x)) is float
+            if isinstance(c, QuadraticCost):
+                d = x - c.b
+                assert c.value(x) == 0.5 * float(d @ c.Q @ d)
+                assert np.array_equal(c.gradient(x), c.Q @ d)
+            else:
+                w, nu = x[:-1], x[-1]
+                L, s, _ = smoothed_hinge(c._margins(x), c.mu)
+                assert c.value(x) == float(w @ w + c.C * np.sum(L) + c.eps_nu * nu * nu)
+                gnu = c.C * float(c.labels @ s) + 2.0 * c.eps_nu * nu
+                assert np.array_equal(c.gradient(x), np.concatenate(
+                    [2.0 * w + c.C * ((-c.labels * s) @ c.features), [gnu]]))
 
 
 def test_svm_margin_jacobian_is_stored_read_only():

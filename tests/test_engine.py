@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gtflow.cost import (QuadraticCost, SvmHingeCost, aggregate_hessian, infinity_norm,
-                         sum_gradient)
+from gtflow.cost import (QuadraticCost, SvmHingeCost, aggregate_hessian, global_cost,
+                         infinity_norm, sum_gradient)
 from gtflow.engine import (SolverBatch, SolverConfig, conservation_residual, derivative,
                            integrate)
 from gtflow.graph import SwitchingSchedule, SwitchMode, graph_at, laplacian, make_khop_ring
@@ -414,6 +414,61 @@ def test_single_member_batch_is_the_run_byte_for_byte():
     [member] = integrate(costs, x0, SolverBatch((cfg,)), reference=reference)
     assert member.to_csv() == run.to_csv()
     assert_matches_reference(run, costs, x0, cfg)
+
+
+@pytest.mark.parametrize("kind,n,m", [("quadratic", 5, 2), ("quadratic", 9, 1), ("svm", 5, 4)])
+def test_trace_diagnostics_of_all_rows_equal_each_rows_own(kind, n, m):
+    costs = quadratic_fixture(n=n, m=m)[0] if kind == "quadratic" else svm_fixture()
+    x0 = np.random.default_rng(7).uniform(-1, 1, size=(n, m))
+    cfg = SolverConfig(alpha=0.6, eta=0.01, t_end=2.0, schedule=permuting_schedule(n),
+                       g=log_quantizer(1.0), sample_stride=7)
+    trace = integrate(costs, x0, cfg)
+    xs, ys = trace.states[:, 0], trace.states[:, 1]
+    offset0 = ys[0].sum(axis=0) - sum_gradient(costs, xs[0])
+    for r, (X, Y) in enumerate(zip(xs, ys)):
+        g = sum_gradient(costs, X)
+        assert trace.cost[r] == global_cost(costs, X)
+        assert trace.grad_sum_norm[r] == float(np.linalg.norm(g))
+        assert trace.consensus_error[r] == float(np.max(np.linalg.norm(X - X.mean(axis=0),
+                                                                       axis=1)))
+        assert trace.conservation[r] == float(np.linalg.norm((Y.sum(axis=0) - g) - offset0))
+
+
+class PerRowCurvature(QuadraticCost):
+    """A quadratic whose Hessian comes back once per row, so it is not taken as constant."""
+
+    def hessian(self, x):
+        # contiguous, as a real handle's Hessians are: a broadcast view would
+        # change the stacked layout and with it the rounding of the products
+        return np.broadcast_to(self.Q, x.shape[:-1] + self.Q.shape).copy()
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_constant_curvature_once_per_run_gives_the_per_stage_bytes(monkeypatch, method):
+    fixture, _, x0 = quadratic_fixture()
+    # full curvature blocks: a product of diagonal ones rounds the same in any form
+    costs = [QuadraticCost(c.Q + 0.1, c.b) for c in fixture]
+    per_stage = [PerRowCurvature(c.Q, c.b) for c in costs]
+    reference = np.tile(closed_form_optimum(costs), (5, 1))
+    sched = permuting_schedule(5)
+    members = tuple(SolverConfig(alpha=a, eta=0.01, t_end=2.0, schedule=sched,
+                                 g=log_quantizer(rho), method=method, sample_stride=7)
+                    for a, rho in ((0.3, 0.5), (1.2, 1.0), (5e4, 1.5)))
+    calls = []
+    hessian = QuadraticCost.hessian
+    monkeypatch.setattr(QuadraticCost, "hessian",
+                        lambda self, x: calls.append(x.shape) or hessian(self, x))
+    for config in (members[0], SolverBatch(members)):
+        calls.clear()
+        once = integrate(costs, x0, config, reference=reference)
+        assert len(calls) == len(costs)  # one call per agent for the whole run
+        staged = integrate(per_stage, x0, config, reference=reference)
+        for a, b in zip(*(t if isinstance(t, list) else [t] for t in (once, staged)),
+                        strict=True):
+            assert a.to_csv() == b.to_csv()
+            assert ((a.status, a.steps, a.max_abs_state)
+                    == (b.status, b.steps, b.max_abs_state))
+    assert [t.status for t in once] == ["completed", "completed", "diverged"]
 
 
 def test_solver_batch_members_share_all_but_alpha_and_rho():
