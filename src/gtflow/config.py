@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .cost import QuadraticCost, SvmHingeCost
-from .engine import MAX_STEPS, SolverConfig, aligned_step
+from .engine import MAX_SIZE, MAX_STEPS, SolverConfig, aligned_step
 from .graph import SwitchingSchedule, SwitchMode, make_khop_ring
 from .nonlinear import (LinkNonlinearity, identity, log_quantizer, saturation,
                         uniform_quantizer)
@@ -170,7 +170,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON config, applying defaults."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a decode error, or an integer literal of over 4300 digits
         raise ConfigError([f"not valid JSON: {err}"]) from err
     if not isinstance(raw, dict):
         raise ConfigError(["top level must be a JSON object"])
@@ -251,6 +251,10 @@ def _validate_values(seed, sections, problems):
     if data["kind"] == "csv" and not data["path"]:
         problems.append("data.path is required when data.kind is 'csv'")
     n_agents = sections["partition"]["n_agents"]
+    # larger sizes would exhaust memory or loop for ages in the builders
+    sizes = [("data.n_points", data["n_points"]), ("partition.n_agents", n_agents),
+             ("cost.m", cost["m"])]
+    problems += [f"{name} must be at most {MAX_SIZE}" for name, value in sizes if value > MAX_SIZE]
     if n_agents < 1:
         problems.append("partition.n_agents must be positive")
     if cost["kind"] == "svm" and data["kind"] == "ellipse" and n_agents > data["n_points"]:

@@ -7,9 +7,10 @@ point makes, so each row's result is bit-identical to its own call.
 Everything downstream (the dynamics engine, the spectral analyzer) consumes
 only that interface.
 
-The smoothed hinge is evaluated in the overflow-safe branchless form so the
-exponential never overflows; the exponential-loss inaccuracy this guards
-against is a real failure mode at large margins.
+The smoothed hinge and its slopes L' and L'' are evaluated in a branchless
+form on exp(-|mu z|), so the exponential never overflows; the
+exponential-loss inaccuracy this guards against is a real failure mode at
+large margins.
 """
 
 from __future__ import annotations
@@ -50,11 +51,12 @@ def smoothed_hinge(z, mu: float):
 
 def _slopes(t: np.ndarray, mu: float):
     """L' and L'' of the smoothed hinge at t = mu * z, without L itself."""
-    s = np.empty_like(t)
+    # 1 / (1 + exp(-t)) for t >= 0 and exp(t) / (1 + exp(t)) otherwise, NaN
+    # included: each entry takes the same IEEE operations as under two
+    # masked branches, so the bits are the same
     pos = t >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    s[~pos] = et / (1.0 + et)
+    e = np.exp(np.where(pos, -t, t))
+    s = np.where(pos, 1.0, e) / (1.0 + e)
     return s, mu * s * (1.0 - s)
 
 
@@ -123,10 +125,11 @@ class SvmHingeCost:
         self.eps_nu = eps_nu
         self.m = features.shape[1] + 1
         # dz_j/dx = [-l_j chi_j; l_j], the margin Jacobian the Hessian reuses,
-        # and the Hessian of the w.w regularizer
+        # its transpose, and the Hessian of the regularizers w.w + eps_nu nu^2
         self.U = np.concatenate([-labels[:, None] * features, labels[:, None]], axis=1)
-        self._ridge = 2.0 * np.eye(self.m - 1)
-        for arr in (features, labels, self.U, self._ridge):
+        self._UT = self.U.T
+        self._reg = np.diag(np.append(np.full(self.m - 1, 2.0), 2.0 * eps_nu))
+        for arr in (features, labels, self.U, self._UT, self._reg):
             arr.flags.writeable = False
 
     def _margins(self, x: np.ndarray) -> np.ndarray:
@@ -161,14 +164,13 @@ class SvmHingeCost:
         """
         x = self._check(x)
         _, curv = _slopes(self.mu * self._margins(x), self.mu)
-        H = self.C * (self.U.T * curv[..., None, :]) @ self.U
-        H[..., :-1, :-1] += self._ridge
-        H[..., -1, -1] += 2.0 * self.eps_nu
+        H = self.C * (self._UT * curv[..., None, :]) @ self.U
+        H += self._reg
         return H
 
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.m,):
+        if not x.ndim or x.shape[-1] != self.m:
             raise ValueError(f"decision variable must have shape (..., {self.m}), got {x.shape}")
         return x
 
@@ -181,14 +183,21 @@ def _lone(v):
 def aggregate_hessian(costs, x_stack: np.ndarray) -> np.ndarray:
     """Per-agent Hessians at stacked states of shape (..., n, m), shape (..., n, m, m).
 
-    Each agent's handle is called once, on its rows of every stacked state. A
-    constant-curvature handle returns one (m, m) block whatever the rows, so
-    for it the result is (n, m, m) and broadcasts over the leading axes.
+    Each agent's handle is called once, on its rows of every stacked state,
+    and its Hessians are copied into one C-ordered array, whatever layout the
+    handle returns. A constant-curvature handle returns one (m, m) block
+    whatever the rows, so for it the result is (n, m, m) and broadcasts over
+    the leading axes.
     """
     X = np.atleast_2d(np.asarray(x_stack, dtype=float))
     if X.shape[-2] != len(costs):
         raise ValueError("one state row per agent required")
-    return np.stack([c.hessian(X[..., i, :]) for i, c in enumerate(costs)], axis=-3)
+    first = costs[0].hessian(X[..., 0, :])
+    H = np.empty(first.shape[:-2] + (len(costs),) + first.shape[-2:])
+    H[..., 0, :, :] = first
+    for i in range(1, len(costs)):
+        H[..., i, :, :] = costs[i].hessian(X[..., i, :])
+    return H
 
 
 def infinity_norm(H: np.ndarray) -> float:

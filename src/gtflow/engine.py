@@ -33,6 +33,7 @@ from .graph import SwitchingSchedule, graph_at, laplacian
 from .nonlinear import LinkNonlinearity, apply, identity
 
 __all__ = [
+    "MAX_SIZE",
     "MAX_STEPS",
     "SolverBatch",
     "SolverConfig",
@@ -46,6 +47,9 @@ __all__ = [
 BLOWUP_THRESHOLD = 1e12
 
 MAX_STEPS = 10**7  # most steps config validation lets a run take; fig2 takes 6e4
+# most agents, data points or cost dimensions config validation lets a run
+# ask for; the presets and the benchmark workloads ask for at most 200
+MAX_SIZE = 10**4
 
 
 def aligned_step(eta: float, period: float) -> float:

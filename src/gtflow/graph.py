@@ -74,7 +74,7 @@ class WeightedGraph:
         p = np.asarray(perm)
         g = object.__new__(WeightedGraph)
         object.__setattr__(g, "n", self.n)
-        object.__setattr__(g, "weights", self.weights[np.ix_(p, p)])
+        object.__setattr__(g, "weights", self.weights[p][:, p])
         g.weights.flags.writeable = False
         return g
 

@@ -423,9 +423,7 @@ class _PerRowCurvature(QuadraticCost):
     """A quadratic whose Hessian comes back once per row, so it is evaluated at every stage."""
 
     def hessian(self, x):
-        # contiguous, as a real handle's Hessians are: a broadcast view would
-        # change the stacked layout and with it the rounding of the products
-        return np.broadcast_to(self.Q, x.shape[:-1] + self.Q.shape).copy()
+        return np.broadcast_to(self.Q, x.shape[:-1] + self.Q.shape)
 
 
 def check_member_axis(members: int = 5, seed: int = 13) -> CheckResult:

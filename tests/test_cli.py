@@ -8,7 +8,7 @@ import pytest
 from gtflow import cli, spectral
 from gtflow import config as cfgmod
 from gtflow.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
-from gtflow.cost import aggregate_hessian
+from gtflow.cost import SvmHingeCost, aggregate_hessian
 from gtflow.engine import integrate
 from gtflow.graph import laplacian
 from gtflow.verify import theorem1_suite
@@ -149,6 +149,13 @@ CROSS_FIELD_CASES = {
     "sweep-alpha-beyond-float-range": ({"sweep": {"mode": "dynamics",
                                                   "axes": {"alpha": [0.5, 10**400]}}},
                                        ["sweep.axes.alpha values must be finite"]),
+    # sizes above engine.MAX_SIZE; the builders would crash or loop for ages
+    "cost-m-too-large": ({"cost": {"kind": "quadratic", "m": 10**30}},
+                         ["cost.m must be at most 10000"]),
+    "n-agents-too-large": ({"partition": {"n_agents": 10**20}, "cost": {"kind": "quadratic"}},
+                           ["partition.n_agents must be at most 10000"]),
+    "n-points-too-large": ({"data": {"n_points": 10**20}},
+                           ["data.n_points must be at most 10000"]),
     "all-at-once": ({"partition": {"n_agents": 2},
                      "nonlinearity": {"kind": "uniform_quantizer", "rho": -1}},
                     ["network.khop=2 out of range", "nonlinearity.rho must be positive"]),
@@ -194,6 +201,34 @@ def test_malformed_dataset_csv_exits_3(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"data.path {str(data)!r}" in err
         assert message in err
+
+
+@pytest.mark.parametrize("method, stages", [("rk4", 4), ("euler", 1)])
+def test_svm_run_evaluates_each_agents_hessian_once_per_stage(tmp_path, monkeypatch,
+                                                              method, stages):
+    # one call per agent for the bound report, one for the curvature test at
+    # the start state and one per derivative stage: never batched over agents
+    calls = []
+    hessian = SvmHingeCost.hessian
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return hessian(self, x)
+
+    monkeypatch.setattr(SvmHingeCost, "hessian", counted)
+    n, steps = 5, 40
+    body = {"seed": 94, "data": {"n_points": 60, "seed": 7},
+            "partition": {"n_agents": n, "mode": "stratified"},
+            "network": {"khop": 2, "switch_period": 0.001, "switch_mode": "permute"},
+            "nonlinearity": {"kind": "log_quantizer", "rho": 1.0},
+            "cost": {"kind": "svm"}, "outputs": {"plots": False},
+            "solver": {"alpha": 6.0, "eta": 0.001, "t_end": steps * 0.001, "method": method,
+                       "sample_stride": 10}}
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_config(tmp_path, body)), "--out", str(out)]) == EXIT_OK
+    assert f"steps: {steps}" in (out / "metadata.txt").read_text()
+    assert len(calls) == n * (stages * steps + 2)
+    assert all(shape[-1] == 4 and len(shape) <= 2 for shape in calls)
 
 
 def test_sweep_dynamics_programming_error_propagates(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from gtflow.cli import EXIT_CONFIG, main
 from gtflow.config import (ConfigError, load_preset, parse_config, preset_names)
+from gtflow.engine import MAX_SIZE
 
 MINIMAL = '{"seed": 4}'
 
@@ -96,6 +97,20 @@ def test_presets_all_parse():
     for name in names:
         cfg = parse_config(load_preset(name))
         assert cfg.description
+
+
+def test_sizes_up_to_the_limit_parse():
+    body = {"seed": 1, "data": {"n_points": MAX_SIZE},
+            "partition": {"n_agents": MAX_SIZE}, "cost": {"m": MAX_SIZE}}
+    parse_config(json.dumps(body))
+    for section, key in (("data", "n_points"), ("partition", "n_agents"), ("cost", "m")):
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be at most {MAX_SIZE}"):
+            parse_config(json.dumps({**body, section: {key: MAX_SIZE + 1}}))
+
+
+def test_integer_literal_beyond_the_digit_limit_is_a_config_error():
+    with pytest.raises(ConfigError, match="not valid JSON: Exceeds the limit"):
+        parse_config('{"seed": 1' + "0" * 5000 + "}")
 
 
 def test_unknown_preset():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gtflow.cost import (QuadraticCost, SvmHingeCost,
+from gtflow.cost import (QuadraticCost, SvmHingeCost, _slopes,
                          aggregate_hessian, global_cost, infinity_norm,
                          smoothed_hinge, sum_gradient)
 
@@ -32,6 +32,42 @@ def test_smoothed_hinge_rejects_bad_mu():
         smoothed_hinge(1.0, 0.0)
     with pytest.raises(ValueError):
         smoothed_hinge(1.0, -2.0)
+
+
+def masked_slopes(t, mu):
+    """L' and L'' in the two-branch form: each sign of t gets its own exponential."""
+    s = np.empty_like(t)
+    pos = t >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    s[~pos] = et / (1.0 + et)
+    return s, mu * s * (1.0 - s)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+# signed zeros and subnormals, exp at the edge of overflow (709.8) and of
+# underflow to zero (745.2), far saturation, infinities and both NaN signs
+EDGE_T = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 709.8, -709.8,
+                   745.2, -745.2, 1e6, -1e6, np.inf, -np.inf, np.nan, -np.nan])
+
+
+def test_slopes_equal_the_masked_two_branch_form_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for t, mu in [(EDGE_T, 1.0), (rng.normal(size=40) * 30.0, 2.0),
+                  (np.concatenate([rng.normal(size=(3, 2, 20)) * 800.0,
+                                   np.broadcast_to(EDGE_T, (3, 2, 16))], axis=-1), 0.5)]:
+        for got, want in zip(_slopes(t, mu), masked_slopes(t, mu)):
+            assert got.shape == want.shape == t.shape
+            assert np.array_equal(bits(got), bits(want))
+    # a scalar goes through smoothed_hinge, which returns floats
+    for z in EDGE_T:
+        _, s, curv = smoothed_hinge(z, 1.0)
+        assert type(s) is float and type(curv) is float
+        want = masked_slopes(np.array([z]), 1.0)
+        assert np.array_equal(bits([s, curv]), bits([w[0] for w in want]))
 
 
 def test_smoothing_gap_bound():
@@ -204,7 +240,8 @@ def test_svm_margin_jacobian_is_stored_read_only():
     feats = rng.normal(size=(10, 3))
     labs = rng.choice([-1.0, 1.0], size=10)
     c = SvmHingeCost(feats, labs, C=1.3, mu=2.5, eps_nu=1e-4)
-    assert not c.U.flags.writeable
+    for stored in (c.U, c._UT, c._reg):
+        assert not stored.flags.writeable
     with pytest.raises(ValueError):
         c.U[0, 0] = 1.0
     for _ in range(5):

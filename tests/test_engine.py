@@ -438,9 +438,7 @@ class PerRowCurvature(QuadraticCost):
     """A quadratic whose Hessian comes back once per row, so it is not taken as constant."""
 
     def hessian(self, x):
-        # contiguous, as a real handle's Hessians are: a broadcast view would
-        # change the stacked layout and with it the rounding of the products
-        return np.broadcast_to(self.Q, x.shape[:-1] + self.Q.shape).copy()
+        return np.broadcast_to(self.Q, x.shape[:-1] + self.Q.shape)
 
 
 @pytest.mark.parametrize("method", ["euler", "rk4"])
