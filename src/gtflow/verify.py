@@ -199,26 +199,34 @@ def check_cost_finite_differences(points: int = 100, seed: int = 3) -> CheckResu
 
 
 def check_smoothing_gap(seed: int = 4) -> CheckResult:
-    """Gap to the exact hinge stays in (0, log2/mu].
+    """Gap to the exact hinge stays in (0, log2/mu]; L'' is even and positive.
 
-    Strict positivity is only representable while exp(-|mu z|) clears the
-    floating-point resolution of |z|, so it is asserted on that range; far
-    outside it the gap may round to zero (never below float noise).
+    Strict positivity of the gap is only representable while exp(-|mu z|)
+    clears the floating-point resolution of |z|, so it is asserted on that
+    range; far outside it the gap may round to zero (never below float
+    noise). L''(z) must equal L''(-z) bit for bit everywhere, and be strictly
+    positive wherever exp(-|mu z|) is a normal float (|mu z| <= 700).
     """
     rng = np.random.default_rng(seed)
     failures = []
     for mu in (0.5, 2.0, 10.0):
         z = rng.uniform(-50, 50, size=5000)
-        val, _, _ = costmod.smoothed_hinge(z, mu)
+        val, _, curv = costmod.smoothed_hinge(z, mu)
         gap = val - np.maximum(z, 0.0)
         if gap.min() < -1e-12 * (1 + np.abs(z).max()) or gap.max() > np.log(2) / mu + 1e-12:
             failures.append((mu, float(gap.min()), float(gap.max())))
         narrow = np.abs(mu * z) <= 30
         if np.any(gap[narrow] <= 0):
             failures.append((mu, "gap not strictly positive on representable range"))
+        uneven = curv.view(np.uint64) != costmod.smoothed_hinge(-z, mu)[2].view(np.uint64)
+        if np.any(uneven):
+            failures.append((mu, "L'' not even", float(z[uneven][0])))
+        flat = (curv <= 0) & (np.abs(mu * z) <= 700)
+        if np.any(flat):
+            failures.append((mu, "L'' not strictly positive", float(z[flat][0])))
     return CheckResult("smoothing gap", not failures,
-                       "0 < L - max(z,0) <= log(2)/mu (float-resolution aware)",
-                       failures)
+                       "0 < L - max(z,0) <= log(2)/mu (float-resolution aware); "
+                       "L'' even and > 0 for |mu z| <= 700", failures)
 
 
 def theorem1_suite(

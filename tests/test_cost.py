@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from gtflow.cost import (QuadraticCost, SvmHingeCost, _slopes,
                          aggregate_hessian, global_cost, infinity_norm,
                          smoothed_hinge, sum_gradient)
+from gtflow.verify import check_smoothing_gap
 
 
 def test_smoothed_hinge_at_zero():
@@ -34,14 +36,14 @@ def test_smoothed_hinge_rejects_bad_mu():
         smoothed_hinge(1.0, -2.0)
 
 
-def masked_slopes(t, mu):
-    """L' and L'' in the two-branch form: each sign of t gets its own exponential."""
+def masked_sigmoid(t):
+    """L' in the two-branch form: each sign of t gets its own exponential."""
     s = np.empty_like(t)
     pos = t >= 0
     s[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
     et = np.exp(t[~pos])
     s[~pos] = et / (1.0 + et)
-    return s, mu * s * (1.0 - s)
+    return s
 
 
 def bits(a):
@@ -59,15 +61,39 @@ def test_slopes_equal_the_masked_two_branch_form_bit_for_bit():
     for t, mu in [(EDGE_T, 1.0), (rng.normal(size=40) * 30.0, 2.0),
                   (np.concatenate([rng.normal(size=(3, 2, 20)) * 800.0,
                                    np.broadcast_to(EDGE_T, (3, 2, 16))], axis=-1), 0.5)]:
-        for got, want in zip(_slopes(t, mu), masked_slopes(t, mu)):
-            assert got.shape == want.shape == t.shape
-            assert np.array_equal(bits(got), bits(want))
+        got, want = _slopes(t, mu)[0], masked_sigmoid(t)
+        assert got.shape == want.shape == t.shape
+        assert np.array_equal(bits(got), bits(want))
     # a scalar goes through smoothed_hinge, which returns floats
     for z in EDGE_T:
         _, s, curv = smoothed_hinge(z, 1.0)
         assert type(s) is float and type(curv) is float
-        want = masked_slopes(np.array([z]), 1.0)
-        assert np.array_equal(bits([s, curv]), bits([w[0] for w in want]))
+        assert np.array_equal(bits(s), bits(masked_sigmoid(np.array([z]))[0]))
+
+
+def test_curvature_is_even_and_within_4_ulp_of_the_exact_value():
+    # L''(t) = mu e / (1 + e)^2 with e = exp(-|t|), against 40 digits; the
+    # form mu s (1 - s) is not even and is exactly 0 from t of about 37 on
+    t = np.array([0.0, 5e-324, 1e-8, 1.0, 10.0, 30.0, 37.0, 40.0, 100.0, 700.0, 745.0])
+    t = np.concatenate([t, -t])
+    half = t.size // 2
+    for mu in (0.5, 1.0, 2.0):
+        curv = _slopes(t, mu)[1]
+        assert np.array_equal(bits(curv[:half]), bits(curv[half:]))
+        for ti, got in zip(t, curv):
+            with decimal.localcontext(prec=40):
+                e = (-abs(decimal.Decimal(ti))).exp()
+                exact = decimal.Decimal(mu) * e / (1 + e) ** 2
+                err = abs(decimal.Decimal(got) - exact)
+            # a few ulp where the exact value is a normal float, one
+            # subnormal step below that
+            step = np.spacing(float(exact)) * 4 if float(exact) >= np.finfo(float).tiny else 5e-324
+            assert err <= decimal.Decimal(step), (mu, ti, got, exact)
+    # smoothed_hinge returns the same L'', for stacked and for scalar z
+    assert np.array_equal(bits(smoothed_hinge(t, 1.0)[2]), bits(_slopes(t, 1.0)[1]))
+    assert np.array_equal(bits([smoothed_hinge(z, 1.0)[2] for z in t]), bits(_slopes(t, 1.0)[1]))
+    curv = _slopes(np.array([np.nan, -np.nan, np.inf, -np.inf]), 2.0)[1]
+    assert np.isnan(curv[:2]).all() and np.array_equal(bits(curv[2:]), [0, 0])
 
 
 def test_smoothing_gap_bound():
@@ -81,6 +107,21 @@ def test_smoothing_gap_bound():
         assert gap.min() >= 0
         assert gap[np.abs(mu * z) <= 30].min() > 0
         assert gap.max() <= math.log(2) / mu + 1e-12
+
+
+def test_smoothing_check_requires_an_even_positive_curvature(monkeypatch):
+    assert check_smoothing_gap().passed
+    real = smoothed_hinge
+
+    def one_minus_s(z, mu):
+        val, s, _ = real(z, mu)
+        return val, s, mu * s * (1.0 - s)
+
+    monkeypatch.setattr("gtflow.cost.smoothed_hinge", one_minus_s)
+    result = check_smoothing_gap()
+    assert not result.passed
+    reasons = {f[1] for f in result.failures}
+    assert {"L'' not even", "L'' not strictly positive"} <= reasons
 
 
 def test_svm_empty_dataset_is_pure_regularizer():
@@ -185,10 +226,11 @@ def test_svm_hessian_of_stacked_rows_equals_each_row_alone():
     H = c.hessian(X)
     assert H.shape == (3, 2, 4, 4)
     for idx in np.ndindex(3, 2):
-        # a lone point's arithmetic: one matrix-vector product for its margins
+        # a lone point's arithmetic: one matrix-vector product for its
+        # margins, L''/mu = e / (1 + e)^2 and C mu folded into U^T
         x = X[idx]
-        _, _, curv = smoothed_hinge(1.0 - c.labels * (c.features @ x[:-1] - x[-1]), c.mu)
-        expected = c.C * (c.U.T * curv) @ c.U
+        e = np.exp(-c.mu * np.abs(1.0 - c.labels * (c.features @ x[:-1] - x[-1])))
+        expected = (c.C * c.mu) * c.U.T * (e / (1.0 + e) ** 2) @ c.U
         expected[:-1, :-1] += 2.0 * np.eye(3)
         expected[-1, -1] += 2.0 * c.eps_nu
         assert np.array_equal(H[idx], expected)
@@ -240,16 +282,16 @@ def test_svm_margin_jacobian_is_stored_read_only():
     feats = rng.normal(size=(10, 3))
     labs = rng.choice([-1.0, 1.0], size=10)
     c = SvmHingeCost(feats, labs, C=1.3, mu=2.5, eps_nu=1e-4)
-    for stored in (c.U, c._UT, c._reg):
+    for stored in (c.U, c._CmuUT, c._reg):
         assert not stored.flags.writeable
     with pytest.raises(ValueError):
         c.U[0, 0] = 1.0
     for _ in range(5):
         x = rng.normal(size=4)
-        # the formula with U rebuilt from the shard on every call
-        _, _, curv = smoothed_hinge(c._margins(x), c.mu)
+        # the formula with U and C mu U^T rebuilt from the shard on every call
+        e = np.exp(-c.mu * np.abs(c._margins(x)))
         U = np.concatenate([-c.labels[:, None] * c.features, c.labels[:, None]], axis=1)
-        expected = c.C * (U.T * curv) @ U
+        expected = (c.C * c.mu) * U.T * (e / (1.0 + e) ** 2) @ U
         expected[:-1, :-1] += 2.0 * np.eye(3)
         expected[-1, -1] += 2.0 * c.eps_nu
         assert np.array_equal(c.hessian(x), expected)

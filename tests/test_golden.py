@@ -1,11 +1,11 @@
 """Outputs of the benchmark workloads against their pinned golden values.
 
 Runs input variant 0 of every workload in ``perfbench/workloads`` (the file
-as committed; variant v adds v to every seed) through the CLI and compares
-what ``perfbench/golden.json`` pins: each sweep cell's stable/diverged
-verdict exactly, and every number (sweep.csv columns, distance to the
-oracle, final agent states) within rtol 1e-6 plus an absolute floor of
-1e-12, NaN equal to NaN. Both files are only read. A smoke test also runs
+as committed; variant v adds v to every seed), and variants 1 and 2 of the
+SVM workloads, through the CLI and compares what ``perfbench/golden.json``
+pins: each sweep cell's stable/diverged verdict exactly, and every number
+(sweep.csv columns, distance to the oracle, final agent states) within rtol
+1e-6 plus an absolute floor of 1e-12, NaN equal to NaN. Both files are only read. A smoke test also runs
 the benchmark's tracer, which wraps gtflow functions by name, so renaming one
 of them fails here as well as in the benchmark's trace mode.
 """
@@ -50,11 +50,21 @@ def close(x: float, g: float) -> bool:
             or abs(x - g) <= RTOL * abs(g) + ATOL)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_workload_variant_0_matches_golden(tmp_path, name):
-    golden = GOLDEN[name]["0"]
+def workload_config(name: str, variant: int) -> dict:
+    """The workload's config with every seed shifted by the input variant."""
+    cfg = json.loads((BENCH / "workloads" / f"{name}.json").read_text(encoding="utf-8"))
+    cfg["seed"] += variant
+    for section in cfg.values():
+        if isinstance(section, dict) and "seed" in section:
+            section["seed"] += variant
+    return cfg
+
+
+def check_variant(tmp_path: Path, name: str, variant: int) -> None:
+    golden = GOLDEN[name][str(variant)]
     command = "sweep" if "stable" in golden else "run"
-    config = BENCH / "workloads" / f"{name}.json"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(workload_config(name, variant)), encoding="utf-8")
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_OK
     seen = observed(out, golden)
@@ -67,6 +77,19 @@ def test_workload_variant_0_matches_golden(tmp_path, name):
         assert len(got) == len(want), key
         off = [(i, x, g) for i, (x, g) in enumerate(zip(got, want)) if not close(x, g)]
         assert not off, f"{key} off golden at (index, value, golden): {off[:5]}"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_workload_variant_0_matches_golden(tmp_path, name):
+    check_variant(tmp_path, name, 0)
+
+
+# the workloads that evaluate the smoothed-hinge Hessian, whose last bits
+# depend on how its curvature is computed
+@pytest.mark.parametrize("name", ["dsvm-logq", "spectral-sweep"])
+@pytest.mark.parametrize("variant", [1, 2])
+def test_svm_workload_variants_match_golden(tmp_path, name, variant):
+    check_variant(tmp_path, name, variant)
 
 
 def test_tracer_wraps_every_layer_on_bounds(tmp_path):
