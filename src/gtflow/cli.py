@@ -25,7 +25,7 @@ from .cost import aggregate_hessian, infinity_norm
 from .engine import SolverBatch, integrate
 from .graph import laplacian
 from .nonlinear import SectorBounds, sector_bounds
-from .svmlab import dsvm_experiment
+from .svmlab import OracleStalled, dsvm_experiment
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -235,12 +235,16 @@ def cmd_run(args) -> int:
     else:
         data, _ = context
         cost_cfg = cfg["cost"]
-        report = dsvm_experiment(
-            data, costs, solver, x0,
-            C=cost_cfg["C"], mu=cost_cfg["mu"], eps_nu=cost_cfg["eps_nu"],
-            regularizer_mode=cost_cfg["regularizer_mode"],
-            oracle_tol=cost_cfg["oracle_tol"],
-        )
+        try:
+            report = dsvm_experiment(
+                data, costs, solver, x0,
+                C=cost_cfg["C"], mu=cost_cfg["mu"], eps_nu=cost_cfg["eps_nu"],
+                regularizer_mode=cost_cfg["regularizer_mode"],
+                oracle_tol=cost_cfg["oracle_tol"],
+            )
+        except OracleStalled as err:
+            raise ConfigError([f"cost.oracle_tol {cost_cfg['oracle_tol']!r} is out of reach: "
+                               f"the centralized oracle {err}"]) from None
         trace = report.trace
         meta += ["", "result:"] + ["  " + ln for ln in report.summary_lines()]
         _write(out, "oracle_classifier.txt",
@@ -251,7 +255,11 @@ def cmd_run(args) -> int:
 
     meta += [f"  max_abs_state: {format(trace.max_abs_state, '.17g')}",
              f"  eta_used: {format(trace.eta, '.17g')}",
-             f"  steps: {trace.steps}"]
+             f"  steps: {trace.steps}",
+             f"  derivative_evaluations: {trace.derivative_evaluations}",
+             f"  topology_switches: {trace.topology_switches}",
+             "  fixed_point_time: " + ("none" if trace.fixed_point_time is None
+                                       else format(trace.fixed_point_time, ".17g"))]
     if cfg["nonlinearity"]["kind"] == "saturation" and trace.max_abs_state > SATURATION_DOMAIN:
         meta.append(f"  warning: trajectory left the declared sector domain "
                     f"[-{SATURATION_DOMAIN:g}, {SATURATION_DOMAIN:g}]; the "

@@ -136,9 +136,9 @@ class SvmHingeCost:
         self.mu = mu
         self.eps_nu = eps_nu
         self.m = features.shape[1] + 1
-        # dz_j/dx = [-l_j chi_j; l_j], the margin Jacobian the Hessian reuses,
-        # its transpose scaled by C mu, and the Hessian of the regularizers
-        # w.w + eps_nu nu^2
+        # dz_j/dx = [-l_j chi_j; l_j], the margin Jacobian (z = 1 + U x, so
+        # every margin is one product with it), its transpose scaled by C mu
+        # for the Hessian, and the Hessian of the regularizers w.w + eps_nu nu^2
         self.U = np.concatenate([-labels[:, None] * features, labels[:, None]], axis=1)
         self._CmuUT = (C * mu) * self.U.T
         self._reg = np.diag(np.append(np.full(self.m - 1, 2.0), 2.0 * eps_nu))
@@ -146,11 +146,12 @@ class SvmHingeCost:
             arr.flags.writeable = False
 
     def _margins(self, x: np.ndarray) -> np.ndarray:
-        # one matrix-vector product per row of a stacked x, each rounding as
-        # the product of a lone point does; one matrix product with all rows
-        # could round differently
-        w, nu = x[..., :-1], x[..., -1:]
-        return 1.0 - self.labels * (np.matmul(self.features, w[..., None])[..., 0] - nu)
+        # z = 1 + U x: one matrix-vector product per row of a stacked x, each
+        # rounding as the product of a lone point does; one matrix product
+        # with all rows could round differently
+        z = np.matmul(self.U, x[..., None])[..., 0]
+        z += 1.0
+        return z
 
     def value(self, x: np.ndarray):
         """Cost at x of shape (m,) as a float, or at each row of x of shape (..., m)."""

@@ -13,7 +13,11 @@ within each switching interval.
 
 Topology switches are aligned to step boundaries: the step size must divide
 the switching period (it is shrunk to the nearest divisor with a warning
-otherwise), so no integration step ever straddles a switch.
+otherwise), so no integration step ever straddles a switch. A static
+schedule (``SwitchingSchedule.static``) has one Laplacian for the whole run,
+built once; its step map is then deterministic and autonomous, so a state
+that one step leaves unchanged bit for bit stays so, and the member stops
+at that exact fixed point with its remaining trace rows filled in.
 
 Configs that differ only in alpha and the link level run in lock step as one
 ``SolverBatch``: the state gains a leading member axis, and one Laplacian
@@ -122,6 +126,13 @@ class Trace:
     sector bound. ``eta`` is the step actually used (see
     ``SolverConfig.aligned_eta``) and ``steps`` the number of steps taken,
     the diverging one included.
+
+    On a static schedule a member whose state a sampled step left unchanged,
+    bit for bit, stops there: ``fixed_point_time`` is the time of that state,
+    and its later rows are that state, as computing them would give. The
+    counters say what was computed: ``derivative_evaluations`` (fewer than
+    the stages of ``steps`` after a fixed point) and ``topology_switches``,
+    the Laplacians built (one on a static schedule).
     """
 
     times: np.ndarray
@@ -135,6 +146,9 @@ class Trace:
     eta: float
     steps: int
     max_abs_state: float = 0.0
+    derivative_evaluations: int = 0
+    topology_switches: int = 0
+    fixed_point_time: float | None = None
 
     def to_csv(self) -> str:
         rows, _, n, m = self.states.shape
@@ -250,20 +264,30 @@ def integrate(
     live = np.arange(B)  # the member of each row of S
     rows = [[] for _ in range(B)]  # (t, state); S is rebound by every step, never written in place
     ends = [("completed", steps)] * B
+    # per member: steps computed, Laplacians built, and the time from which
+    # the state is constant, as counted when it left the active set
+    computed, built, settled = [steps] * B, [0] * B, [None] * B
     max_abs = np.zeros(B)
     peaks = np.zeros_like(S)  # the largest magnitude each entry of S has reached
     stride = first.sample_stride
+    schedule = first.schedule
+    # a static schedule gives every interval the same Laplacian, bit for bit,
+    # and an autonomous step map (see the fixed-point test below)
+    static = schedule.static
     interval = -1
+    switches = 0
     L = None
     for k in range(steps):
         t = k * eta
-        ix = first.schedule.interval_index(t)
+        ix = 0 if static else schedule.interval_index(t)
         if ix != interval:
-            L = laplacian(graph_at(first.schedule, t))
-            interval = ix
-        if k % stride == 0:
+            L = laplacian(graph_at(schedule, t))
+            interval, switches = ix, switches + 1
+        sampled = k % stride == 0
+        if sampled:
             for j, b in enumerate(live):
                 rows[b].append((t, S[j]))
+        before = S
         args = (L, costs, alpha, first.g, rho, hessian)
         if first.method == "euler":
             S = S + eta * derivative(S, *args)
@@ -274,33 +298,55 @@ def integrate(
             k4 = derivative(S + eta * k3, *args)
             S = S + (eta / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         A = np.abs(S)
+        gone = []  # the rows of S whose member ends with this step
         if A.max() <= BLOWUP_THRESHOLD:  # false on a NaN
             np.maximum(peaks, A, out=peaks)
+        else:
+            # test each line: a NaN in ay alone must end the member
+            ax, ay = A.max(axis=(2, 3)).T
+            seen = np.where(ay > ax, ay, ax)
+            top = peaks.max(axis=(1, 2, 3))
+            # the largest magnitude as Python's max(top, max(ax, ay)) takes it: never a NaN
+            max_abs[live] = np.where(seen > top, seen, top)
+            gone = list(np.flatnonzero(~((ax <= BLOWUP_THRESHOLD) & (ay <= BLOWUP_THRESHOLD))))
+            for j in gone:
+                rows[live[j]].append(((k + 1) * eta, S[j]))  # the step that diverged was taken
+                ends[live[j]] = ("diverged", k + 1)
+            peaks = np.maximum(peaks, A)
+        if static and sampled:
+            # a member whose step left its state unchanged, bit for bit, is at
+            # a fixed point of its step map: every later state is this one, so
+            # its remaining rows are filled in and it stops (never on a NaN)
+            for j, b in enumerate(live):
+                if j not in gone and np.array_equal(S[j], before[j]):
+                    rows[b] += [(r * eta, S[j]) for r in range(k + stride, steps, stride)]
+                    rows[b].append((steps * eta, S[j]))
+                    max_abs[b], settled[b] = peaks[j].max(), t
+                    gone.append(j)
+        if not gone:
             continue
-        # test each line: a NaN in ay alone must end the member
-        ax, ay = A.max(axis=(2, 3)).T
-        seen = np.where(ay > ax, ay, ax)
-        top = peaks.max(axis=(1, 2, 3))
-        # the largest magnitude as Python's max(top, max(ax, ay)) takes it: never a NaN
-        max_abs[live] = np.where(seen > top, seen, top)
-        ok = (ax <= BLOWUP_THRESHOLD) & (ay <= BLOWUP_THRESHOLD)
-        for j in np.flatnonzero(~ok):
-            rows[live[j]].append(((k + 1) * eta, S[j]))  # the step that diverged was taken
-            ends[live[j]] = ("diverged", k + 1)
-        S, alpha, live, peaks = S[ok], alpha[ok], live[ok], np.maximum(peaks, A)[ok]
-        rho = None if rho is None else rho[ok]
+        for b in live[gone]:
+            computed[b], built[b] = k + 1, switches
+        keep = np.ones(len(live), dtype=bool)
+        keep[gone] = False
+        S, alpha, live, peaks = S[keep], alpha[keep], live[keep], peaks[keep]
+        rho = None if rho is None else rho[keep]
         if not live.size:
             break
     max_abs[live] = peaks.max(axis=(1, 2, 3))
     for j, b in enumerate(live):
         rows[b].append((steps * eta, S[j]))
+        built[b] = switches
 
-    traces = [_trace(costs, rows[b], offset0, reference, *ends[b], eta, float(max_abs[b]))
+    stages = 1 if first.method == "euler" else 4
+    traces = [_trace(costs, rows[b], offset0, reference, *ends[b], eta, float(max_abs[b]),
+                     stages * computed[b], built[b], settled[b])
               for b in range(B)]
     return traces if isinstance(config, SolverBatch) else traces[0]
 
 
-def _trace(costs, rows, offset0, reference, status, steps, eta, max_abs) -> Trace:
+def _trace(costs, rows, offset0, reference, status, steps, eta, max_abs,
+           evaluations, switches, settled) -> Trace:
     """One member's trace: its sampled states plus the diagnostics of all rows at once."""
     states = np.array([S for _, S in rows])
     xs, ys = states[:, 0], states[:, 1]
@@ -321,6 +367,9 @@ def _trace(costs, rows, offset0, reference, status, steps, eta, max_abs) -> Trac
         eta=eta,
         steps=steps,
         max_abs_state=max_abs,
+        derivative_evaluations=evaluations,
+        topology_switches=switches,
+        fixed_point_time=settled,
     )
 
 

@@ -104,6 +104,20 @@ class SwitchingSchedule:
             raise ValueError("switch_period must be positive")
         object.__setattr__(self, "mode", SwitchMode(self.mode))
 
+    @property
+    def static(self) -> bool:
+        """Whether every interval gets the base weight matrix, bit for bit.
+
+        True in ``fixed`` mode, and in ``permute`` mode when every off-diagonal
+        base weight is equal (a uniform complete graph): every relabelling of
+        such a matrix is the matrix itself.
+        """
+        if self.mode is SwitchMode.FIXED:
+            return True
+        w = self.base_graph.weights
+        off = w[~np.eye(self.base_graph.n, dtype=bool)]
+        return bool(np.all(off == off[:1]))
+
     def interval_index(self, t: float) -> int:
         # tiny slack keeps t = k*period on interval k despite float rounding
         return int(np.floor(t / self.switch_period + 1e-9))

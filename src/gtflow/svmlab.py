@@ -32,6 +32,7 @@ __all__ = [
     "generate_ellipse_data",
     "partition",
     "centralized_oracle",
+    "OracleStalled",
     "evaluate",
     "dsvm_experiment",
     "dataset_from_csv",
@@ -182,6 +183,14 @@ class Classifier:
         return "\n".join(lines) + "\n"
 
 
+class OracleStalled(RuntimeError):
+    """The centralized oracle stopped short of its gradient-norm tolerance."""
+
+    def __init__(self, reason: str, gradient_norm: float):
+        self.gradient_norm = gradient_norm
+        super().__init__(f"{reason}, at gradient norm {gradient_norm:.3g}")
+
+
 @dataclass(frozen=True)
 class OracleResult:
     classifier: Classifier
@@ -205,7 +214,13 @@ def centralized_oracle(
     to gradient norm ``tol``. ``regularizer_scale=n`` is the matched mode
     (identical objective to the n-agent consensus problem); 1 is the literal
     single-count objective. Armijo constant 1e-4, shrink factor 0.5, with the
-    accepted step carried (doubled) into the next iteration.
+    accepted step carried (doubled) into the next iteration. Raises
+    ``OracleStalled`` when the tolerance is out of reach: at the iteration
+    cap, or as soon as an iteration accepts the step it was carried with and
+    a candidate equal to x bit for bit. Value and gradient depend on x alone,
+    so the iteration is then at an exact fixed point of its map and never
+    moves again (the Armijo test accepts it because values that agree to
+    rounding compare equal).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -223,7 +238,7 @@ def centralized_oracle(
         if np.sqrt(gn_sq) <= tol:
             return OracleResult(Classifier(x[:-1], float(x[-1])),
                                 regularizer_scale * value, np.sqrt(gn_sq), it)
-        step = min(step * 2.0, 1e8)
+        carried, step = step, min(step * 2.0, 1e8)
         while True:
             candidate = x - step * grad
             cand_value = cost.value(candidate)
@@ -231,12 +246,13 @@ def centralized_oracle(
                 break
             step *= 0.5
             if step < 1e-18:
-                raise RuntimeError(
-                    f"line search stalled at gradient norm {np.sqrt(gn_sq):.3g} "
-                    f"(tol {tol:.3g} unreachable in float arithmetic)"
-                )
+                raise OracleStalled("line search stalled", np.sqrt(gn_sq))
+        if step == carried and np.array_equal(candidate, x):
+            # (x, step) maps to itself: every later iteration is this one
+            raise OracleStalled(f"stopped moving at iteration {it}", np.sqrt(gn_sq))
         x, value = candidate, cand_value
-    raise RuntimeError(f"iteration cap {max_iter} reached before gradient norm {tol}")
+    raise OracleStalled(f"reached the iteration cap {max_iter}",
+                        float(np.linalg.norm(cost.gradient(x))))
 
 
 def evaluate(clf: Classifier, data: LabeledDataset) -> tuple[float, dict[str, int]]:

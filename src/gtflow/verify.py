@@ -9,7 +9,7 @@ has teeth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,8 +21,10 @@ from .engine import (SolverBatch, SolverConfig, conservation_residual, derivativ
                      integrate)
 from .graph import (SwitchingSchedule, SwitchMode, check_weight_balanced, graph_at,
                     is_strongly_connected, laplacian, make_khop_ring)
+from .svmlab import feature_map, generate_ellipse_data, partition
 
-__all__ = ["CheckResult", "run_all", "theorem1_suite", "random_fixture"]
+__all__ = ["CheckResult", "run_all", "theorem1_suite",
+           "random_fixture", "freezing_fixture"]
 
 
 @dataclass
@@ -68,6 +70,22 @@ def random_fixture(rng: np.random.Generator):
         "kappa": kappa, "upper": upper, "lap": lap, "hess": hess,
         "bounds": bounds, "xi": xi, "alpha": alpha,
     }
+
+
+def freezing_fixture():
+    """(costs, x0, schedule): three SVM agents on a uniform triangle, a static schedule.
+
+    Log-quantized at rho 1.9 and alpha 6, at eta 0.01 under Euler or RK4, the
+    state stops changing, bit for bit, near t = 18; at rho 1 it does not by
+    t = 20.
+    """
+    data = generate_ellipse_data(30, 7, radius=0.9, margin_gap=0.3)
+    feats = feature_map(data.points)
+    costs = [SvmHingeCost(feats[list(idx)], data.labels[list(idx)])
+             for idx in partition(data, 3, seed=8).agents]
+    x0 = np.random.default_rng(7).uniform(0, 1, size=(3, 4))
+    sched = SwitchingSchedule(make_khop_ring(3, 1, 0.8), 0.01, rng_seed=4, mode=SwitchMode.PERMUTE)
+    return costs, x0, sched
 
 
 # ------------------------------------------------------------------ checks
@@ -434,6 +452,14 @@ class _PerRowCurvature(QuadraticCost):
         return np.broadcast_to(self.Q, x.shape[:-1] + self.Q.shape)
 
 
+class _EveryStep(SwitchingSchedule):
+    """A schedule taken as changing: a Laplacian per interval and no fixed-point exit."""
+
+    @property
+    def static(self) -> bool:
+        return False
+
+
 def check_member_axis(members: int = 5, seed: int = 13) -> CheckResult:
     """Members run in lock step equal their own runs and each conserve their offset.
 
@@ -446,6 +472,11 @@ def check_member_axis(members: int = 5, seed: int = 13) -> CheckResult:
     sum (smoothed hinge, Euler drift of order eta). The quadratic's constant
     Hessian is evaluated once per run; every member's trace must also match,
     byte for byte, a batch run that evaluates it at every stage.
+
+    Those rings are uniform complete graphs, so their schedules are static. A
+    third batch on one has exactly one member reach an exact fixed point
+    while the others go on: each must equal its own run, and the one that
+    stopped must equal, byte for byte, its run forced through every step.
     """
     rng = np.random.default_rng(seed)
     costs, _, x0 = _quadratic_setup(seed=seed)
@@ -480,10 +511,34 @@ def check_member_axis(members: int = 5, seed: int = 13) -> CheckResult:
                 failures.append((name, b, trace.status, f"expected {expected}"))
             elif expected == "completed" and conservation_residual(trace) > rel_tol * scale:
                 failures.append((name, b, "drift", conservation_residual(trace)))
+    costs3, x03, sched3 = freezing_fixture()
+    batch = SolverBatch(tuple(
+        SolverConfig(alpha=a, eta=0.01, t_end=20.0, schedule=sched3,
+                     g=nl.log_quantizer(rho), sample_stride=7)
+        for a, rho in ((6.0, 1.0), (6.0, 1.9), (3.0, 1.0))))
+    traces = integrate(costs3, x03, batch)
+    stopped = [t.fixed_point_time is not None for t in traces]
+    if stopped != [False, True, False]:
+        failures.append(("fixed point", "expected member 1 alone to stop", stopped))
+    for b, (trace, cfg) in enumerate(zip(traces, batch.members)):
+        alone = integrate(costs3, x03, cfg)
+        if (trace.to_csv() != alone.to_csv()
+                or (trace.status, trace.steps, trace.fixed_point_time)
+                != (alone.status, alone.steps, alone.fixed_point_time)):
+            failures.append(("fixed point", b, "differs from its own run"))
+    cfg = batch.members[1]
+    forced = integrate(costs3, x03, replace(
+        cfg, schedule=_EveryStep(sched3.base_graph, sched3.switch_period, sched3.rng_seed,
+                                 sched3.mode)))
+    if (forced.fixed_point_time is not None or forced.to_csv() != traces[1].to_csv()
+            or (forced.status, forced.steps, forced.max_abs_state)
+            != (traces[1].status, traces[1].steps, traces[1].max_abs_state)):
+        failures.append(("fixed point", 1, "differs from its run forced through every step"))
     return CheckResult("member axis", not failures,
                        f"2 fixtures x {members} lock-step members, each bit-identical to "
                        "its own run and the quadratic's to its per-stage Hessian run; "
-                       "drift exact (quadratic) or < 1% (svm)", failures)
+                       "drift exact (quadratic) or < 1% (svm); one of 3 members stops at "
+                       "an exact fixed point, byte for byte its forced run", failures)
 
 
 ALL_CHECKS = [

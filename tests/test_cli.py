@@ -231,6 +231,38 @@ def test_svm_run_evaluates_each_agents_hessian_once_per_stage(tmp_path, monkeypa
     assert all(shape[-1] == 4 and len(shape) <= 2 for shape in calls)
 
 
+def test_unreachable_oracle_tolerance_exits_3_with_the_gradient_norm_reached(tmp_path, capsys):
+    # the fig2 oracle stops moving near a gradient norm of 8e-9, so 1e-12 is
+    # out of reach: the run exits 3 at once instead of at the iteration cap
+    body = json.loads(cfgmod.load_preset("fig2-nonlinear-dsvm"))
+    body["cost"]["oracle_tol"] = 1e-12
+    body["solver"]["t_end"] = 0.01
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_config(tmp_path, body)), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert re.search(r"cost\.oracle_tol 1e-12 is out of reach: the centralized oracle stopped "
+                     r"moving at iteration \d+, at gradient norm [0-9.]+e-09\n", err), err
+    assert "Traceback" not in err and not (out / "trace.csv").exists()
+    # a reachable tolerance runs as before
+    body["cost"]["oracle_tol"] = 1e-8
+    assert main(["run", "--config", str(write_config(tmp_path, body)), "--out", str(out)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("agents, khop, switches", [(4, 1, "100"), (5, 2, "1")],
+                         ids=["ring", "uniform-complete"])
+def test_run_metadata_counts_laplacians_and_derivative_evaluations(tmp_path, agents, khop,
+                                                                   switches):
+    # 500 Euler steps over 100 switching intervals; a permuted 4-ring changes
+    # its graph every interval, a uniform K5 never does
+    body = {**QUAD_CONFIG, "partition": {"n_agents": agents},
+            "network": {**QUAD_CONFIG["network"], "khop": khop}}
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_config(tmp_path, body)), "--out", str(out)]) == EXIT_OK
+    meta = read_result(out)
+    assert (meta["steps"], meta["derivative_evaluations"]) == ("500", "500")
+    assert (meta["topology_switches"], meta["fixed_point_time"]) == (switches, "none")
+
+
 def test_sweep_dynamics_programming_error_propagates(tmp_path, monkeypatch):
     def broken_integrate(costs, x0, config):
         raise TypeError("integrate bug")

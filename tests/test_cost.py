@@ -229,7 +229,7 @@ def test_svm_hessian_of_stacked_rows_equals_each_row_alone():
         # a lone point's arithmetic: one matrix-vector product for its
         # margins, L''/mu = e / (1 + e)^2 and C mu folded into U^T
         x = X[idx]
-        e = np.exp(-c.mu * np.abs(1.0 - c.labels * (c.features @ x[:-1] - x[-1])))
+        e = np.exp(-c.mu * np.abs(1.0 + c.U @ x))
         expected = (c.C * c.mu) * c.U.T * (e / (1.0 + e) ** 2) @ c.U
         expected[:-1, :-1] += 2.0 * np.eye(3)
         expected[-1, -1] += 2.0 * c.eps_nu

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from gtflow import engine
 from gtflow.cost import (QuadraticCost, SvmHingeCost, aggregate_hessian, global_cost,
                          infinity_norm, sum_gradient)
 from gtflow.engine import (SolverBatch, SolverConfig, conservation_residual, derivative,
@@ -9,6 +12,7 @@ from gtflow.graph import SwitchingSchedule, SwitchMode, graph_at, laplacian, mak
 from gtflow.nonlinear import (apply, identity, log_quantizer, saturation,
                               uniform_quantizer)
 from gtflow.spectral import assemble, laplacian_rates, spectral_report, step_size_bounds
+from gtflow.verify import freezing_fixture
 
 
 def quadratic_fixture(n=5, m=2, seed=0, curvature=1.0):
@@ -377,6 +381,79 @@ def test_batch_members_equal_their_own_runs(method, kind, link):
         assert np.array_equal(trace.states, alone.states)
         assert trace.max_abs_state == alone.max_abs_state
         assert_matches_reference(trace, costs, x0, cfg)
+
+
+def count_laplacians(monkeypatch) -> list:
+    built = []
+    monkeypatch.setattr(engine, "laplacian", lambda g: built.append(g) or laplacian(g))
+    return built
+
+
+@pytest.mark.parametrize("method, stages", [("euler", 1), ("rk4", 4)])
+def test_run_that_stops_at_a_fixed_point_equals_the_run_forced_through_every_step(method, stages):
+    costs, x0, sched = freezing_fixture()
+    assert sched.static
+    members = tuple(SolverConfig(alpha=a, eta=0.01, t_end=20.0, schedule=sched,
+                                 g=log_quantizer(rho), method=method, sample_stride=7)
+                    for a, rho in ((6.0, 1.0), (6.0, 1.9), (1e4, 1.0)))
+    traces = integrate(costs, x0, SolverBatch(members))
+    assert [t.status for t in traces] == ["completed", "completed", "diverged"]
+    going, stopped, _ = traces
+    assert (going.fixed_point_time, going.derivative_evaluations) == (None, stages * 2000)
+    assert 15.0 < stopped.fixed_point_time < 20.0
+    assert stopped.derivative_evaluations == stages * (round(stopped.fixed_point_time / 0.01) + 1)
+    assert stopped.steps == 2000 and stopped.times[-1] == 2000 * 0.01
+    for trace, cfg in zip(traces, members):
+        alone = integrate(costs, x0, cfg)
+        assert trace.to_csv() == alone.to_csv()
+        assert ((trace.fixed_point_time, trace.derivative_evaluations, trace.topology_switches)
+                == (alone.fixed_point_time, alone.derivative_evaluations, 1))
+    # the reference builds a Laplacian and takes every step
+    times, states, status, steps, max_abs = serial_reference(costs, x0, members[1])
+    assert (stopped.status, stopped.steps, stopped.max_abs_state) == (status, steps, max_abs)
+    assert stopped.times.tobytes() == times.tobytes()
+    assert stopped.states.tobytes() == states.tobytes()
+
+
+def test_non_uniform_permute_schedule_never_stops_early(monkeypatch):
+    # agents that share their optimum start on it with a zero tracker; with
+    # link weights 1/4 the Laplacian products are exact, so every step leaves
+    # the state unchanged bit for bit, whatever the relabelling
+    rng = np.random.default_rng(2)
+    b = rng.normal(size=2)
+    costs = [QuadraticCost(np.diag(rng.uniform(0.4, 1.0, size=2)), b) for _ in range(7)]
+    x0 = np.tile(b, (7, 1))
+    ring = make_khop_ring(7, 1, 0.5)
+    permuted = SwitchingSchedule(ring, 0.1, rng_seed=4, mode=SwitchMode.PERMUTE)
+    assert not permuted.static
+    built = count_laplacians(monkeypatch)
+    cfg = SolverConfig(alpha=0.5, eta=0.01, t_end=1.0, schedule=permuted,
+                       g=log_quantizer(1.0), method="rk4", sample_stride=7)
+    trace = integrate(costs, x0, cfg)
+    assert (trace.fixed_point_time, trace.derivative_evaluations) == (None, 4 * 100)
+    assert trace.topology_switches == len(built) == 10  # one per interval
+    assert_matches_reference(trace, costs, x0, cfg)
+    # the same state on the ring held fixed stops after its first step
+    built.clear()
+    fixed = integrate(costs, x0, dataclasses.replace(
+        cfg, schedule=SwitchingSchedule(ring, 0.1, mode=SwitchMode.FIXED)))
+    assert (fixed.fixed_point_time, fixed.derivative_evaluations) == (0.0, 4)
+    assert fixed.topology_switches == len(built) == 1
+    assert np.array_equal(fixed.states, trace.states) and np.array_equal(fixed.times, trace.times)
+
+
+@pytest.mark.parametrize("mode", [SwitchMode.FIXED, SwitchMode.PERMUTE])
+def test_static_schedule_builds_one_laplacian(monkeypatch, mode):
+    costs, _, x0 = quadratic_fixture()
+    sched = SwitchingSchedule(make_khop_ring(5, 2, 0.8), 0.1, rng_seed=4, mode=mode)
+    assert sched.static  # K5 with uniform weights
+    built = count_laplacians(monkeypatch)
+    cfg = SolverConfig(alpha=0.3, eta=0.01, t_end=2.0, schedule=sched,
+                       g=log_quantizer(1.0), sample_stride=7)
+    trace = integrate(costs, x0, cfg)
+    assert len(built) == trace.topology_switches == 1
+    assert trace.fixed_point_time is None and trace.derivative_evaluations == 200
+    assert_matches_reference(trace, costs, x0, cfg)
 
 
 class NanCurvatureAbove(QuadraticCost):

@@ -161,3 +161,16 @@ def test_random_rings_have_single_zero_eigenvalue():
         zero = np.abs(eigs) <= tol
         assert zero.sum() == 1
         assert np.all(eigs[~zero].real < 0)
+
+
+@pytest.mark.parametrize("n, k, directed, static", [
+    (3, 1, False, True), (5, 2, False, True), (7, 3, False, True),
+    (7, 1, False, False), (6, 2, False, False), (5, 1, True, False), (5, 2, True, False)])
+def test_permute_schedule_is_static_exactly_when_every_relabelling_is_the_base(n, k, directed,
+                                                                              static):
+    base = make_khop_ring(n, k, 0.8, directed=directed)
+    sched = SwitchingSchedule(base, 0.1, rng_seed=3, mode=SwitchMode.PERMUTE)
+    assert sched.static is static
+    same = [np.array_equal(graph_at(sched, 0.1 * i).weights, base.weights) for i in range(40)]
+    assert all(same) if static else not all(same)
+    assert SwitchingSchedule(base, 0.1, mode=SwitchMode.FIXED).static is True
