@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from . import spectral, svg, verify
+from . import spectral, svg
 from .config import ConfigError, ExperimentConfig, parse_config
 from .cost import aggregate_hessian, infinity_norm
-from .engine import SolverBatch, integrate
+from .engine import SolverBatch, agreement_ratio, integrate
 from .graph import laplacian
 from .nonlinear import SectorBounds, sector_bounds
 from .svmlab import OracleStalled, dsvm_experiment
@@ -253,7 +253,12 @@ def cmd_run(args) -> int:
         _write(out, "consensus_classifier.txt",
                report.consensus.to_text(accuracy=report.consensus_accuracy))
 
-    meta += [f"  max_abs_state: {format(trace.max_abs_state, '.17g')}",
+    # the final agreement ratio reads against the sector ratio: quantized
+    # links agree only up to it
+    at = next(i for i, ln in enumerate(meta) if ln.startswith("  sector_ratio: ")) + 1
+    meta.insert(at, f"  agreement_ratio: {format(agreement_ratio(trace), '.17g')}")
+    meta += [f"  final_conservation_drift: {format(float(trace.conservation[-1]), '.17g')}",
+             f"  max_abs_state: {format(trace.max_abs_state, '.17g')}",
              f"  eta_used: {format(trace.eta, '.17g')}",
              f"  steps: {trace.steps}",
              f"  derivative_evaluations: {trace.derivative_evaluations}",
@@ -430,6 +435,8 @@ def _sweep_dynamics(cfg: ExperimentConfig, axes: dict, jobs: int) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # only this command needs the property corpus
+
     results = verify.run_all()
     for res in results:
         print(res.line())

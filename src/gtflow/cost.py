@@ -7,13 +7,17 @@ point makes, so each row's result is bit-identical to its own call.
 Everything downstream (the dynamics engine, the spectral analyzer) consumes
 only that interface.
 
-The smoothed hinge and its slopes L' and L'' are evaluated in a branchless
-form on exp(-|mu z|), so the exponential never overflows; the
-exponential-loss inaccuracy this guards against is a real failure mode at
-large margins. The curvature has one expression, L''(t) = mu e / (1 + e)^2
-with e = exp(-|t|) at t = mu z: even in t bit for bit and accurate to a few
-ulp relative wherever it is a normal float, with no cancellation at large
-positive t. The smoothed-hinge Hessian evaluates only this curvature.
+The smoothed hinge and its slope L' are evaluated in a branchless form on
+exp(-|mu z|), so the exponential never overflows; the exponential-loss
+inaccuracy this guards against is a real failure mode at large margins. The
+curvature has one expression, L''(t) = (mu / 4) / cosh(t / 2)^2 at t = mu z,
+which equals mu e / (1 + e)^2 with e = exp(-|t|): even in t bit for bit and
+accurate to a few ulp relative wherever it is a normal float, with no
+cancellation at large positive t. cosh overflows to inf past |t| of about
+1420, where L'' is then exactly 0; numpy reports that overflow as a
+RuntimeWarning, so ``_slopes`` and ``aggregate_hessian`` evaluate it under
+``np.errstate(over="ignore")``. The smoothed-hinge Hessian evaluates only
+this curvature.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ def smoothed_hinge(z, mu: float):
     """Smoothed max(z, 0): L = log(1 + exp(mu z)) / mu, with L' and L''.
 
     Returns (L, L', L'') evaluated componentwise. L' is the logistic sigmoid
-    of t = mu*z and L'' = mu * e / (1 + e)^2 with e = exp(-|t|), which equals
+    of t = mu*z and L'' = (mu / 4) / cosh(t / 2)^2, which equals
     mu * L' * (1 - L'). L'' is even in t bit for bit, within 4 ulp of the
     exact value wherever that is a normal float and within (1 + mu) / 2
     subnormal steps below; NaN gives NaN and t = +-inf gives 0. Stable for
@@ -60,16 +64,22 @@ def _slopes(t: np.ndarray, mu: float):
     """L' and L'' of the smoothed hinge at t = mu * z, without L itself."""
     # 1 / (1 + exp(-t)) for t >= 0 and exp(t) / (1 + exp(t)) otherwise, NaN
     # included: each entry takes the same IEEE operations as under two
-    # masked branches, so the bits are the same. e is exp(-|t|) except for
-    # the sign of a NaN
+    # masked branches, so the bits are the same
     pos = t >= 0
     e = np.exp(np.where(pos, -t, t))
-    return np.where(pos, 1.0, e) / (1.0 + e), mu * _bell(e)
+    with np.errstate(over="ignore"):
+        curv = (0.25 * mu) * _sech2(0.5 * t)
+    return np.where(pos, 1.0, e) / (1.0 + e), curv
 
 
-def _bell(e: np.ndarray) -> np.ndarray:
-    """L'' / mu = e / (1 + e)^2 from e = exp(-|t|): the one curvature expression."""
-    return e / (1.0 + e) ** 2
+def _sech2(h: np.ndarray) -> np.ndarray:
+    """1 / cosh(h)^2, in place on h: (mu / 4) times this at h = t / 2 is the one L''.
+
+    cosh overflows to inf past |h| of about 710, which gives exactly 0; the
+    caller guards the RuntimeWarning numpy raises for that overflow.
+    """
+    np.cosh(h, out=h)
+    return np.power(h, -2.0, out=h)
 
 
 @dataclass(frozen=True)
@@ -137,12 +147,16 @@ class SvmHingeCost:
         self.eps_nu = eps_nu
         self.m = features.shape[1] + 1
         # dz_j/dx = [-l_j chi_j; l_j], the margin Jacobian (z = 1 + U x, so
-        # every margin is one product with it), its transpose scaled by C mu
-        # for the Hessian, and the Hessian of the regularizers w.w + eps_nu nu^2
+        # every margin is one product with it); for the Hessian, (mu / 2) U,
+        # whose product is t / 2 - mu / 2, and the rows (C mu / 4) u_j (x) u_j,
+        # so that sum_j C L''_j u_j u_j^T is one product with 1 / cosh(t_j / 2)^2;
+        # and the Hessian of the regularizers w.w + eps_nu nu^2
         self.U = np.concatenate([-labels[:, None] * features, labels[:, None]], axis=1)
-        self._CmuUT = (C * mu) * self.U.T
+        self._halfmuU = (0.5 * mu) * self.U
+        self._P = (0.25 * C * mu) * (self.U[:, :, None] * self.U[:, None, :]).reshape(
+            labels.size, self.m * self.m)
         self._reg = np.diag(np.append(np.full(self.m - 1, 2.0), 2.0 * eps_nu))
-        for arr in (features, labels, self.U, self._CmuUT, self._reg):
+        for arr in (features, labels, self.U, self._halfmuU, self._P, self._reg):
             arr.flags.writeable = False
 
     def _margins(self, x: np.ndarray) -> np.ndarray:
@@ -174,12 +188,16 @@ class SvmHingeCost:
         """Hessian at x of shape (m,), or one per row of x of shape (..., m).
 
         Every row gets the same arithmetic as a lone point, so a row's
-        Hessian is bit-identical to the one computed for it alone.
+        Hessian is bit-identical to the one computed for it alone. Past
+        |mu z| of about 1420 cosh overflows, harmlessly, with a RuntimeWarning
+        that ``aggregate_hessian`` guards once for all agents.
         """
         x = self._check(x)
-        # -mu |z| is -|mu z| exactly, so this is the e of smoothed_hinge
-        e = np.exp(-self.mu * np.abs(self._margins(x)))
-        H = (self._CmuUT * _bell(e)[..., None, :]) @ self.U
+        # t / 2 = (mu / 2)(1 + U x): one matrix-vector product per row, as in
+        # _margins, then one vector-matrix product per row with the P rows
+        h = np.matmul(self._halfmuU, x[..., None])[..., 0]
+        h += 0.5 * self.mu
+        H = np.matmul(_sech2(h)[..., None, :], self._P).reshape(x.shape[:-1] + (self.m, self.m))
         H += self._reg
         return H
 
@@ -199,20 +217,24 @@ def aggregate_hessian(costs, x_stack: np.ndarray) -> np.ndarray:
     """Per-agent Hessians at stacked states of shape (..., n, m), shape (..., n, m, m).
 
     Each agent's handle is called once, on its rows of every stacked state,
-    and its Hessians are copied into one C-ordered array, whatever layout the
+    and its Hessians are joined into one C-ordered array, whatever layout the
     handle returns. A constant-curvature handle returns one (m, m) block
     whatever the rows, so for it the result is (n, m, m) and broadcasts over
-    the leading axes.
+    the leading axes. The smoothed-hinge curvature's cosh overflow, which
+    gives exactly 0, is guarded here once for all agents.
     """
-    X = np.atleast_2d(np.asarray(x_stack, dtype=float))
-    if X.shape[-2] != len(costs):
+    X = np.asarray(x_stack, dtype=float)
+    if X.ndim < 2:
+        X = np.atleast_2d(X)
+    n = len(costs)
+    if X.shape[-2] != n:
         raise ValueError("one state row per agent required")
-    first = costs[0].hessian(X[..., 0, :])
-    H = np.empty(first.shape[:-2] + (len(costs),) + first.shape[-2:])
-    H[..., 0, :, :] = first
-    for i in range(1, len(costs)):
-        H[..., i, :, :] = costs[i].hessian(X[..., i, :])
-    return H
+    with np.errstate(over="ignore"):
+        H = np.concatenate([c.hessian(X[..., i, :]) for i, c in enumerate(costs)], axis=-2)
+    # (..., n m, m) joined along the rows is (..., n, m, m); concatenate keeps
+    # the stride order of its inputs, so a broadcast view (zero strides) would
+    # give another layout, and another rounding in the matrix products
+    return np.ascontiguousarray(H.reshape(H.shape[:-2] + (n, -1, H.shape[-1])))
 
 
 def infinity_norm(H: np.ndarray) -> float:

@@ -46,6 +46,7 @@ __all__ = [
     "derivative",
     "integrate",
     "conservation_residual",
+    "agreement_ratio",
 ]
 
 BLOWUP_THRESHOLD = 1e12
@@ -382,3 +383,16 @@ def conservation_residual(trace: Trace) -> float:
     """Worst recorded drift of the conserved tracker-minus-gradient sum."""
     return float(trace.conservation.max()) if trace.conservation.size else 0.0
 
+
+def agreement_ratio(trace: Trace) -> float:
+    """Largest over the components of max_i |x_i| / min_i |x_i| at the final state.
+
+    The links act on g(x_i) - g(x_j), so an equilibrium has equal g(x_i), not
+    equal x_i: on quantized links agents agree only up to the sector ratio.
+    1 is exact agreement, and a component that is 0 at some agents and not at
+    others gives inf.
+    """
+    a = np.abs(trace.states[-1, 0])
+    hi, lo = a.max(axis=0), a.min(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.where(hi == 0, 1.0, hi / lo).max())

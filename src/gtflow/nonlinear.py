@@ -106,9 +106,12 @@ def apply(g: LinkNonlinearity, z, rho=None):
     if g.kind == "identity":
         out = x.copy()
     elif g.kind == "log_quantizer":
-        # sgn(z) * exp(rho * round(log|z| / rho)), ties to even; at 0, log gives -inf and exp 0
+        # sgn(z) exp(rho round(log|z| / rho)), ties to even, with the sign of z
+        # copied on, so g(-0) = -0 and g is odd bit for bit; at 0, log gives
+        # -inf and exp 0
         with np.errstate(divide="ignore"):
-            out = np.sign(x) * np.exp(rho * np.rint(np.log(np.abs(x)) / rho))
+            out = np.exp(rho * np.rint(np.log(np.abs(x)) / rho))
+        np.copysign(out, x, out=out)
     elif g.kind == "uniform_quantizer":
         out = rho * np.rint(x / rho)
     else:  # saturation

@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,6 +348,31 @@ def test_run_metadata_reports_the_final_state(tmp_path, solver):
     consensus = np.max(np.linalg.norm(X - X.mean(axis=0), axis=1))
     assert float(meta["final_consensus_error"]) == consensus == row["consensus_error"]
     assert float(meta["final_grad_sum_norm"]) == row["grad_sum_norm"]
+
+
+@pytest.mark.parametrize("kind", ["log_quantizer", "identity"])
+def test_run_metadata_reports_agreement_ratio_and_conservation_drift(tmp_path, kind):
+    body = {**QUAD_CONFIG, "nonlinearity": {"kind": kind, "rho": 1.0}}
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_config(tmp_path, body)), "--out", str(out)]) == EXIT_OK
+    lines = [ln.strip() for ln in (out / "metadata.txt").read_text().splitlines()]
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("sector_ratio: "))
+    key, ratio = lines[at + 1].split(": ")
+    assert key == "agreement_ratio"
+    meta = read_result(out)
+    row, X = _final_row(out)
+    A = np.abs(X)
+    assert float(ratio) == np.max(A.max(axis=0) / A.min(axis=0)) >= 1.0
+    assert float(meta["final_conservation_drift"]) == row["conservation_residual"]
+    keys = [ln.split(": ")[0] for ln in lines if ": " in ln and not ln.startswith('"')]
+    assert len(keys) == len(set(keys)) and not any(k.startswith("agent_") for k in keys)
+
+
+def test_cli_import_leaves_the_verify_corpus_unloaded():
+    code = "import sys, gtflow.cli; print('gtflow.verify' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def read_result(out):

@@ -226,17 +226,63 @@ def test_svm_hessian_of_stacked_rows_equals_each_row_alone():
     H = c.hessian(X)
     assert H.shape == (3, 2, 4, 4)
     for idx in np.ndindex(3, 2):
-        # a lone point's arithmetic: one matrix-vector product for its
-        # margins, L''/mu = e / (1 + e)^2 and C mu folded into U^T
+        # a lone point's arithmetic: one matrix-vector product for t / 2,
+        # L'' = (mu / 4) / cosh(t / 2)^2 and C mu / 4 folded into the rows
+        # u_j (x) u_j
         x = X[idx]
-        e = np.exp(-c.mu * np.abs(1.0 + c.U @ x))
-        expected = (c.C * c.mu) * c.U.T * (e / (1.0 + e) ** 2) @ c.U
+        h = (0.5 * c.mu * c.U) @ x + 0.5 * c.mu
+        P = (0.25 * c.C * c.mu) * (c.U[:, :, None] * c.U[:, None, :]).reshape(40, 16)
+        expected = (np.cosh(h) ** -2.0 @ P).reshape(4, 4)
         expected[:-1, :-1] += 2.0 * np.eye(3)
         expected[-1, -1] += 2.0 * c.eps_nu
         assert np.array_equal(H[idx], expected)
         assert np.array_equal(c.hessian(x), expected)
     with pytest.raises(ValueError, match=r"shape \(\.\.\., 4\)"):
         c.hessian(np.zeros((2, 3)))
+
+
+def test_svm_hessian_agrees_with_a_40_digit_reference():
+    # sum_j C mu e_j / (1 + e_j)^2 u_j u_j^T + reg with e_j = exp(-|mu z_j|),
+    # z_j = 1 + u_j . x, in 40-digit decimal from the same float inputs
+    rng = np.random.default_rng(9)
+    worst = 0.0
+    for mu, C in [(0.5, 1.3), (2.0, 1.0), (2.5, 0.7)]:
+        c = SvmHingeCost(3.0 * rng.normal(size=(40, 3)), rng.choice([-1.0, 1.0], size=40),
+                         C=C, mu=mu, eps_nu=1e-4)
+        for t_max in (3.0, 30.0, 300.0, 700.0):
+            x = rng.normal(size=4)
+            x *= 0.999 * (t_max - mu) / (mu * np.abs(c.U @ x).max())  # so |mu z| < t_max
+            got = c.hessian(x)
+            with decimal.localcontext(prec=40):
+                D = decimal.Decimal
+                U = [[D(float(v)) for v in row] for row in c.U]
+                curv = []
+                for row in U:
+                    t = D(mu) * (1 + sum(u * D(float(v)) for u, v in zip(row, x)))
+                    assert abs(t) <= t_max
+                    e = (-abs(t)).exp()
+                    curv.append(D(C) * D(mu) * e / (1 + e) ** 2)
+                exact = np.array([[float(sum(k * row[a] * row[b] for k, row in zip(curv, U))
+                                         + D(float(c._reg[a, b]))) for b in range(4)]
+                                  for a in range(4)])
+            worst = max(worst, np.linalg.norm(got - exact) / np.linalg.norm(exact))
+    assert worst <= 1e-14, worst
+
+
+def test_svm_hessian_beyond_cosh_overflow_is_the_regularizer_without_warnings():
+    # at w = 0 every margin is z = 1 + l_j nu, so one label puts all of them
+    # at mu z = mu (1 + nu) = +-s; cosh overflows there (inf at +-inf)
+    rng = np.random.default_rng(10)
+    for mu in (0.5, 2.0):
+        costs = [SvmHingeCost(rng.normal(size=(12, 3)), np.full(12, label), mu=mu, eps_nu=1e-4)
+                 for label in (1.0, -1.0)]
+        for s in (1e4, 1e12, np.inf, -np.inf):
+            nu = s / mu - 1.0
+            X = np.array([[0.0, 0.0, 0.0, nu], [0.0, 0.0, 0.0, -nu]])
+            assert np.all(np.abs(mu * costs[0]._margins(X[0])) >= min(abs(s), 1e4))
+            H = aggregate_hessian(costs, X)
+            assert np.array_equal(H, [c._reg for c in costs])
+            assert np.array_equal(aggregate_hessian(costs, X[None]), H[None])
 
 
 def test_aggregate_hessian_over_a_member_axis():
@@ -282,16 +328,18 @@ def test_svm_margin_jacobian_is_stored_read_only():
     feats = rng.normal(size=(10, 3))
     labs = rng.choice([-1.0, 1.0], size=10)
     c = SvmHingeCost(feats, labs, C=1.3, mu=2.5, eps_nu=1e-4)
-    for stored in (c.U, c._CmuUT, c._reg):
+    for stored in (c.U, c._halfmuU, c._P, c._reg):
         assert not stored.flags.writeable
     with pytest.raises(ValueError):
         c.U[0, 0] = 1.0
     for _ in range(5):
         x = rng.normal(size=4)
-        # the formula with U and C mu U^T rebuilt from the shard on every call
-        e = np.exp(-c.mu * np.abs(c._margins(x)))
+        # the formula with U, (mu / 2) U and the P rows rebuilt from the
+        # shard on every call
         U = np.concatenate([-c.labels[:, None] * c.features, c.labels[:, None]], axis=1)
-        expected = (c.C * c.mu) * U.T * (e / (1.0 + e) ** 2) @ U
+        h = ((0.5 * c.mu) * U) @ x + 0.5 * c.mu
+        P = (0.25 * c.C * c.mu) * (U[:, :, None] * U[:, None, :]).reshape(10, 16)
+        expected = (np.cosh(h) ** -2.0 @ P).reshape(4, 4)
         expected[:-1, :-1] += 2.0 * np.eye(3)
         expected[-1, -1] += 2.0 * c.eps_nu
         assert np.array_equal(c.hessian(x), expected)

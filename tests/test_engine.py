@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from gtflow import engine
 from gtflow.cost import (QuadraticCost, SvmHingeCost, aggregate_hessian, global_cost,
                          infinity_norm, sum_gradient)
-from gtflow.engine import (SolverBatch, SolverConfig, conservation_residual, derivative,
-                           integrate)
+from gtflow.engine import (SolverBatch, SolverConfig, agreement_ratio, conservation_residual,
+                           derivative, integrate)
 from gtflow.graph import SwitchingSchedule, SwitchMode, graph_at, laplacian, make_khop_ring
 from gtflow.nonlinear import (apply, identity, log_quantizer, saturation,
                               uniform_quantizer)
@@ -561,3 +562,13 @@ def test_solver_batch_members_share_all_but_alpha_and_rho():
             SolverBatch((base, SolverConfig(**fields)))
     with pytest.raises(ValueError, match="at least one member"):
         SolverBatch(())
+
+
+def test_agreement_ratio_of_zero_and_non_finite_components():
+    # per component max_i |x_i| / min_i |x_i| at the final x, the largest one
+    for X, want in [([[0.0, 2.0, -1.0], [0.0, -2.0, 4.0]], 4.0),
+                    ([[0.0, 1.0, 1.0], [3.0, 1.0, 1.0]], np.inf),
+                    ([[np.nan, 1.0, 1.0], [1.0, 1.0, 1.0]], np.nan)]:
+        X = np.array(X)
+        trace = SimpleNamespace(states=np.array([[X + 5.0, X], [X, -X]]))
+        assert np.array_equal(agreement_ratio(trace), want, equal_nan=True)

@@ -20,6 +20,24 @@ def test_log_quantizer_spot_values():
     assert apply(g, 0.0) == 0.0
 
 
+def test_log_quantizer_is_odd_bit_for_bit():
+    # sgn(z) exp(...) bit for bit, except that the sign of z is copied onto
+    # g(-0) as well; a member-axis level takes the same arithmetic
+    rng = np.random.default_rng(8)
+    z = np.concatenate([rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, size=200),
+                        [0.0, 5e-324, 1e-310, 1e308, np.inf, np.nan]])
+    z = np.concatenate([z, -z])
+    for rho in (0.25, 1.0, 1.9, np.array([0.5, 1.5]).reshape(2, 1)):
+        got = apply(log_quantizer(1.0), z, rho)
+        with np.errstate(divide="ignore"):
+            want = np.sign(z) * np.exp(rho * np.rint(np.log(np.abs(z)) / rho))
+        assert np.array_equal(got, want, equal_nan=True)
+        half = z.size // 2
+        bits = got.view(np.uint64)  # g(-z) is g(z) with the sign bit flipped
+        assert np.array_equal(bits[..., :half] ^ bits[..., half:], np.full_like(bits[..., :half], 1 << 63))
+    assert math.copysign(1.0, apply(log_quantizer(1.0), -0.0)) == -1.0
+
+
 def test_uniform_quantizer_dead_zone():
     g = uniform_quantizer(1.0)
     assert apply(g, 0.2) == 0.0
