@@ -53,23 +53,33 @@ def smoothed_hinge(z, mu: float):
     t = np.asarray(mu * np.asarray(z, dtype=float))
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    val = (np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))) / mu
+    val = _hinge(t, mu)
     s, curv = _slopes(t, mu)
     if scalar:
         return float(val[0]), float(s[0]), float(curv[0])
     return val, s, curv
 
 
-def _slopes(t: np.ndarray, mu: float):
-    """L' and L'' of the smoothed hinge at t = mu * z, without L itself."""
+def _hinge(t: np.ndarray, mu: float) -> np.ndarray:
+    """L of the smoothed hinge at t = mu * z, without its slopes."""
+    return (np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))) / mu
+
+
+def _slope(t: np.ndarray) -> np.ndarray:
+    """L' of the smoothed hinge at t = mu * z, the logistic sigmoid of t."""
     # 1 / (1 + exp(-t)) for t >= 0 and exp(t) / (1 + exp(t)) otherwise, NaN
     # included: each entry takes the same IEEE operations as under two
     # masked branches, so the bits are the same
     pos = t >= 0
     e = np.exp(np.where(pos, -t, t))
+    return np.where(pos, 1.0, e) / (1.0 + e)
+
+
+def _slopes(t: np.ndarray, mu: float):
+    """L' and L'' of the smoothed hinge at t = mu * z, without L itself."""
     with np.errstate(over="ignore"):
         curv = (0.25 * mu) * _sech2(0.5 * t)
-    return np.where(pos, 1.0, e) / (1.0 + e), curv
+    return _slope(t), curv
 
 
 def _sech2(h: np.ndarray) -> np.ndarray:
@@ -171,7 +181,7 @@ class SvmHingeCost:
         """Cost at x of shape (m,) as a float, or at each row of x of shape (..., m)."""
         x = self._check(x)
         w, nu = x[..., None, :-1], x[..., -1]
-        L, _, _ = smoothed_hinge(self._margins(x), self.mu)
+        L = _hinge(self.mu * self._margins(x), self.mu)
         ww = (w @ w.swapaxes(-1, -2))[..., 0, 0]
         return _lone(ww + self.C * np.sum(L, axis=-1) + self.eps_nu * nu * nu)
 
@@ -179,7 +189,7 @@ class SvmHingeCost:
         """Gradient at x of shape (m,), or at each row of x of shape (..., m)."""
         x = self._check(x)
         w, nu = x[..., :-1], x[..., -1:]
-        _, s, _ = smoothed_hinge(self._margins(x), self.mu)
+        s = _slope(self.mu * self._margins(x))
         gw = 2.0 * w + self.C * ((-self.labels * s)[..., None, :] @ self.features)[..., 0, :]
         gnu = self.C * (self.labels @ s[..., None]) + 2.0 * self.eps_nu * nu
         return np.concatenate([gw, gnu], axis=-1)
@@ -220,21 +230,27 @@ def aggregate_hessian(costs, x_stack: np.ndarray) -> np.ndarray:
     and its Hessians are joined into one C-ordered array, whatever layout the
     handle returns. A constant-curvature handle returns one (m, m) block
     whatever the rows, so for it the result is (n, m, m) and broadcasts over
-    the leading axes. The smoothed-hinge curvature's cosh overflow, which
-    gives exactly 0, is guarded here once for all agents.
+    the leading axes. On a lone (n, m) state each handle gets its lone (m,)
+    row and the result is that of the state stacked once, ``[0]``, bit for
+    bit. The smoothed-hinge curvature's cosh overflow, which gives exactly 0,
+    is guarded here once for all agents.
     """
     X = np.asarray(x_stack, dtype=float)
     if X.ndim < 2:
         X = np.atleast_2d(X)
-    n = len(costs)
-    if X.shape[-2] != n:
+    if X.shape[-2] != len(costs):
         raise ValueError("one state row per agent required")
-    with np.errstate(over="ignore"):
-        H = np.concatenate([c.hessian(X[..., i, :]) for i, c in enumerate(costs)], axis=-2)
+    return stage_hessian(costs, X)
+
+
+@np.errstate(over="ignore")  # as a decorator it costs half what a with block does
+def stage_hessian(costs, X: np.ndarray) -> np.ndarray:
+    """``aggregate_hessian`` of a float state X of shape (..., n, m) with n = len(costs), unchecked."""
+    H = np.concatenate([c.hessian(X[..., i, :]) for i, c in enumerate(costs)], axis=-2)
     # (..., n m, m) joined along the rows is (..., n, m, m); concatenate keeps
     # the stride order of its inputs, so a broadcast view (zero strides) would
     # give another layout, and another rounding in the matrix products
-    return np.ascontiguousarray(H.reshape(H.shape[:-2] + (n, -1, H.shape[-1])))
+    return np.ascontiguousarray(H.reshape(H.shape[:-2] + (len(costs), -1, H.shape[-1])))
 
 
 def infinity_norm(H: np.ndarray) -> float:

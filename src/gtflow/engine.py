@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import aggregate_hessian, global_cost, sum_gradient
+from .cost import global_cost, stage_hessian, sum_gradient
 from .graph import SwitchingSchedule, graph_at, laplacian
 from .nonlinear import LinkNonlinearity, apply, identity
 
@@ -181,12 +181,15 @@ def derivative(
     Leading axes are batch members: ``alpha`` (a float or shape (B, 1, 1))
     and the link level ``rho`` (see ``nonlinear.apply``) broadcast over them.
     ``hessian``, the (n, m, m) stack of costs whose curvature is constant,
-    stands in for evaluating the Hessians at X.
+    stands in for evaluating the Hessians at X. S is a float array, as
+    ``integrate`` makes it, with one row per cost.
     """
     dS = lap @ apply(g, S, rho)
-    dS[..., 0, :, :] -= alpha * S[..., 1, :, :]
-    H = aggregate_hessian(costs, S[..., 0, :, :]) if hessian is None else hessian
-    dS[..., 1, :, :] += (H @ dS[..., 0, :, :, None])[..., 0]
+    dX, dY = dS[..., 0, :, :], dS[..., 1, :, :]
+    dX -= alpha * S[..., 1, :, :]
+    if hessian is None:
+        hessian = stage_hessian(costs, S[..., 0, :, :])
+    dY += (hessian @ dX[..., None])[..., 0]
     return dS
 
 
@@ -258,10 +261,14 @@ def integrate(
     S = np.repeat(np.stack([X, Y])[None], B, axis=0)
     # constant curvature comes back as one (n, m, m) stack without the member
     # axis; it is evaluated here once instead of at every stage
-    H = aggregate_hessian(costs, S[:, 0])
+    H = stage_hessian(costs, S[:, 0])
     hessian = H if H.ndim == 3 else None
     alpha = np.array([c.alpha for c in members]).reshape(B, 1, 1)
     rho = None if first.g.rho is None else np.array([c.g.rho for c in members]).reshape(B, 1, 1, 1)
+    # a lone member steps on its own (2, n, m) state, with its alpha and link
+    # level as floats: the same bits with less broadcasting, and each agent's
+    # Hessian evaluated on its lone (m,) row
+    lone = B == 1
     live = np.arange(B)  # the member of each row of S
     rows = [[] for _ in range(B)]  # (t, state); S is rebound by every step, never written in place
     ends = [("completed", steps)] * B
@@ -278,6 +285,7 @@ def integrate(
     interval = -1
     switches = 0
     L = None
+    half, sixth = 0.5 * eta, eta / 6.0
     for k in range(steps):
         t = k * eta
         ix = 0 if static else schedule.interval_index(t)
@@ -289,15 +297,24 @@ def integrate(
             for j, b in enumerate(live):
                 rows[b].append((t, S[j]))
         before = S
-        args = (L, costs, alpha, first.g, rho, hessian)
+        s = S[0] if lone else S
+        args = ((L, costs, first.alpha, first.g, None, hessian) if lone
+                else (L, costs, alpha, first.g, rho, hessian))
+        # s + eta k1 and s + (eta / 6)(k1 + 2 k2 + 2 k3 + k4), accumulated in
+        # place in a fresh stage result with the operands in the same order
+        k1 = derivative(s, *args)
         if first.method == "euler":
-            S = S + eta * derivative(S, *args)
+            s = np.add(s, np.multiply(eta, k1, out=k1), out=k1)
         else:
-            k1 = derivative(S, *args)
-            k2 = derivative(S + 0.5 * eta * k1, *args)
-            k3 = derivative(S + 0.5 * eta * k2, *args)
-            k4 = derivative(S + eta * k3, *args)
-            S = S + (eta / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            Z = np.multiply(half, k1)
+            k2 = derivative(np.add(s, Z, out=Z), *args)
+            k3 = derivative(np.add(s, np.multiply(half, k2, out=Z), out=Z), *args)
+            k4 = derivative(np.add(s, np.multiply(eta, k3, out=Z), out=Z), *args)
+            np.add(k1, np.multiply(2, k2, out=k2), out=k2)
+            np.add(k2, np.multiply(2, k3, out=k3), out=k2)
+            np.add(k2, k4, out=k2)
+            s = np.add(s, np.multiply(sixth, k2, out=k2), out=k2)
+        S = s[None] if lone else s
         A = np.abs(S)
         gone = []  # the rows of S whose member ends with this step
         if A.max() <= BLOWUP_THRESHOLD:  # false on a NaN

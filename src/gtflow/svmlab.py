@@ -292,6 +292,7 @@ class DsvmReport:
             f"oracle_accuracy: {self.oracle_accuracy!r}",
             f"final_grad_sum_norm: {float(self.trace.grad_sum_norm[-1])!r}",
             f"oracle_objective: {self.oracle.objective!r}",
+            f"oracle_gradient_norm: {format(self.oracle.gradient_norm, '.17g')}",
         ]
         for i, clf in enumerate(self.agent_classifiers):
             vals = " ".join(format(v, ".17g") for v in clf.stacked)

@@ -322,6 +322,41 @@ def check_matching_distance_metric(trials: int = 60, seed: int = 7) -> CheckResu
                        "shift, brute-force", failures)
 
 
+def check_matching_perturbation(
+    fixtures: int = 80,
+    seed: int = 14,
+    excess_fn=spectral.matching_excess,
+) -> CheckResult:
+    """The perturbation estimate behind the matching bound, against measured spectra.
+
+    For alpha in {0.9 * the matching bound, the fixture's alpha, 1e-3, 1e-6},
+    the optimal matching distance between the spectra of the alpha = 0 and
+    the alpha system must not exceed ``excess_fn(alpha, upper, gamma, nm)``.
+    """
+    rng = np.random.default_rng(seed)
+    failures = []
+    worst = 0.0
+    cells = 0
+    for idx in range(fixtures):
+        fx = random_fixture(rng)
+        b = fx["bounds"]
+        mats = spectral.assemble(fx["lap"], fx["hess"], fx["xi"], 0.0)
+        base = np.linalg.eigvals(mats.full)
+        for alpha in (0.9 * b.matching, fx["alpha"], 1e-3, 1e-6):
+            if alpha <= 0:
+                continue
+            moved = np.linalg.eigvals(spectral.assemble(fx["lap"], fx["hess"], fx["xi"], alpha).full)
+            dist = spectral.matching_distance(base, moved)
+            bound = excess_fn(alpha, b.upper, b.gamma, b.n * b.m)
+            worst, cells = max(worst, dist / bound), cells + 1
+            if not dist <= bound:
+                failures.append({"index": idx, "n": b.n, "m": b.m, "alpha": alpha,
+                                 "distance": dist, "bound": bound})
+    return CheckResult("matching perturbation estimate", not failures,
+                       f"{cells} (fixture, alpha) cells, worst distance / estimate "
+                       f"{worst:.3g}, {len(failures)} violations", failures)
+
+
 def _quadratic_setup(n=5, m=2, seed=8, alpha=0.3, tw=0.8):
     rng = np.random.default_rng(seed)
     costs = []
@@ -550,6 +585,7 @@ ALL_CHECKS = [
     theorem1_suite,
     check_eigen_derivative,
     check_matching_distance_metric,
+    check_matching_perturbation,
     check_linear_step_oracle,
     check_equilibrium_invariance,
     check_conservation,

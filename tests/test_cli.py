@@ -670,3 +670,19 @@ def test_theorem1_suite_catches_sign_mutation():
     result = theorem1_suite(fixtures=40, seed=5, assemble_fn=broken_assemble)
     assert not result.passed
     assert result.failures
+
+
+def test_svm_run_reports_the_oracle_gradient_norm(tmp_path):
+    body = {"seed": 94, "data": {"n_points": 60, "seed": 7},
+            "partition": {"n_agents": 3, "mode": "stratified"},
+            "network": {"khop": 1, "switch_period": 0.01, "switch_mode": "permute"},
+            "nonlinearity": {"kind": "log_quantizer", "rho": 1.0},
+            "cost": {"kind": "svm", "oracle_tol": 1e-7}, "outputs": {"plots": False},
+            "solver": {"alpha": 6.0, "eta": 0.01, "t_end": 0.1, "method": "rk4"}}
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_config(tmp_path, body)), "--out", str(out)]) == EXIT_OK
+    meta = (out / "metadata.txt").read_text()
+    [norm] = re.findall(r"^  oracle_gradient_norm: (\S+)$", meta, flags=re.M)
+    assert 0.0 < float(norm) <= 1e-7
+    # the per-agent lines stay the only keys that start with agent_
+    assert re.findall(r"^  (agent_\w*):", meta, flags=re.M) == [f"agent_{i}_final" for i in range(3)]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gtflow.cost import (QuadraticCost, SvmHingeCost, _slopes,
+from gtflow.cost import (QuadraticCost, SvmHingeCost, _hinge, _slope, _slopes,
                          aggregate_hessian, global_cost, infinity_norm,
                          smoothed_hinge, sum_gradient)
 from gtflow.verify import check_smoothing_gap
@@ -363,3 +363,47 @@ def test_global_cost_single_agent_and_resummation():
     # invariance under agent reordering
     perm = rng.permutation(4)
     assert global_cost([costs[i] for i in perm], x[perm]) == pytest.approx(total)
+
+
+def test_value_and_gradient_take_the_smoothed_hinge_parts_bit_for_bit():
+    # L alone and L' alone are the bits smoothed_hinge returns with all three,
+    # signed zeros included, for |mu z| from 0 to 1e3
+    rng = np.random.default_rng(12)
+    mu = 2.0
+    z = np.concatenate([[0.0, -0.0], np.exp(rng.uniform(np.log(1e-300), np.log(500.0), 400))])
+    z = np.concatenate([z, -z])
+    L, s, _ = smoothed_hinge(z, mu)
+    assert bits(_hinge(mu * z, mu)).tobytes() == bits(L).tobytes()
+    assert bits(_slope(mu * z)).tobytes() == bits(s).tobytes()
+    # the cost handles, on stacked points whose margins span the same range
+    c = SvmHingeCost(rng.normal(size=(50, 3)), rng.choice([-1.0, 1.0], size=50),
+                     C=1.3, mu=mu, eps_nu=1e-4)
+    X = rng.normal(size=(6, 4))
+    X *= (np.array([1e-3, 1.0, 30.0, 100.0, 300.0, 490.0])
+          / np.abs(X @ c.U.T).max(axis=1))[:, None]  # so that |U x| reaches these
+    assert np.abs(mu * c._margins(X)).max() <= 1e3
+    w, nu = X[:, None, :-1], X[:, -1]
+    L, s, _ = smoothed_hinge(c._margins(X), mu)
+    ww = (w @ w.swapaxes(-1, -2))[:, 0, 0]
+    assert np.array_equal(c.value(X), ww + c.C * np.sum(L, axis=-1) + c.eps_nu * nu * nu)
+    gw = 2.0 * X[:, :-1] + c.C * ((-c.labels * s)[:, None, :] @ c.features)[:, 0, :]
+    gnu = c.C * (c.labels @ s[..., None]) + 2.0 * c.eps_nu * X[:, -1:]
+    assert np.array_equal(c.gradient(X), np.concatenate([gw, gnu], axis=-1))
+
+
+@pytest.mark.parametrize("kind", ["svm", "quadratic"])
+def test_aggregate_hessian_of_a_lone_state_is_the_stacked_states_first(kind):
+    # each agent's lone (m,) row gives the bits of its stacked (1, m) row
+    rng = np.random.default_rng(13)
+    if kind == "svm":
+        costs = [SvmHingeCost(3.0 * rng.normal(size=(40, 3)), rng.choice([-1.0, 1.0], size=40))
+                 for _ in range(5)]
+    else:
+        costs = [QuadraticCost(np.diag(rng.uniform(0.5, 1.0, size=4)) + 0.1, rng.normal(size=4))
+                 for _ in range(5)]
+    for scale in (0.1, 1.0, 30.0):
+        X = scale * rng.normal(size=(5, 4))
+        H = aggregate_hessian(costs, X)
+        assert H.shape == (5, 4, 4) and H.flags.c_contiguous
+        stacked = aggregate_hessian(costs, X[None])
+        assert H.tobytes() == (stacked[0] if stacked.ndim == 4 else stacked).tobytes()

@@ -1,0 +1,26 @@
+import ast
+import sys
+from pathlib import Path
+
+import gtflow
+
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "gtflow"}
+
+
+def test_runtime_modules_import_only_the_standard_library_numpy_and_gtflow():
+    # numpy stays the only runtime dependency: every top-level import of the
+    # package is relative, from the standard library, numpy or gtflow
+    sources = sorted(Path(gtflow.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    outside = []
+    for path in sources:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, name) for name in names
+                        if name.split(".")[0] not in ALLOWED]
+    assert not outside

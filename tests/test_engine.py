@@ -572,3 +572,68 @@ def test_agreement_ratio_of_zero_and_non_finite_components():
         X = np.array(X)
         trace = SimpleNamespace(states=np.array([[X + 5.0, X], [X, -X]]))
         assert np.array_equal(agreement_ratio(trace), want, equal_nan=True)
+
+
+def first_step(costs, x0, config):
+    """The state after one step, from derivative calls and the textbook RK4 and Euler updates."""
+    members = config.members if isinstance(config, SolverBatch) else (config,)
+    first = members[0]
+    X = np.array(x0, dtype=float)
+    S = np.repeat(np.stack([X, np.stack([c.gradient(x) for c, x in zip(costs, X)])])[None],
+                  len(members), axis=0)
+    alpha = np.array([c.alpha for c in members]).reshape(-1, 1, 1)
+    rho = np.array([c.g.rho for c in members]).reshape(-1, 1, 1, 1)
+    H = aggregate_hessian(costs, S[:, 0])
+    args = (laplacian(graph_at(first.schedule, 0.0)), costs, alpha, first.g, rho,
+            H if H.ndim == 3 else None)
+    eta = first.eta
+    if first.method == "euler":
+        return S + eta * derivative(S, *args)
+    k1 = derivative(S, *args)
+    k2 = derivative(S + 0.5 * eta * k1, *args)
+    k3 = derivative(S + 0.5 * eta * k2, *args)
+    k4 = derivative(S + eta * k3, *args)
+    return S + (eta / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("kind", ["svm", "quadratic"])
+def test_one_step_is_the_textbook_update_of_derivative_calls_byte_for_byte(kind, method):
+    # a lone SVM run, and a 3-member quadratic batch
+    sched = permuting_schedule(5)
+    if kind == "svm":
+        costs = svm_fixture()
+        config = SolverConfig(alpha=6.0, eta=0.01, t_end=0.01, schedule=sched,
+                              g=log_quantizer(1.0), method=method)
+    else:
+        costs = quadratic_fixture()[0]
+        config = SolverBatch(tuple(
+            SolverConfig(alpha=a, eta=0.01, t_end=0.01, schedule=sched, g=log_quantizer(rho),
+                         method=method) for a, rho in ((0.3, 0.5), (1.2, 1.0), (0.6, 1.5))))
+    x0 = np.random.default_rng(7).uniform(-1, 1, size=(5, costs[0].m))
+    traces = integrate(costs, x0, config)
+    traces = traces if isinstance(traces, list) else [traces]
+    expected = first_step(costs, x0, config)
+    assert len(traces) == len(expected)
+    for trace, state in zip(traces, expected):
+        assert trace.steps == 1 and trace.states.shape[0] == 2
+        assert trace.states[-1].tobytes() == state.tobytes()
+
+
+def test_stage_hessians_of_a_lone_run_take_lone_rows_and_of_a_batch_stacked_rows(monkeypatch):
+    costs = svm_fixture()
+    n, m = len(costs), costs[0].m
+    x0 = np.random.default_rng(7).uniform(-1, 1, size=(n, m))
+    calls = []
+    hessian = SvmHingeCost.hessian
+    monkeypatch.setattr(SvmHingeCost, "hessian",
+                        lambda self, x: calls.append(x.shape) or hessian(self, x))
+    cfg = SolverConfig(alpha=0.6, eta=0.01, t_end=0.05, schedule=permuting_schedule(n),
+                       g=log_quantizer(1.0), method="rk4")
+    for config, B in ((cfg, 1), (SolverBatch((cfg, dataclasses.replace(cfg, alpha=1.2))), 2)):
+        calls.clear()
+        integrate(costs, x0, config)
+        # the curvature test at the start state sees the member axis; each
+        # stage then makes one call per agent
+        assert calls[:n] == [(B, m)] * n
+        assert calls[n:] == [(m,) if B == 1 else (B, m)] * (n * 4 * 5)

@@ -262,3 +262,16 @@ def test_sweep_extreme_gains_bracket_unit_decay():
     by_label = {label: spectral_report(assemble(lap, hess, np.full(5, gain), alpha)).max_nonzero_real
                 for label, gain in (("lower", kappa), ("unit", 1.0), ("upper", upper))}
     assert by_label["lower"] <= by_label["unit"] <= by_label["upper"] < 0
+
+
+def test_matching_perturbation_estimate_bounds_the_measured_spectra():
+    from gtflow.verify import check_matching_perturbation
+
+    result = check_matching_perturbation()
+    assert result.passed, result.failures
+    assert result.detail.startswith("320 (fixture, alpha) cells")
+    # the measured distances reach about 6% of the estimate, so one twentieth
+    # of it is violated
+    shrunk = check_matching_perturbation(excess_fn=lambda *a: matching_excess(*a) / 20)
+    assert not shrunk.passed and shrunk.failures
+    assert all(f["distance"] > f["bound"] for f in shrunk.failures)
