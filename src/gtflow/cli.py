@@ -264,7 +264,10 @@ def cmd_run(args) -> int:
              f"  derivative_evaluations: {trace.derivative_evaluations}",
              f"  topology_switches: {trace.topology_switches}",
              "  fixed_point_time: " + ("none" if trace.fixed_point_time is None
-                                       else format(trace.fixed_point_time, ".17g"))]
+                                       else format(trace.fixed_point_time, ".17g")),
+             "  divergence_time: " + ("none" if trace.divergence_time is None
+                                      else format(trace.divergence_time, ".17g")),
+             f"  divergence_entry: {trace.divergence_entry or 'none'}"]
     if cfg["nonlinearity"]["kind"] == "saturation" and trace.max_abs_state > SATURATION_DOMAIN:
         meta.append(f"  warning: trajectory left the declared sector domain "
                     f"[-{SATURATION_DOMAIN:g}, {SATURATION_DOMAIN:g}]; the "
@@ -287,7 +290,12 @@ def cmd_run(args) -> int:
             "gradient-sum norm", "t", "norm", log_y=True))
 
     print(f"status: {trace.status}  (artifacts in {out})")
-    return EXIT_OK if trace.status == "completed" else EXIT_DIVERGED
+    if trace.status == "completed":
+        return EXIT_OK
+    print(f"gtflow: the run diverged at t = {format(trace.divergence_time, '.17g')}, at "
+          f"{trace.divergence_entry} (that state's first NaN, else its largest magnitude)",
+          file=sys.stderr)
+    return EXIT_DIVERGED
 
 
 def cmd_sweep(args) -> int:

@@ -204,10 +204,16 @@ class SvmHingeCost:
         """
         x = self._check(x)
         # t / 2 = (mu / 2)(1 + U x): one matrix-vector product per row, as in
-        # _margins, then one vector-matrix product per row with the P rows
-        h = np.matmul(self._halfmuU, x[..., None])[..., 0]
-        h += 0.5 * self.mu
-        H = np.matmul(_sech2(h)[..., None, :], self._P).reshape(x.shape[:-1] + (self.m, self.m))
+        # _margins, then one vector-matrix product per row with the P rows; a
+        # lone row takes the plain products, which round as a stacked row's do
+        if x.ndim == 1:
+            h = self._halfmuU @ x
+            h += 0.5 * self.mu
+            H = (_sech2(h) @ self._P).reshape(self.m, self.m)
+        else:
+            h = np.matmul(self._halfmuU, x[..., None])[..., 0]
+            h += 0.5 * self.mu
+            H = np.matmul(_sech2(h)[..., None, :], self._P).reshape(x.shape[:-1] + (self.m, self.m))
         H += self._reg
         return H
 
@@ -246,6 +252,9 @@ def aggregate_hessian(costs, x_stack: np.ndarray) -> np.ndarray:
 @np.errstate(over="ignore")  # as a decorator it costs half what a with block does
 def stage_hessian(costs, X: np.ndarray) -> np.ndarray:
     """``aggregate_hessian`` of a float state X of shape (..., n, m) with n = len(costs), unchecked."""
+    if X.ndim == 2:
+        # a lone state's blocks, joined into a fresh C-ordered (n, m, m) array
+        return np.array([c.hessian(x) for c, x in zip(costs, X)])
     H = np.concatenate([c.hessian(X[..., i, :]) for i, c in enumerate(costs)], axis=-2)
     # (..., n m, m) joined along the rows is (..., n, m, m); concatenate keeps
     # the stride order of its inputs, so a broadcast view (zero strides) would

@@ -133,7 +133,8 @@ class Trace:
     and its later rows are that state, as computing them would give. The
     counters say what was computed: ``derivative_evaluations`` (fewer than
     the stages of ``steps`` after a fixed point) and ``topology_switches``,
-    the Laplacians built (one on a static schedule).
+    the Laplacians built (one on a static schedule). A diverged trace also
+    says when and where: ``divergence_time`` and ``divergence_entry``.
     """
 
     times: np.ndarray
@@ -150,6 +151,26 @@ class Trace:
     derivative_evaluations: int = 0
     topology_switches: int = 0
     fixed_point_time: float | None = None
+
+    @property
+    def divergence_time(self) -> float | None:
+        """The time of the state that diverged, the last row's; None unless the status is 'diverged'."""
+        return float(self.times[-1]) if self.status == "diverged" else None
+
+    @property
+    def divergence_entry(self) -> str | None:
+        """The ``trace.csv`` column, ``x_<node>_<component>`` or ``y_...``, where the run diverged.
+
+        It is the entry of largest magnitude of the state that diverged, or
+        its first NaN in C order (x before y, then node, then component);
+        None unless the status is 'diverged'.
+        """
+        if self.status != "diverged":
+            return None
+        S = self.states[-1]
+        nan = np.isnan(S)
+        line, node, component = np.unravel_index((nan if nan.any() else np.abs(S)).argmax(), S.shape)
+        return f"{'xy'[line]}_{node}_{component}"
 
     def to_csv(self) -> str:
         rows, _, n, m = self.states.shape
@@ -238,7 +259,10 @@ def integrate(
     A supplied ``reference`` optimizer turns on the Lyapunov column
     V = 0.5 ||[x; y] - [x*; 0]||^2. Divergence (a non-finite entry or one
     beyond 1e12 in either line) ends that member with status 'diverged'; its
-    trace then ends on the state that diverged, and the others go on.
+    trace then ends on the state that diverged, and the others go on. The
+    step loop and each trace's diagnostics run under a local ``np.errstate``
+    that silences overflow and invalid-value warnings, which a diverging
+    state raises by the dozen; numpy's global state is left as it was.
     """
     members = config.members if isinstance(config, SolverBatch) else (config,)
     first = members[0]
@@ -285,72 +309,77 @@ def integrate(
     interval = -1
     switches = 0
     L = None
+    # derivative's arguments after the state, bound again when the Laplacian
+    # or the set of live members changes
+    bind = lambda: ((L, costs, first.alpha, first.g, None, hessian) if lone
+                    else (L, costs, alpha, first.g, rho, hessian))
     half, sixth = 0.5 * eta, eta / 6.0
-    for k in range(steps):
-        t = k * eta
-        ix = 0 if static else schedule.interval_index(t)
-        if ix != interval:
-            L = laplacian(graph_at(schedule, t))
-            interval, switches = ix, switches + 1
-        sampled = k % stride == 0
-        if sampled:
-            for j, b in enumerate(live):
-                rows[b].append((t, S[j]))
-        before = S
-        s = S[0] if lone else S
-        args = ((L, costs, first.alpha, first.g, None, hessian) if lone
-                else (L, costs, alpha, first.g, rho, hessian))
-        # s + eta k1 and s + (eta / 6)(k1 + 2 k2 + 2 k3 + k4), accumulated in
-        # place in a fresh stage result with the operands in the same order
-        k1 = derivative(s, *args)
-        if first.method == "euler":
-            s = np.add(s, np.multiply(eta, k1, out=k1), out=k1)
-        else:
-            Z = np.multiply(half, k1)
-            k2 = derivative(np.add(s, Z, out=Z), *args)
-            k3 = derivative(np.add(s, np.multiply(half, k2, out=Z), out=Z), *args)
-            k4 = derivative(np.add(s, np.multiply(eta, k3, out=Z), out=Z), *args)
-            np.add(k1, np.multiply(2, k2, out=k2), out=k2)
-            np.add(k2, np.multiply(2, k3, out=k3), out=k2)
-            np.add(k2, k4, out=k2)
-            s = np.add(s, np.multiply(sixth, k2, out=k2), out=k2)
-        S = s[None] if lone else s
-        A = np.abs(S)
-        gone = []  # the rows of S whose member ends with this step
-        if A.max() <= BLOWUP_THRESHOLD:  # false on a NaN
-            np.maximum(peaks, A, out=peaks)
-        else:
-            # test each line: a NaN in ay alone must end the member
-            ax, ay = A.max(axis=(2, 3)).T
-            seen = np.where(ay > ax, ay, ax)
-            top = peaks.max(axis=(1, 2, 3))
-            # the largest magnitude as Python's max(top, max(ax, ay)) takes it: never a NaN
-            max_abs[live] = np.where(seen > top, seen, top)
-            gone = list(np.flatnonzero(~((ax <= BLOWUP_THRESHOLD) & (ay <= BLOWUP_THRESHOLD))))
-            for j in gone:
-                rows[live[j]].append(((k + 1) * eta, S[j]))  # the step that diverged was taken
-                ends[live[j]] = ("diverged", k + 1)
-            peaks = np.maximum(peaks, A)
-        if static and sampled:
-            # a member whose step left its state unchanged, bit for bit, is at
-            # a fixed point of its step map: every later state is this one, so
-            # its remaining rows are filled in and it stops (never on a NaN)
-            for j, b in enumerate(live):
-                if j not in gone and np.array_equal(S[j], before[j]):
-                    rows[b] += [(r * eta, S[j]) for r in range(k + stride, steps, stride)]
-                    rows[b].append((steps * eta, S[j]))
-                    max_abs[b], settled[b] = peaks[j].max(), t
-                    gone.append(j)
-        if not gone:
-            continue
-        for b in live[gone]:
-            computed[b], built[b] = k + 1, switches
-        keep = np.ones(len(live), dtype=bool)
-        keep[gone] = False
-        S, alpha, live, peaks = S[keep], alpha[keep], live[keep], peaks[keep]
-        rho = None if rho is None else rho[keep]
-        if not live.size:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            t = k * eta
+            ix = 0 if static else schedule.interval_index(t)
+            if ix != interval:
+                L = laplacian(graph_at(schedule, t))
+                interval, switches = ix, switches + 1
+                args = bind()
+            sampled = k % stride == 0
+            if sampled:
+                for j, b in enumerate(live):
+                    rows[b].append((t, S[j]))
+            before = S
+            s = S[0] if lone else S
+            # s + eta k1 and s + (eta / 6)(k1 + 2 k2 + 2 k3 + k4), accumulated in
+            # place in a fresh stage result with the operands in the same order
+            k1 = derivative(s, *args)
+            if first.method == "euler":
+                s = np.add(s, np.multiply(eta, k1, out=k1), out=k1)
+            else:
+                Z = np.multiply(half, k1)
+                k2 = derivative(np.add(s, Z, out=Z), *args)
+                k3 = derivative(np.add(s, np.multiply(half, k2, out=Z), out=Z), *args)
+                k4 = derivative(np.add(s, np.multiply(eta, k3, out=Z), out=Z), *args)
+                np.add(k1, np.multiply(2, k2, out=k2), out=k2)
+                np.add(k2, np.multiply(2, k3, out=k3), out=k2)
+                np.add(k2, k4, out=k2)
+                s = np.add(s, np.multiply(sixth, k2, out=k2), out=k2)
+            S = s[None] if lone else s
+            A = np.abs(S)
+            gone = []  # the rows of S whose member ends with this step
+            if A.max() <= BLOWUP_THRESHOLD:  # false on a NaN
+                np.maximum(peaks, A, out=peaks)
+            else:
+                # test each line: a NaN in ay alone must end the member
+                ax, ay = A.max(axis=(2, 3)).T
+                seen = np.where(ay > ax, ay, ax)
+                top = peaks.max(axis=(1, 2, 3))
+                # the largest magnitude as Python's max(top, max(ax, ay)) takes it: never a NaN
+                max_abs[live] = np.where(seen > top, seen, top)
+                gone = list(np.flatnonzero(~((ax <= BLOWUP_THRESHOLD) & (ay <= BLOWUP_THRESHOLD))))
+                for j in gone:
+                    rows[live[j]].append(((k + 1) * eta, S[j]))  # the step that diverged was taken
+                    ends[live[j]] = ("diverged", k + 1)
+                peaks = np.maximum(peaks, A)
+            if static and sampled:
+                # a member whose step left its state unchanged, bit for bit, is at
+                # a fixed point of its step map: every later state is this one, so
+                # its remaining rows are filled in and it stops (never on a NaN)
+                for j, b in enumerate(live):
+                    if j not in gone and np.array_equal(S[j], before[j]):
+                        rows[b] += [(r * eta, S[j]) for r in range(k + stride, steps, stride)]
+                        rows[b].append((steps * eta, S[j]))
+                        max_abs[b], settled[b] = peaks[j].max(), t
+                        gone.append(j)
+            if not gone:
+                continue
+            for b in live[gone]:
+                computed[b], built[b] = k + 1, switches
+            keep = np.ones(len(live), dtype=bool)
+            keep[gone] = False
+            S, alpha, live, peaks = S[keep], alpha[keep], live[keep], peaks[keep]
+            rho = None if rho is None else rho[keep]
+            if not live.size:
+                break
+            args = bind()
     max_abs[live] = peaks.max(axis=(1, 2, 3))
     for j, b in enumerate(live):
         rows[b].append((steps * eta, S[j]))
@@ -363,6 +392,7 @@ def integrate(
     return traces if isinstance(config, SolverBatch) else traces[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverged member's rows hold inf and NaN
 def _trace(costs, rows, offset0, reference, status, steps, eta, max_abs,
            evaluations, switches, settled) -> Trace:
     """One member's trace: its sampled states plus the diagnostics of all rows at once."""

@@ -19,12 +19,12 @@ from . import spectral
 from .cost import QuadraticCost, SvmHingeCost, aggregate_hessian, infinity_norm
 from .engine import (SolverBatch, SolverConfig, conservation_residual, derivative,
                      integrate)
-from .graph import (SwitchingSchedule, SwitchMode, check_weight_balanced, graph_at,
-                    is_strongly_connected, laplacian, make_khop_ring)
+from .graph import (SwitchingSchedule, SwitchMode, WeightedGraph, check_weight_balanced,
+                    graph_at, is_strongly_connected, laplacian, make_khop_ring)
 from .svmlab import feature_map, generate_ellipse_data, partition
 
 __all__ = ["CheckResult", "run_all", "theorem1_suite",
-           "random_fixture", "freezing_fixture"]
+           "random_fixture", "directed_fixture", "freezing_fixture"]
 
 
 @dataclass
@@ -41,13 +41,51 @@ class CheckResult:
 # ---------------------------------------------------------------- fixtures
 
 def random_fixture(rng: np.random.Generator):
-    """One randomized network + cost fixture for the eigenstructure suite."""
+    """One randomized network + cost fixture for the eigenstructure suite, on an undirected khop ring."""
     n = int(rng.integers(3, 9))
     m = int(rng.integers(1, 3))
     k_max = (n - 1) // 2
     k = int(rng.integers(1, k_max + 1)) if k_max >= 1 else 1
     total_weight = float(rng.uniform(0.3, 0.95))
-    graph = make_khop_ring(n, k, total_weight)
+    return _fixture(rng, make_khop_ring(n, k, total_weight), m, k, total_weight, "khop ring")
+
+
+def directed_fixture(rng: np.random.Generator):
+    """A ``random_fixture`` on a directed, weight-balanced, strongly connected network.
+
+    Half the draws are directed khop rings. The others are random positive
+    sums of one to three derangement matrices (permutations without a fixed
+    point), whose row and column sums agree for any weights, scaled to a row
+    sum in (0.3, 0.95); such a sum is drawn again until it is strongly
+    connected. ``k`` is 0 for them.
+    """
+    n = int(rng.integers(3, 9))
+    m = int(rng.integers(1, 3))
+    total_weight = float(rng.uniform(0.3, 0.95))
+    if rng.random() < 0.5:
+        k = int(rng.integers(1, (n - 1) // 2 + 1))
+        graph = make_khop_ring(n, k, total_weight, directed=True)
+        return _fixture(rng, graph, m, k, total_weight, "directed khop ring")
+    while True:
+        c = rng.uniform(0.1, 1.0, size=int(rng.integers(1, 4)))
+        w = sum(ci * _derangement(rng, n) for ci in c)
+        if is_strongly_connected(w):
+            break
+    graph = WeightedGraph(n, w * (total_weight / c.sum()))
+    return _fixture(rng, graph, m, 0, total_weight, f"{c.size}-derangement sum")
+
+
+def _derangement(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A random n-by-n permutation matrix with a zero diagonal."""
+    while True:
+        p = rng.permutation(n)
+        if np.all(p != np.arange(n)):
+            return np.eye(n)[p]
+
+
+def _fixture(rng, graph, m, k, total_weight, kind):
+    """The cost blocks, link gains and a step size below the tight bound, drawn for one network."""
+    n = graph.n
     lap = laplacian(graph)
 
     rho = float(rng.uniform(0.1, 1.8))
@@ -66,7 +104,7 @@ def random_fixture(rng: np.random.Generator):
     xi = rng.uniform(kappa, upper, size=n * m)
     alpha = float(rng.uniform(0.0, 1.0)) * bounds.tight * 0.999
     return {
-        "n": n, "m": m, "k": k, "total_weight": total_weight, "rho": rho,
+        "n": n, "m": m, "k": k, "graph": kind, "total_weight": total_weight, "rho": rho,
         "kappa": kappa, "upper": upper, "lap": lap, "hess": hess,
         "bounds": bounds, "xi": xi, "alpha": alpha,
     }
@@ -255,28 +293,31 @@ def theorem1_suite(
     """Randomized eigenstructure suite.
 
     Every fixture with a step size below the tight bound must show exactly m
-    zero eigenvalues and a strictly negative real part everywhere else.
-    Violating fixtures are dumped whole for triage.
+    zero eigenvalues and a strictly negative real part everywhere else. It
+    draws ``fixtures`` undirected fixtures (``random_fixture``) and as many
+    directed ones (``directed_fixture``) from a generator of their own, so
+    the undirected draws are those of ``seed`` alone. Violating fixtures are
+    dumped whole for triage.
     """
-    rng = np.random.default_rng(seed)
+    undirected, directed = np.random.default_rng(seed), np.random.default_rng([seed, 1])
     failures = []
     for idx in range(fixtures):
-        fx = random_fixture(rng)
-        if fx["alpha"] <= 0:
-            continue
-        mats = assemble_fn(fx["lap"], fx["hess"], fx["xi"], fx["alpha"])
-        rep = spectral.spectral_report(mats)
-        if rep.zero_count != fx["m"] or rep.max_nonzero_real >= 0:
-            failures.append({
-                "index": idx, "n": fx["n"], "m": fx["m"], "k": fx["k"],
-                "total_weight": fx["total_weight"], "rho": fx["rho"],
-                "alpha": fx["alpha"], "tight_bound": fx["bounds"].tight,
-                "zero_count": rep.zero_count,
-                "max_nonzero_real": rep.max_nonzero_real,
-            })
+        for fx in (random_fixture(undirected), directed_fixture(directed)):
+            if fx["alpha"] <= 0:
+                continue
+            mats = assemble_fn(fx["lap"], fx["hess"], fx["xi"], fx["alpha"])
+            rep = spectral.spectral_report(mats)
+            if rep.zero_count != fx["m"] or rep.max_nonzero_real >= 0:
+                failures.append({
+                    "index": idx, "graph": fx["graph"], "n": fx["n"], "m": fx["m"],
+                    "k": fx["k"], "total_weight": fx["total_weight"], "rho": fx["rho"],
+                    "alpha": fx["alpha"], "tight_bound": fx["bounds"].tight,
+                    "zero_count": rep.zero_count,
+                    "max_nonzero_real": rep.max_nonzero_real,
+                })
     return CheckResult("zero-eigenvalue structure", not failures,
-                       f"{fixtures} fixtures below the tight bound, "
-                       f"{len(failures)} violations", failures)
+                       f"{fixtures} undirected and {fixtures} directed fixtures below the "
+                       f"tight bound, {len(failures)} violations", failures)
 
 
 def check_eigen_derivative(fixtures: int = 40, seed: int = 6) -> CheckResult:

@@ -44,6 +44,7 @@ def test_run_quadratic_writes_artifacts(tmp_path):
     meta = (out / "metadata.txt").read_text()
     assert "status: completed" in meta
     assert "alpha_bar_tight" in meta
+    assert "  divergence_time: none\n  divergence_entry: none\n" in meta
 
 
 def test_run_rerun_is_byte_identical(tmp_path):
@@ -323,6 +324,39 @@ def test_run_divergent_config_exits_2(tmp_path):
     meta = read_result(tmp_path / "o")
     assert meta["status"] == "diverged"
     assert 0 < int(meta["steps"]) < 100
+
+
+@pytest.mark.parametrize("blowup", ["finite", "nan"])
+def test_run_reports_where_and_when_it_diverged_without_numpy_warnings(tmp_path, capsys, blowup):
+    # pytest turns any RuntimeWarning into an error, so a warning numpy raised
+    # on the inf and NaN entries would fail this run
+    if blowup == "finite":  # the divergent config of test_run_divergent_config_exits_2
+        body = {**QUAD_CONFIG, "solver": {**QUAD_CONFIG["solver"], "alpha": 500.0, "eta": 0.05},
+                "cost": {**QUAD_CONFIG["cost"], "curvature_scale": 50.0}}
+    else:  # the quad-sweep workload's run at alpha 1e308: inf within one step, then NaN
+        body = {"seed": 31, "partition": {"n_agents": 8},
+                "network": {"khop": 2, "total_weight": 0.8, "switch_period": 0.5,
+                            "switch_mode": "permute", "seed": 5},
+                "nonlinearity": {"kind": "log_quantizer", "rho": 1.0},
+                "cost": {"kind": "quadratic", "m": 2, "curvature_scale": 4.0},
+                "solver": {"alpha": 1e308, "eta": 0.01, "t_end": 0.05, "method": "euler",
+                           "sample_stride": 100}}
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["run", "--config", str(write_config(tmp_path, body)), "--out", str(out)]) == EXIT_DIVERGED
+    meta = read_result(out)
+    row, _ = _final_row(out)
+    state = {k: v for k, v in row.items() if k[:2] in ("x_", "y_")}
+    if blowup == "finite":
+        assert all(np.isfinite(v) for v in state.values())
+        entry = max(state, key=lambda k: abs(state[k]))
+        assert abs(state[entry]) > 1e12
+    else:
+        entry = next(k for k, v in state.items() if np.isnan(v))  # columns are in C order
+    assert float(meta["divergence_time"]) == row["t"] > 0
+    assert meta["divergence_entry"] == entry
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"t = {meta['divergence_time']}, at {entry} " in err
 
 
 def _final_row(out):

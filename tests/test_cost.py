@@ -391,15 +391,24 @@ def test_value_and_gradient_take_the_smoothed_hinge_parts_bit_for_bit():
     assert np.array_equal(c.gradient(X), np.concatenate([gw, gnu], axis=-1))
 
 
-@pytest.mark.parametrize("kind", ["svm", "quadratic"])
+class _BroadcastCurvature(QuadraticCost):
+    """A quadratic whose Hessian is a read-only broadcast view of Q, one per row."""
+
+    def hessian(self, x):
+        return np.broadcast_to(self.Q, x.shape[:-1] + self.Q.shape)
+
+
+@pytest.mark.parametrize("kind", ["svm", "quadratic", "broadcast"])
 def test_aggregate_hessian_of_a_lone_state_is_the_stacked_states_first(kind):
-    # each agent's lone (m,) row gives the bits of its stacked (1, m) row
+    # each agent's lone (m,) row gives the bits of its stacked (1, m) row, and
+    # the lone join is a fresh C-ordered stack whatever layout a handle returns
     rng = np.random.default_rng(13)
     if kind == "svm":
         costs = [SvmHingeCost(3.0 * rng.normal(size=(40, 3)), rng.choice([-1.0, 1.0], size=40))
                  for _ in range(5)]
     else:
-        costs = [QuadraticCost(np.diag(rng.uniform(0.5, 1.0, size=4)) + 0.1, rng.normal(size=4))
+        cls = QuadraticCost if kind == "quadratic" else _BroadcastCurvature
+        costs = [cls(np.diag(rng.uniform(0.5, 1.0, size=4)) + 0.1, rng.normal(size=4))
                  for _ in range(5)]
     for scale in (0.1, 1.0, 30.0):
         X = scale * rng.normal(size=(5, 4))
@@ -407,3 +416,22 @@ def test_aggregate_hessian_of_a_lone_state_is_the_stacked_states_first(kind):
         assert H.shape == (5, 4, 4) and H.flags.c_contiguous
         stacked = aggregate_hessian(costs, X[None])
         assert H.tobytes() == (stacked[0] if stacked.ndim == 4 else stacked).tobytes()
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0, 37.0, 700.0, 1e4, np.inf, np.nan])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_svm_hessian_of_a_lone_row_is_its_stacked_row_bit_for_bit(t, sign):
+    # at w = 0 every margin is z = 1 + nu for labels +1, so mu z = sign * t;
+    # the lone row takes plain matrix-vector products, the (1, m) row batched ones
+    mu = 2.0
+    c = SvmHingeCost(np.random.default_rng(15).normal(size=(12, 3)), np.ones(12), mu=mu, eps_nu=1e-4)
+    x = np.array([0.0, 0.0, 0.0, sign * t / mu - 1.0])
+    if np.isfinite(t):
+        assert np.all(mu * c._margins(x) == sign * t)
+    with np.errstate(over="ignore"):
+        lone, stacked = c.hessian(x), c.hessian(x[None])
+    assert lone.shape == (4, 4) and stacked.shape == (1, 4, 4)
+    assert lone.tobytes() == stacked[0].tobytes()
+    # the agent's lone and stacked states: no warning, the same bits
+    assert aggregate_hessian([c], x[None]).tobytes() == lone.tobytes()
+    assert aggregate_hessian([c], x[None, None]).tobytes() == lone.tobytes()

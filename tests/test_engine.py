@@ -113,6 +113,8 @@ def test_nan_in_tracker_line_alone_ends_run_as_diverged():
     assert np.isfinite(trace.states[-1, 0]).all() and np.isnan(trace.states[-1, 1]).all()
     # the NaN line does not enter the largest magnitude seen
     assert trace.max_abs_state == np.abs(trace.states[-1, 0]).max()
+    # but its first NaN in C order is where the run diverged
+    assert (trace.divergence_time, trace.divergence_entry) == (0.01, "y_0_0")
 
 
 def test_integrate_constant_at_equilibrium():
@@ -153,6 +155,14 @@ def test_integrate_diverges_far_above_bound():
     assert len(trace.times) == 2 and 1 < trace.steps < 100
     assert trace.times[-1] == trace.steps * trace.eta
     assert np.abs(trace.states[-1]).max() == trace.max_abs_state > 1e12
+    # a finite blow-up diverged at its entry of largest magnitude
+    assert np.isfinite(trace.states[-1]).all()
+    assert trace.divergence_time == trace.times[-1]
+    line, node, component = np.unravel_index(np.abs(trace.states[-1]).argmax(), (2, 5, 2))
+    assert trace.divergence_entry == f"{'xy'[line]}_{node}_{component}"
+    completed = integrate(costs, x0, dataclasses.replace(cfg, alpha=0.3))
+    assert completed.status == "completed"
+    assert completed.divergence_time is None and completed.divergence_entry is None
 
 
 def test_trace_row_count_and_times():

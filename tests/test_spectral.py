@@ -275,3 +275,34 @@ def test_matching_perturbation_estimate_bounds_the_measured_spectra():
     shrunk = check_matching_perturbation(excess_fn=lambda *a: matching_excess(*a) / 20)
     assert not shrunk.passed and shrunk.failures
     assert all(f["distance"] > f["bound"] for f in shrunk.failures)
+
+
+def test_directed_fixtures_are_balanced_strongly_connected_digraphs_the_suite_checks():
+    from gtflow.graph import is_strongly_connected
+    from gtflow.verify import directed_fixture, theorem1_suite
+
+    rng = np.random.default_rng(0)
+    kinds = set()
+    for _ in range(200):
+        fx = directed_fixture(rng)
+        lap = fx["lap"]
+        w = lap - np.diag(np.diag(lap))
+        assert np.all(w >= 0) and np.all(np.diag(w) == 0)
+        assert np.abs(lap.sum(axis=0)).max() <= 1e-12 and np.abs(lap.sum(axis=1)).max() <= 1e-12
+        assert is_strongly_connected(w)
+        assert 0 <= fx["alpha"] < fx["bounds"].tight
+        kinds.add(fx["graph"])
+        if fx["k"]:  # a directed khop ring
+            assert not np.array_equal(w, w.T)
+    assert kinds == {"directed khop ring", "1-derangement sum", "2-derangement sum",
+                     "3-derangement sum"}
+
+    # a mutation that only an asymmetric Laplacian sets off: the suite must
+    # run the directed draws and report them
+    def broken_on_digraphs(lap, hess, gains, alpha):
+        return assemble(lap if np.array_equal(lap, lap.T) else -lap, hess, gains, alpha)
+
+    assert theorem1_suite(fixtures=20, seed=5).passed
+    result = theorem1_suite(fixtures=20, seed=5, assemble_fn=broken_on_digraphs)
+    assert not result.passed
+    assert {f["graph"] for f in result.failures} <= kinds
