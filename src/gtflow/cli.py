@@ -402,7 +402,7 @@ def _sweep_spectral(cfg: ExperimentConfig, axes: dict, jobs: int) -> list[dict]:
     def evaluate(group):
         lap = laplacian(cfgmod.build_schedule(group[0][1]).base_graph)
         alpha = group[0][1]["solver"]["alpha"]
-        verdict = lambda gains: spectral.spectral_report(spectral.assemble(lap, hess, gains, alpha))
+        verdict = lambda gains: spectral.spectral_report(spectral.assemble(lap, hess, gains, alpha), m)
         unit = verdict(np.ones(n * m))
         results = []
         for cell, cell_cfg in group:

@@ -16,8 +16,9 @@ accurate to a few ulp relative wherever it is a normal float, with no
 cancellation at large positive t. cosh overflows to inf past |t| of about
 1420, where L'' is then exactly 0; numpy reports that overflow as a
 RuntimeWarning, so ``_slopes`` and ``aggregate_hessian`` evaluate it under
-``np.errstate(over="ignore")``. The smoothed-hinge Hessian evaluates only
-this curvature.
+``np.errstate(over="ignore")``, as ``engine.integrate`` does its step loop;
+a direct ``hessian`` or ``stage_hessian`` call warns. The smoothed-hinge
+Hessian evaluates only this curvature.
 """
 
 from __future__ import annotations
@@ -246,12 +247,12 @@ def aggregate_hessian(costs, x_stack: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
     if X.shape[-2] != len(costs):
         raise ValueError("one state row per agent required")
-    return stage_hessian(costs, X)
+    with np.errstate(over="ignore"):
+        return stage_hessian(costs, X)
 
 
-@np.errstate(over="ignore")  # as a decorator it costs half what a with block does
 def stage_hessian(costs, X: np.ndarray) -> np.ndarray:
-    """``aggregate_hessian`` of a float state X of shape (..., n, m) with n = len(costs), unchecked."""
+    """``aggregate_hessian`` of a float (..., n, m) state X with n = len(costs), unchecked and unguarded."""
     if X.ndim == 2:
         # a lone state's blocks, joined into a fresh C-ordered (n, m, m) array
         return np.array([c.hessian(x) for c, x in zip(costs, X)])

@@ -283,10 +283,6 @@ def integrate(
     offset0 = Y.sum(axis=0) - sum_gradient(costs, X)
     B = len(members)
     S = np.repeat(np.stack([X, Y])[None], B, axis=0)
-    # constant curvature comes back as one (n, m, m) stack without the member
-    # axis; it is evaluated here once instead of at every stage
-    H = stage_hessian(costs, S[:, 0])
-    hessian = H if H.ndim == 3 else None
     alpha = np.array([c.alpha for c in members]).reshape(B, 1, 1)
     rho = None if first.g.rho is None else np.array([c.g.rho for c in members]).reshape(B, 1, 1, 1)
     # a lone member steps on its own (2, n, m) state, with its alpha and link
@@ -315,6 +311,10 @@ def integrate(
                     else (L, costs, alpha, first.g, rho, hessian))
     half, sixth = 0.5 * eta, eta / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
+        # constant curvature comes back as one (n, m, m) stack without the
+        # member axis; it is evaluated here once instead of at every stage
+        H = stage_hessian(costs, S[:, 0])
+        hessian = H if H.ndim == 3 else None
         for k in range(steps):
             t = k * eta
             ix = 0 if static else schedule.interval_index(t)
@@ -328,20 +328,14 @@ def integrate(
                     rows[b].append((t, S[j]))
             before = S
             s = S[0] if lone else S
-            # s + eta k1 and s + (eta / 6)(k1 + 2 k2 + 2 k3 + k4), accumulated in
-            # place in a fresh stage result with the operands in the same order
             k1 = derivative(s, *args)
             if first.method == "euler":
-                s = np.add(s, np.multiply(eta, k1, out=k1), out=k1)
+                s = s + eta * k1
             else:
-                Z = np.multiply(half, k1)
-                k2 = derivative(np.add(s, Z, out=Z), *args)
-                k3 = derivative(np.add(s, np.multiply(half, k2, out=Z), out=Z), *args)
-                k4 = derivative(np.add(s, np.multiply(eta, k3, out=Z), out=Z), *args)
-                np.add(k1, np.multiply(2, k2, out=k2), out=k2)
-                np.add(k2, np.multiply(2, k3, out=k3), out=k2)
-                np.add(k2, k4, out=k2)
-                s = np.add(s, np.multiply(sixth, k2, out=k2), out=k2)
+                k2 = derivative(s + half * k1, *args)
+                k3 = derivative(s + half * k2, *args)
+                k4 = derivative(s + eta * k3, *args)
+                s = s + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
             S = s[None] if lone else s
             A = np.abs(S)
             gone = []  # the rows of S whose member ends with this step

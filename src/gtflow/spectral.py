@@ -1,14 +1,13 @@
-"""Linearized system matrices, eigenstructure checks, and step-size bounds.
+"""Linearized system matrix, eigenstructure checks, and step-size bounds.
 
 The stacked dynamics linearize, at every operating instant, to
 
-    d/dt [x; y] = (diffusion + alpha * descent) [x; y]
+    d/dt [x; y] = A(alpha) [x; y],    A(alpha) = A(0) + alpha * D
 
-where the diffusion part carries the gain-scaled network Laplacian and
-the Hessian-chain coupling, and the descent part carries the step-size
-blocks. Stability of the whole scheme reduces to: the assembled matrix keeps
-exactly m zero eigenvalues (the consensus directions) and every other
-eigenvalue strictly in the left half-plane.
+where A(0) carries the gain-scaled network Laplacian and the Hessian-chain
+coupling, and D the step-size blocks. Stability of the whole scheme reduces
+to: the assembled matrix keeps exactly m zero eigenvalues (the consensus
+directions) and every other eigenvalue strictly in the left half-plane.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SystemMatrices",
     "SpectralReport",
     "StepSizeBounds",
     "assemble",
@@ -31,33 +29,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SystemMatrices:
-    """Assembled 2nm-by-2nm system blocks.
-
-    ``full`` always reconstructs exactly as ``diffusion + alpha * descent``;
-    with unit link gains ``full`` is the linear-link system matrix.
-    """
-
-    diffusion: np.ndarray       # gain-scaled alpha-independent part
-    descent: np.ndarray         # blocks multiplied by the step size
-    full: np.ndarray
-    m: int
-
-
 def assemble(
     lap: np.ndarray,
     H: np.ndarray,
     gains: np.ndarray | None,
     alpha: float,
-) -> SystemMatrices:
-    """Exact block assembly of the linearized system.
+) -> np.ndarray:
+    """The 2nm-by-2nm system matrix [[LG, -alpha I], [B LG, LG - alpha B]].
 
     ``lap`` is the n-by-n Laplacian driving both the state and the tracker
-    line; its Kronecker lift to m components is materialized here. ``H``
-    holds the agents' m-by-m Hessians as one (n, m, m) array. ``gains`` is
-    the length-nm diagonal of instantaneous link gains (None means unit
-    gains).
+    line; LG is its Kronecker lift to m components with the link gains on
+    its columns. ``H`` holds the agents' m-by-m Hessians as one (n, m, m)
+    array, B their block diagonal. ``gains`` is the length-nm diagonal of
+    instantaneous link gains (None means unit gains). Every entry has the
+    bits of the block sum A(0) + alpha * D, whose zero blocks turn -0 into
+    +0; with unit gains it is the linear-link system matrix.
     """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
@@ -75,13 +61,15 @@ def assemble(
 
     LG = np.kron(lap, np.eye(m)) * xi[None, :]
     nm = n * m
-    block_diag = np.zeros((n, m, n, m))
-    block_diag[np.arange(n), :, np.arange(n), :] = H
-    block_diag = block_diag.reshape(nm, nm)
-    zero = np.zeros((nm, nm))
-    diffusion = np.block([[LG, zero], [block_diag @ LG, LG]])
-    descent = np.block([[zero, -np.eye(nm)], [zero, -block_diag]])
-    return SystemMatrices(diffusion, descent, diffusion + alpha * descent, m)
+    B = np.zeros((n, m, n, m))
+    B[np.arange(n), :, np.arange(n), :] = H
+    B = B.reshape(nm, nm)
+    A = np.empty((2 * nm, 2 * nm))
+    A[:nm, :nm] = LG + 0.0
+    A[:nm, nm:] = -alpha * np.eye(nm) + 0.0
+    A[nm:, :nm] = B @ LG + 0.0
+    A[nm:, nm:] = LG - alpha * B
+    return A
 
 
 @dataclass(frozen=True)
@@ -101,23 +89,23 @@ class SpectralReport:
         return self.zero_count == self.m and self.max_nonzero_real < 0
 
 
-def spectral_report(mats: SystemMatrices) -> SpectralReport:
+def spectral_report(A: np.ndarray, m: int) -> SpectralReport:
     """Dense eigen-decomposition and stability verdict.
 
     The zero tolerance is 1e-8 * max|eigenvalue|, which separates the
     structural zeros from solver noise across fixture scales. The matrix is
     non-normal, so the general (balanced) dense solver is the right tool.
     """
-    eigs = np.linalg.eigvals(mats.full)
+    eigs = np.linalg.eigvals(A)
     scale = float(np.abs(eigs).max()) if eigs.size else 0.0
     near_zero = np.abs(eigs) <= 1e-8 * scale
     nonzero = eigs[~near_zero]
     max_re = float(nonzero.real.max()) if nonzero.size else float("-inf")
-    return SpectralReport(int(near_zero.sum()), max_re, mats.m)
+    return SpectralReport(int(near_zero.sum()), max_re, m)
 
 
 def laplacian_rates(lap: np.ndarray) -> tuple[float, float]:
-    """(slowest_decay, spectral_radius) of the unit-gain diffusion matrix.
+    """(slowest_decay, spectral_radius) of the unit-gain system matrix at alpha = 0.
 
     That matrix is block lower-triangular with the lifted Laplacian on both
     diagonal blocks, so its spectrum is the Laplacian spectrum (each
@@ -136,7 +124,7 @@ def laplacian_rates(lap: np.ndarray) -> tuple[float, float]:
 class EigenDerivativeReport:
     """Zero-branch derivative check at alpha = 0.
 
-    ``reduced`` is the 2m-by-2m projection of the descent blocks onto the
+    ``reduced`` is the 2m-by-2m projection of the step-size direction D onto the
     zero-eigenvector pair in the display convention (ones vectors, no
     normalization): block column one vanishes and the nonzero block equals
     -sum_i hess_i for unit gains. The quantitative branch derivatives need
@@ -179,8 +167,9 @@ def eigen_derivative_check(
     V = np.zeros((2 * n * m, 2 * m))
     V[:n * m, :m] = ones
     V[n * m:, m:] = ones
-    mats0 = assemble(lap, H, xi, 0.0)
-    reduced = V.T @ mats0.descent @ V
+    A0 = assemble(lap, H, xi, 0.0)
+    D = assemble(lap, H, xi, 1.0) - A0
+    reduced = V.T @ D @ V
     zero_block_norm = float(np.abs(reduced[:, :m]).max())
     reduced_eigs = np.sort_complex(np.linalg.eigvals(reduced[m:, m:]))
 
@@ -192,7 +181,7 @@ def eigen_derivative_check(
 
     def one_sided(a):
         # direct block sum: the probe evaluates at signed alpha around zero
-        eigs = np.linalg.eigvals(mats0.diffusion + a * mats0.descent)
+        eigs = np.linalg.eigvals(A0 + a * D)
         eigs = eigs[np.argsort(np.abs(eigs))]
         return np.sort_complex(eigs[m:2 * m] / a)
 
@@ -291,7 +280,7 @@ def step_size_bounds(
     """Evaluate all three step-size bound formulas.
 
     Inputs: sector bounds (kappa, upper), Hessian infinity norm gamma, and
-    the slowest decay / spectral radius of the unit-gain diffusion spectrum.
+    the slowest decay / spectral radius of the unit-gain alpha = 0 spectrum.
     """
     if min(kappa, upper, gamma, slowest_decay, spectral_radius) <= 0:
         raise ValueError("all bound inputs must be positive")
@@ -314,12 +303,19 @@ def step_size_bounds(
             hi = mid
     matching = mid
 
-    spectral = (target ** nm) / (
-        4 ** nm
-        * upper ** (nm - 1)
-        * (2 * spectral_radius + target) ** (nm - 1)
-        * max(1.0, gamma)
-    )
+    try:
+        spectral = (target ** nm) / (
+            4 ** nm
+            * upper ** (nm - 1)
+            * (2 * spectral_radius + target) ** (nm - 1)
+            * max(1.0, gamma)
+        )
+    except ArithmeticError:
+        # the same value as (t / 4) r^(nm - 1) / max(1, gamma), whose ratio
+        # r = t / (4 upper (2 radius + t)) <= 1/8 underflows where the powers
+        # above overflow (from nm = 512 on, as 4^nm does)
+        r = target / (4 * upper * (2 * spectral_radius + target))
+        spectral = 0.25 * target * r ** (nm - 1) / max(1.0, gamma)
 
     return StepSizeBounds(matching, spectral, tight, kappa, upper, gamma,
                           slowest_decay, spectral_radius, n, m)

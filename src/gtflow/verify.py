@@ -305,8 +305,8 @@ def theorem1_suite(
         for fx in (random_fixture(undirected), directed_fixture(directed)):
             if fx["alpha"] <= 0:
                 continue
-            mats = assemble_fn(fx["lap"], fx["hess"], fx["xi"], fx["alpha"])
-            rep = spectral.spectral_report(mats)
+            A = assemble_fn(fx["lap"], fx["hess"], fx["xi"], fx["alpha"])
+            rep = spectral.spectral_report(A, fx["m"])
             if rep.zero_count != fx["m"] or rep.max_nonzero_real >= 0:
                 failures.append({
                     "index": idx, "graph": fx["graph"], "n": fx["n"], "m": fx["m"],
@@ -381,12 +381,11 @@ def check_matching_perturbation(
     for idx in range(fixtures):
         fx = random_fixture(rng)
         b = fx["bounds"]
-        mats = spectral.assemble(fx["lap"], fx["hess"], fx["xi"], 0.0)
-        base = np.linalg.eigvals(mats.full)
+        base = np.linalg.eigvals(spectral.assemble(fx["lap"], fx["hess"], fx["xi"], 0.0))
         for alpha in (0.9 * b.matching, fx["alpha"], 1e-3, 1e-6):
             if alpha <= 0:
                 continue
-            moved = np.linalg.eigvals(spectral.assemble(fx["lap"], fx["hess"], fx["xi"], alpha).full)
+            moved = np.linalg.eigvals(spectral.assemble(fx["lap"], fx["hess"], fx["xi"], alpha))
             dist = spectral.matching_distance(base, moved)
             bound = excess_fn(alpha, b.upper, b.gamma, b.n * b.m)
             worst, cells = max(worst, dist / bound), cells + 1
@@ -425,9 +424,9 @@ def check_linear_step_oracle(trials: int = 25, seed: int = 9) -> CheckResult:
         Y = rng.normal(size=(n, m))
         alpha, eta = float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.001, 0.05))
         hess = aggregate_hessian(costs, X)
-        mats = spectral.assemble(lap, hess, None, alpha)
+        A = spectral.assemble(lap, hess, None, alpha)
         stacked = np.concatenate([X.ravel(), Y.ravel()])
-        oracle_next = stacked + eta * (mats.full @ stacked)
+        oracle_next = stacked + eta * (A @ stacked)
         dX, dY = derivative(np.stack([X, Y]), lap, costs, alpha, nl.identity())
         engine_next = np.concatenate([(X + eta * dX).ravel(), (Y + eta * dY).ravel()])
         err = np.max(np.abs(engine_next - oracle_next))

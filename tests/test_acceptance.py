@@ -208,7 +208,7 @@ def test_criterion_8_bound_conservatism_and_trends():
                 }
                 frontier = 0.0
                 for a in alphas:
-                    stable = all(spectral_report(assemble(lap, hess, xi, float(a))).stable
+                    stable = all(spectral_report(assemble(lap, hess, xi, float(a)), 1).stable
                                  for xi in regimes.values())
                     if stable:
                         frontier = float(a)
@@ -261,7 +261,7 @@ def test_criterion_9_lyapunov_decrease():
             # log-envelope decay within a factor two of the spectral rate
             hess = aggregate_hessian(costs, ref)
             lap = laplacian(sched.base_graph)
-            rep = spectral_report(assemble(lap, hess, None, 0.3))
+            rep = spectral_report(assemble(lap, hess, None, 0.3), m)
             keep = v > 1e-18
             slope = np.polyfit(trace.times[keep], np.log(v[keep]), 1)[0]
             predicted = 2 * abs(rep.max_nonzero_real)

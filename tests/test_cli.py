@@ -1,5 +1,5 @@
-import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -486,6 +486,19 @@ def test_bounds_reports_three_values(tmp_path, capsys):
     assert (tmp_path / "o" / "bounds.txt").exists()
 
 
+def test_bounds_and_run_of_a_network_past_the_float_range_of_4_to_the_nm(tmp_path, capsys):
+    # n m = 600: 4^nm does not convert to a float, yet the spectral bound is a number
+    body = {"seed": 3, "partition": {"n_agents": 300}, "cost": {"kind": "quadratic", "m": 2},
+            "network": {"khop": 2}, "solver": {"t_end": 0.01}, "outputs": {"plots": False}}
+    cfg = write_config(tmp_path, body)
+    for command, name in (("bounds", "bounds.txt"), ("run", "metadata.txt")):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        [value] = re.findall(r"^ *alpha_bar_spectral: (\S+)$", (out / name).read_text(), flags=re.M)
+        assert math.isfinite(float(value)) and float(value) >= 0.0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_bounds_need_no_system_matrix(tmp_path, monkeypatch):
     # the bound constants come from the n-by-n Laplacian alone
     argv = ["bounds", "--preset", "fig2-nonlinear-dsvm", "--out"]
@@ -583,7 +596,7 @@ def test_sweep_spectral_rows_match_four_regimes_per_cell(tmp_path, monkeypatch):
     path = write_config(tmp_path, body)
     report = spectral.spectral_report
     calls = []
-    monkeypatch.setattr(spectral, "spectral_report", lambda mats: calls.append(0) or report(mats))
+    monkeypatch.setattr(spectral, "spectral_report", lambda A, m: calls.append(0) or report(A, m))
     outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
     for jobs, out in outs.items():
         calls.clear()
@@ -604,7 +617,7 @@ def test_sweep_spectral_rows_match_four_regimes_per_cell(tmp_path, monkeypatch):
         rng = np.random.default_rng([cfg.seed + 11, *(int(v * 1e6) for v in cell.values())])
         gains = (np.full(nm, tight.kappa), np.ones(nm), np.full(nm, tight.upper),
                  rng.uniform(tight.kappa, tight.upper, size=nm))
-        regimes = [report(spectral.assemble(lap, hess, xi, cell["alpha"])) for xi in gains]
+        regimes = [report(spectral.assemble(lap, hess, xi, cell["alpha"]), x0.shape[1]) for xi in gains]
         worst = next((r for r in regimes if not r.stable), regimes[0])
         stable = all(r.stable for r in regimes)
         expected = [*(cell[k] for k in sorted(axes)), cli._combined_sector(cell_cfg).ratio,
@@ -697,9 +710,8 @@ def test_verify_command_passes(capsys):
 def test_theorem1_suite_catches_sign_mutation():
     # flip the sign of the descent coupling: the suite must notice
     def broken_assemble(lap, hess, gains, alpha):
-        mats = spectral.assemble(lap, hess, gains, alpha)
-        full = mats.diffusion - alpha * mats.descent
-        return dataclasses.replace(mats, descent=-mats.descent, full=full)
+        A0 = spectral.assemble(lap, hess, gains, 0.0)
+        return A0 - (spectral.assemble(lap, hess, gains, alpha) - A0)
 
     result = theorem1_suite(fixtures=40, seed=5, assemble_fn=broken_assemble)
     assert not result.passed

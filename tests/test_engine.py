@@ -6,7 +6,7 @@ import pytest
 
 from gtflow import engine
 from gtflow.cost import (QuadraticCost, SvmHingeCost, aggregate_hessian, global_cost,
-                         infinity_norm, sum_gradient)
+                         infinity_norm, stage_hessian, sum_gradient)
 from gtflow.engine import (SolverBatch, SolverConfig, agreement_ratio, conservation_residual,
                            derivative, integrate)
 from gtflow.graph import SwitchingSchedule, SwitchMode, graph_at, laplacian, make_khop_ring
@@ -68,8 +68,8 @@ def test_derivative_matches_system_matrix():
     lap = laplacian(sched.base_graph)
     alpha = 0.4
     dX, dY = derivative(np.stack([X, Y]), lap, costs, alpha, identity())
-    mats = assemble(lap, aggregate_hessian(costs, X), None, alpha)
-    stacked = mats.full @ np.concatenate([X.ravel(), Y.ravel()])
+    A = assemble(lap, aggregate_hessian(costs, X), None, alpha)
+    stacked = A @ np.concatenate([X.ravel(), Y.ravel()])
     got = np.concatenate([dX.ravel(), dY.ravel()])
     assert np.max(np.abs(got - stacked)) < 1e-12
 
@@ -285,7 +285,7 @@ def test_lyapunov_monotone_and_rate_on_stable_fixture():
     # log-envelope decay against the operating-point spectrum
     hess = aggregate_hessian(costs, np.tile(x_star, (5, 1)))
     lap = laplacian(sched.base_graph)
-    rep = spectral_report(assemble(lap, hess, None, 0.3))
+    rep = spectral_report(assemble(lap, hess, None, 0.3), hess.shape[1])
     keep = v > 1e-18
     slope = np.polyfit(trace.times[keep], np.log(v[keep]), 1)[0]
     predicted = 2 * abs(rep.max_nonzero_real)
@@ -335,7 +335,8 @@ def serial_reference(costs, x0, cfg):
             rows.append((k * eta, S))
 
         def f(state):
-            return derivative(state, L, costs, cfg.alpha, cfg.g)
+            with np.errstate(over="ignore"):  # as integrate's step loop: cosh overflows to L'' = 0
+                return derivative(state, L, costs, cfg.alpha, cfg.g)
 
         if cfg.method == "euler":
             S = S + eta * f(S)
@@ -353,6 +354,22 @@ def serial_reference(costs, x0, cfg):
     rows.append((taken * eta, S))
     return (np.array([t for t, _ in rows]), np.array([S for _, S in rows]),
             status, taken, max_abs)
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_integrate_started_where_cosh_overflows_raises_no_warning(method):
+    # |mu z| is far past 1420 at x0, so the start-state curvature and every
+    # stage's overflow cosh; RuntimeWarnings are errors in this suite
+    costs = svm_fixture()
+    x0 = np.full((5, costs[0].m), 1e5)
+    cfg = SolverConfig(alpha=0.3, eta=0.01, t_end=0.05, schedule=permuting_schedule(5),
+                       g=identity(), method=method)
+    trace = integrate(costs, x0, cfg)
+    assert trace.steps == 5
+    # the public Hessian guards itself; the unguarded stage helper warns
+    assert np.isfinite(aggregate_hessian(costs, x0)).all()
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        stage_hessian(costs, x0)
 
 
 def assert_matches_reference(trace, costs, x0, cfg):

@@ -1,3 +1,4 @@
+import math
 from itertools import permutations
 
 import numpy as np
@@ -21,19 +22,72 @@ def two_node_system(alpha=0.1):
 
 
 def test_assemble_two_node_by_hand():
-    mats = two_node_system()
+    A = two_node_system()
     expected = np.array([
         [-0.4, 0.4, -0.1, 0.0],
         [0.4, -0.4, 0.0, -0.1],
         [-0.4, 0.4, -0.5, 0.4],
         [0.4, -0.4, 0.4, -0.5],
     ])
-    assert np.allclose(mats.full, expected, atol=1e-15)
+    assert np.allclose(A, expected, atol=1e-15)
 
 
 def test_assemble_reconstruction_identity():
-    mats = two_node_system(alpha=0.37)
-    assert (mats.full == mats.diffusion + 0.37 * mats.descent).all()
+    # A(alpha) = A(0) + alpha * (A(1) - A(0)), the perturbation form, to rounding
+    A0, A1 = two_node_system(alpha=0.0), two_node_system(alpha=1.0)
+    for alpha in (0.37, 4.5, 120.0):
+        assert np.allclose(two_node_system(alpha), A0 + alpha * (A1 - A0), rtol=1e-15,
+                           atol=1e-15 * alpha)
+
+
+def _assemble_by_blocks(lap, H, gains, alpha):
+    """The system matrix as the block sum A(0) + alpha * D of two np.block arrays."""
+    n, m = H.shape[:2]
+    nm = n * m
+    xi = np.ones(nm) if gains is None else gains
+    LG = np.kron(lap, np.eye(m)) * xi[None, :]
+    B = np.zeros((n, m, n, m))
+    B[np.arange(n), :, np.arange(n), :] = H
+    B = B.reshape(nm, nm)
+    zero = np.zeros((nm, nm))
+    A0 = np.block([[LG, zero], [B @ LG, LG]])
+    D = np.block([[zero, -np.eye(nm)], [zero, -B]])
+    return A0 + alpha * D
+
+
+def _assembly_draws(seed=21, draws=60):
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        n, m = int(rng.integers(3, 9)), int(rng.integers(1, 4))
+        k = int(rng.integers(1, (n - 1) // 2 + 1))
+        lap = laplacian(make_khop_ring(n, k, rng.uniform(0.3, 1.0), directed=bool(rng.integers(2))))
+        a = rng.normal(size=(n, m, m))
+        H = a @ a.transpose(0, 2, 1) + np.eye(m)
+        gains = None if rng.integers(2) else rng.uniform(0.2, 3.0, size=n * m)
+        for alpha in (0.0, float(rng.uniform(1e-4, 1.0)), float(rng.uniform(1.0, 200.0))):
+            yield lap, H, gains, alpha, m
+
+
+def test_assemble_equals_the_block_sum_byte_for_byte():
+    # undirected and directed rings, unit and random gains, alpha zero, small and large
+    seen = set()
+    for lap, H, gains, alpha, _ in _assembly_draws():
+        A = assemble(lap, H, gains, alpha)
+        ref = _assemble_by_blocks(lap, H, gains, alpha)
+        assert A.dtype == ref.dtype and A.flags.c_contiguous
+        assert A.tobytes() == ref.tobytes()
+        seen.add((np.array_equal(lap, lap.T), gains is None))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_spectral_report_of_the_matrix_is_that_of_the_block_sum():
+    for lap, H, gains, alpha, m in _assembly_draws(seed=22, draws=20):
+        eigs = np.linalg.eigvals(_assemble_by_blocks(lap, H, gains, alpha))
+        near_zero = np.abs(eigs) <= 1e-8 * np.abs(eigs).max()
+        rep = spectral_report(assemble(lap, H, gains, alpha), m)
+        assert rep.zero_count == near_zero.sum()
+        assert rep.max_nonzero_real == eigs[~near_zero].real.max()
+        assert rep.m == m
 
 
 def test_assemble_alpha_zero_spectrum_is_laplacian_union():
@@ -41,8 +95,7 @@ def test_assemble_alpha_zero_spectrum_is_laplacian_union():
     lap = laplacian(g)
     rng = np.random.default_rng(0)
     hess = np.array([np.diag(rng.uniform(1, 3, size=2)) for _ in range(5)])
-    mats = assemble(lap, hess, None, 0.0)
-    got = np.sort(np.linalg.eigvals(mats.full).real)
+    got = np.sort(np.linalg.eigvals(assemble(lap, hess, None, 0.0)).real)
     lap_eigs = np.linalg.eigvals(np.kron(lap, np.eye(2))).real
     expected = np.sort(np.concatenate([lap_eigs, lap_eigs]))
     assert np.allclose(got, expected, atol=1e-10)
@@ -55,7 +108,7 @@ def test_assemble_uniform_gain_scales_diffusion():
     c = 1.37
     scaled = assemble(lap, hess, np.full(8, c), 0.0)
     unit = assemble(lap, hess, None, 0.0)
-    assert np.allclose(scaled.diffusion, c * unit.diffusion, atol=1e-14)
+    assert np.allclose(scaled, c * unit, atol=1e-14)
 
 
 def test_assemble_dimension_checks():
@@ -74,7 +127,7 @@ def test_assemble_dimension_checks():
 
 
 def test_spectral_report_two_node_stable():
-    rep = spectral_report(two_node_system())
+    rep = spectral_report(two_node_system(), 1)
     assert rep.zero_count == 1
     assert rep.max_nonzero_real < 0
     assert rep.stable
@@ -84,7 +137,7 @@ def test_spectral_report_alpha_zero_doubles_zeros():
     g = make_khop_ring(5, 1, 0.8)
     lap = laplacian(g)
     hess = _identity_hessian(5, 2)
-    rep = spectral_report(assemble(lap, hess, None, 0.0))
+    rep = spectral_report(assemble(lap, hess, None, 0.0), 2)
     assert rep.zero_count == 4  # 2m zeros: both Laplacians contribute
     assert not rep.stable
 
@@ -98,7 +151,7 @@ def test_spectral_report_bound_constants_match_unit_gain_diffusion(directed):
     for _ in range(n):
         a = rng.normal(size=(m, m))
         blocks.append(a @ a.T + np.eye(m))
-    base = np.linalg.eigvals(assemble(lap, np.array(blocks), None, 0.0).diffusion)
+    base = np.linalg.eigvals(assemble(lap, np.array(blocks), None, 0.0))
     radius = np.abs(base).max()
     slowest = np.abs(base[np.abs(base) > 1e-8 * radius].real).min()
     # read off the n-by-n Laplacian, not the 2nm-by-2nm diffusion matrix
@@ -118,9 +171,9 @@ def test_spectral_report_large_alpha_goes_unstable_on_directed_ring():
     hvals = rng.uniform(0.5, 8.0, size=6)
     hess = hvals.reshape(6, 1, 1)
     bounds = step_size_bounds(1.0, 1.0, infinity_norm(hess), *laplacian_rates(lap), 6, 1)
-    low = spectral_report(assemble(lap, hess, None, 0.9 * bounds.tight))
+    low = spectral_report(assemble(lap, hess, None, 0.9 * bounds.tight), 1)
     assert low.stable
-    rep = spectral_report(assemble(lap, hess, None, 1.0))
+    rep = spectral_report(assemble(lap, hess, None, 1.0), 1)
     assert not rep.stable
     assert rep.max_nonzero_real > 0
 
@@ -215,6 +268,27 @@ def test_matching_bound_is_the_root_to_adjacent_floats(gamma):
     assert matching_excess(above, b.upper, gamma, 10) >= target
 
 
+@pytest.mark.parametrize("n, m", [(256, 2), (300, 2), (150, 3), (10_000, 2), (10_000, 10_000)])
+def test_step_size_bounds_past_the_float_range_read_zero_instead_of_raising(n, m):
+    # 4^nm no longer converts to a float from nm = 512 on
+    b = step_size_bounds(0.5, 1.5, 3.0, 0.8, 1.6, n, m)
+    assert b.spectral == 0.0 and b.matching == 0.0 and b.tight > 0
+
+
+def test_spectral_bound_keeps_its_bits_where_finite_and_its_value_where_its_powers_overflow():
+    kappa = upper = slow = 1e3
+    radius, gamma = 2e3, 2.0
+    t = kappa * slow
+    nm = 10
+    direct = t ** nm / (4 ** nm * upper ** (nm - 1) * (2 * radius + t) ** (nm - 1) * gamma)
+    assert step_size_bounds(kappa, upper, gamma, slow, radius, nm, 1).spectral == direct
+    for nm in (60, 80):  # t ** nm overflows
+        log_value = (nm * math.log(t / 4) - (nm - 1) * math.log(upper * (2 * radius + t))
+                     - math.log(gamma))
+        got = step_size_bounds(kappa, upper, gamma, slow, radius, nm, 1).spectral
+        assert got == pytest.approx(math.exp(log_value), rel=1e-12)
+
+
 def test_step_size_bounds_rejects_bad_inputs():
     with pytest.raises(ValueError):
         step_size_bounds(0.0, 1.0, 1.0, 1.0, 1.0, 3, 1)
@@ -241,14 +315,14 @@ def test_sweep_below_tight_bound_is_stable():
         "random": rng.uniform(kappa, upper, size=5),
     }
     for alpha in np.linspace(0.05, 0.999, 8) * bounds.tight:
-        reports = {label: spectral_report(assemble(lap, hess, xi, alpha))
+        reports = {label: spectral_report(assemble(lap, hess, xi, alpha), 1)
                    for label, xi in regimes.items()}
         assert all(r.stable for r in reports.values()), reports
 
 
 def test_sweep_alpha_zero_column_unstable():
     lap, hess, kappa, upper, _ = _sweep_fixture()
-    report = spectral_report(assemble(lap, hess, np.ones(5), 0.0))
+    report = spectral_report(assemble(lap, hess, np.ones(5), 0.0), 1)
     assert report.zero_count == 2
     assert not report.stable
 
@@ -259,7 +333,7 @@ def test_sweep_extreme_gains_bracket_unit_decay():
     # decaying fastest (stronger step-size slaving at higher gain)
     lap, hess, kappa, upper, bounds = _sweep_fixture()
     alpha = 0.5 * bounds.tight
-    by_label = {label: spectral_report(assemble(lap, hess, np.full(5, gain), alpha)).max_nonzero_real
+    by_label = {label: spectral_report(assemble(lap, hess, np.full(5, gain), alpha), 1).max_nonzero_real
                 for label, gain in (("lower", kappa), ("unit", 1.0), ("upper", upper))}
     assert by_label["lower"] <= by_label["unit"] <= by_label["upper"] < 0
 
