@@ -122,11 +122,11 @@ class Trace:
     that diverged; every final value is therefore a ``[-1]`` read. The
     conserved-quantity residual measures drift of (sum_i y_i - sum_i grad f_i)
     from its initial value, which the exact flow keeps constant on
-    weight-balanced graphs. ``max_abs_state`` is the largest state magnitude
-    seen at any step, the quantity to compare against a domain-relative
-    sector bound. ``eta`` is the step actually used (see
-    ``SolverConfig.aligned_eta``) and ``steps`` the number of steps taken,
-    the diverging one included.
+    weight-balanced graphs. ``max_abs_state`` is the largest magnitude of
+    any entry that is not NaN, over the states after each step taken, the
+    quantity to compare against a domain-relative sector bound. ``eta`` is
+    the step actually used (see ``SolverConfig.aligned_eta``) and ``steps``
+    the number of steps taken, the diverging one included.
 
     On a static schedule a member whose state a sampled step left unchanged,
     bit for bit, stops there: ``fixed_point_time`` is the time of that state,
@@ -283,32 +283,27 @@ def integrate(
     offset0 = Y.sum(axis=0) - sum_gradient(costs, X)
     B = len(members)
     S = np.repeat(np.stack([X, Y])[None], B, axis=0)
-    alpha = np.array([c.alpha for c in members]).reshape(B, 1, 1)
-    rho = None if first.g.rho is None else np.array([c.g.rho for c in members]).reshape(B, 1, 1, 1)
     # a lone member steps on its own (2, n, m) state, with its alpha and link
     # level as floats: the same bits with less broadcasting, and each agent's
     # Hessian evaluated on its lone (m,) row
     lone = B == 1
+    if lone:
+        alpha, rho = first.alpha, first.g.rho
+    else:
+        alpha = np.array([c.alpha for c in members]).reshape(B, 1, 1)
+        rho = None if first.g.rho is None else np.array([c.g.rho for c in members]).reshape(B, 1, 1, 1)
     live = np.arange(B)  # the member of each row of S
     rows = [[] for _ in range(B)]  # (t, state); S is rebound by every step, never written in place
-    ends = [("completed", steps)] * B
-    # per member: steps computed, Laplacians built, and the time from which
-    # the state is constant, as counted when it left the active set
-    computed, built, settled = [steps] * B, [0] * B, [None] * B
-    max_abs = np.zeros(B)
-    peaks = np.zeros_like(S)  # the largest magnitude each entry of S has reached
+    ends = [None] * B  # _trace's arguments after the rows, set when the member leaves
+    peaks = np.zeros_like(S)  # the largest magnitude other than NaN each entry of S has reached
     stride = first.sample_stride
+    stages = 1 if first.method == "euler" else 4
     schedule = first.schedule
     # a static schedule gives every interval the same Laplacian, bit for bit,
     # and an autonomous step map (see the fixed-point test below)
     static = schedule.static
     interval = -1
     switches = 0
-    L = None
-    # derivative's arguments after the state, bound again when the Laplacian
-    # or the set of live members changes
-    bind = lambda: ((L, costs, first.alpha, first.g, None, hessian) if lone
-                    else (L, costs, alpha, first.g, rho, hessian))
     half, sixth = 0.5 * eta, eta / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
         # constant curvature comes back as one (n, m, m) stack without the
@@ -321,7 +316,7 @@ def integrate(
             if ix != interval:
                 L = laplacian(graph_at(schedule, t))
                 interval, switches = ix, switches + 1
-                args = bind()
+                args = (L, costs, alpha, first.g, rho, hessian)
             sampled = k % stride == 0
             if sampled:
                 for j, b in enumerate(live):
@@ -338,51 +333,38 @@ def integrate(
                 s = s + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
             S = s[None] if lone else s
             A = np.abs(S)
-            gone = []  # the rows of S whose member ends with this step
-            if A.max() <= BLOWUP_THRESHOLD:  # false on a NaN
-                np.maximum(peaks, A, out=peaks)
-            else:
-                # test each line: a NaN in ay alone must end the member
-                ax, ay = A.max(axis=(2, 3)).T
-                seen = np.where(ay > ax, ay, ax)
-                top = peaks.max(axis=(1, 2, 3))
-                # the largest magnitude as Python's max(top, max(ax, ay)) takes it: never a NaN
-                max_abs[live] = np.where(seen > top, seen, top)
-                gone = list(np.flatnonzero(~((ax <= BLOWUP_THRESHOLD) & (ay <= BLOWUP_THRESHOLD))))
-                for j in gone:
-                    rows[live[j]].append(((k + 1) * eta, S[j]))  # the step that diverged was taken
-                    ends[live[j]] = ("diverged", k + 1)
-                peaks = np.maximum(peaks, A)
+            np.fmax(peaks, A, out=peaks)
+            ending = {}  # row of S -> (status, steps taken, fixed-point time)
+            if not A.max() <= BLOWUP_THRESHOLD:  # true on a NaN
+                for j in np.flatnonzero(~(A.max(axis=(1, 2, 3)) <= BLOWUP_THRESHOLD)):
+                    ending[j] = ("diverged", k + 1, None)  # the step that diverged was taken
             if static and sampled:
                 # a member whose step left its state unchanged, bit for bit, is at
                 # a fixed point of its step map: every later state is this one, so
-                # its remaining rows are filled in and it stops (never on a NaN)
-                for j, b in enumerate(live):
-                    if j not in gone and np.array_equal(S[j], before[j]):
-                        rows[b] += [(r * eta, S[j]) for r in range(k + stride, steps, stride)]
-                        rows[b].append((steps * eta, S[j]))
-                        max_abs[b], settled[b] = peaks[j].max(), t
-                        gone.append(j)
-            if not gone:
+                # its remaining rows are filled in and it stops (never on a NaN;
+                # a member that also diverged leaves as diverged)
+                for j in np.flatnonzero((S == before).all(axis=(1, 2, 3))):
+                    ending.setdefault(j, ("completed", steps, t))
+            if k == steps - 1:
+                for j in range(len(live)):
+                    ending.setdefault(j, ("completed", steps, None))
+            if not ending:
                 continue
-            for b in live[gone]:
-                computed[b], built[b] = k + 1, switches
+            for j, (status, taken, settled) in ending.items():
+                b = live[j]
+                rows[b] += [(r * eta, S[j]) for r in range((k // stride + 1) * stride, taken, stride)]
+                rows[b].append((taken * eta, S[j]))
+                ends[b] = (status, taken, eta, float(peaks[j].max()), stages * (k + 1),
+                           switches, settled)
+            if len(ending) == len(live):
+                break
             keep = np.ones(len(live), dtype=bool)
-            keep[gone] = False
+            keep[list(ending)] = False
             S, alpha, live, peaks = S[keep], alpha[keep], live[keep], peaks[keep]
             rho = None if rho is None else rho[keep]
-            if not live.size:
-                break
-            args = bind()
-    max_abs[live] = peaks.max(axis=(1, 2, 3))
-    for j, b in enumerate(live):
-        rows[b].append((steps * eta, S[j]))
-        built[b] = switches
+            args = (L, costs, alpha, first.g, rho, hessian)
 
-    stages = 1 if first.method == "euler" else 4
-    traces = [_trace(costs, rows[b], offset0, reference, *ends[b], eta, float(max_abs[b]),
-                     stages * computed[b], built[b], settled[b])
-              for b in range(B)]
+    traces = [_trace(costs, rows[b], offset0, reference, *ends[b]) for b in range(B)]
     return traces if isinstance(config, SolverBatch) else traces[0]
 
 

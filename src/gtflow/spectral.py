@@ -310,10 +310,13 @@ def step_size_bounds(
             * (2 * spectral_radius + target) ** (nm - 1)
             * max(1.0, gamma)
         )
-    except ArithmeticError:
+    except ArithmeticError:  # a power above does not convert to a float
+        spectral = 0.0
+    if not 0.0 < spectral < np.inf:
         # the same value as (t / 4) r^(nm - 1) / max(1, gamma), whose ratio
         # r = t / (4 upper (2 radius + t)) <= 1/8 underflows where the powers
-        # above overflow (from nm = 512 on, as 4^nm does)
+        # above overflow (raising from nm = 512 on, as 4^nm does, or giving
+        # a spurious 0 where the denominator's product overflows to inf)
         r = target / (4 * upper * (2 * spectral_radius + target))
         spectral = 0.25 * target * r ** (nm - 1) / max(1.0, gamma)
 

@@ -443,6 +443,43 @@ def test_run_that_stops_at_a_fixed_point_equals_the_run_forced_through_every_ste
     assert stopped.states.tobytes() == states.tobytes()
 
 
+@pytest.mark.parametrize("t_end, exits, evaluations", [
+    # the third member diverges on the last step, and the other two complete
+    (0.05, ["completed", "completed", "diverged"], [5, 5, 5]),
+    # the second member's fixed point falls on the last step, as the first completes
+    (17.86, ["completed", "fixed point", "diverged"], [1786, 1786, 5]),
+])
+def test_members_that_leave_on_the_last_step_through_different_exits_equal_their_own_runs(
+        t_end, exits, evaluations):
+    costs, x0, sched = freezing_fixture()
+    members = tuple(SolverConfig(alpha=a, eta=0.01, t_end=t_end, schedule=sched,
+                                 g=log_quantizer(rho), sample_stride=7)
+                    for a, rho in ((6.0, 1.0), (6.0, 1.9), (1e4, 1.0)))
+    traces = integrate(costs, x0, SolverBatch(members))
+    assert ["fixed point" if t.fixed_point_time is not None else t.status
+            for t in traces] == exits
+    assert [t.derivative_evaluations for t in traces] == evaluations  # Euler: one per step
+    for trace, cfg in zip(traces, members):
+        alone = integrate(costs, x0, cfg)
+        assert trace.to_csv() == alone.to_csv()
+        assert ((trace.status, trace.steps, trace.fixed_point_time, trace.max_abs_state,
+                 trace.derivative_evaluations)
+                == (alone.status, alone.steps, alone.fixed_point_time, alone.max_abs_state,
+                    alone.derivative_evaluations))
+
+
+def test_largest_magnitude_of_a_diverged_state_skips_its_nans_but_not_its_infs():
+    # one RK4 step at a huge alpha leaves inf at three agents and NaN at three,
+    # NaN in the x line among them
+    costs = [QuadraticCost(np.eye(1), np.zeros(1)) for _ in range(6)]
+    sched = SwitchingSchedule(make_khop_ring(6, 2, 0.8), 0.01, mode=SwitchMode.FIXED)
+    cfg = SolverConfig(alpha=1e104, eta=0.01, t_end=0.01, schedule=sched, method="rk4")
+    trace = integrate(costs, np.arange(1.0, 7.0)[:, None], cfg)
+    final = np.abs(trace.states[-1])
+    assert trace.status == "diverged" and np.isnan(final[0]).any()
+    assert trace.max_abs_state == np.fmax.reduce(final, axis=None) == np.inf
+
+
 def test_non_uniform_permute_schedule_never_stops_early(monkeypatch):
     # agents that share their optimum start on it with a zero tracker; with
     # link weights 1/4 the Laplacian products are exact, so every step leaves
