@@ -21,8 +21,14 @@ at that exact fixed point with its remaining trace rows filled in.
 
 Configs that differ only in alpha and the link level run in lock step as one
 ``SolverBatch``: the state gains a leading member axis, and one Laplacian
-per switch and one derivative evaluation per stage serve every member. Costs
-of constant curvature have their Hessians evaluated once per run.
+per switch and one derivative evaluation per stage serve every member, whose
+alpha and link level the batch holds at the shapes they multiply. Costs of
+constant curvature have their Hessians evaluated once per run, and a stack
+of them whose off-diagonal entries are all 0 is carried as its diagonal: an
+elementwise product in place of the block product, with the same bits on
+finite states. On a diverging state the block product's 0 * inf makes NaN
+and the diagonal form does not, so such a run can end on inf where the block
+product ended on NaN.
 """
 
 from __future__ import annotations
@@ -199,18 +205,26 @@ def derivative(
 ) -> np.ndarray:
     """dS for stacked states S = [X, Y] of shape (..., 2, n, m); the graph is frozen by the caller.
 
-    Leading axes are batch members: ``alpha`` (a float or shape (B, 1, 1))
-    and the link level ``rho`` (see ``nonlinear.apply``) broadcast over them.
-    ``hessian``, the (n, m, m) stack of costs whose curvature is constant,
-    stands in for evaluating the Hessians at X. S is a float array, as
-    ``integrate`` makes it, with one row per cost.
+    Leading axes are batch members. ``alpha`` is a float or an array that
+    broadcasts against X, and the link level ``rho`` (see ``nonlinear.apply``)
+    one that broadcasts against S; ``integrate`` gives a batch both at full
+    shape, (B, n, m) and (B, 2, n, m), which rounds the same as a broadcast
+    and costs less. ``hessian``, the (n, m, m) stack of costs whose curvature
+    is constant, stands in for evaluating the Hessians at X. Its (n, m)
+    diagonal stands in for a stack whose off-diagonal entries are all 0: it
+    adds ``diagonal * dX``, the block product's bits except where that
+    product multiplies a zero coupling by an inf or NaN entry of dX into NaN.
+    S is a float array, as ``integrate`` makes it, with one row per cost.
     """
     dS = lap @ apply(g, S, rho)
     dX, dY = dS[..., 0, :, :], dS[..., 1, :, :]
     dX -= alpha * S[..., 1, :, :]
     if hessian is None:
         hessian = stage_hessian(costs, S[..., 0, :, :])
-    dY += (hessian @ dX[..., None])[..., 0]
+    if hessian.ndim == 2:
+        dY += hessian * dX
+    else:
+        dY += (hessian @ dX[..., None])[..., 0]
     return dS
 
 
@@ -285,13 +299,14 @@ def integrate(
     S = np.repeat(np.stack([X, Y])[None], B, axis=0)
     # a lone member steps on its own (2, n, m) state, with its alpha and link
     # level as floats: the same bits with less broadcasting, and each agent's
-    # Hessian evaluated on its lone (m,) row
+    # Hessian evaluated on its lone (m,) row; a batch holds them at the shapes
+    # they multiply, (B, n, m) and (B, 2, n, m)
     lone = B == 1
     if lone:
         alpha, rho = first.alpha, first.g.rho
     else:
-        alpha = np.array([c.alpha for c in members]).reshape(B, 1, 1)
-        rho = None if first.g.rho is None else np.array([c.g.rho for c in members]).reshape(B, 1, 1, 1)
+        alpha = _per_entry([c.alpha for c in members], (B, n, m))
+        rho = None if first.g.rho is None else _per_entry([c.g.rho for c in members], S.shape)
     live = np.arange(B)  # the member of each row of S
     rows = [[] for _ in range(B)]  # (t, state); S is rebound by every step, never written in place
     ends = [None] * B  # _trace's arguments after the rows, set when the member leaves
@@ -307,9 +322,13 @@ def integrate(
     half, sixth = 0.5 * eta, eta / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
         # constant curvature comes back as one (n, m, m) stack without the
-        # member axis; it is evaluated here once instead of at every stage
+        # member axis; it is evaluated here once instead of at every stage,
+        # and carried as its diagonal when every off-diagonal entry is 0
         H = stage_hessian(costs, S[:, 0])
-        hessian = H if H.ndim == 3 else None
+        hessian = None
+        if H.ndim == 3:
+            uncoupled = (H[:, ~np.eye(m, dtype=bool)] == 0).all()  # false on a NaN
+            hessian = np.diagonal(H, axis1=1, axis2=2).copy() if uncoupled else H
         for k in range(steps):
             t = k * eta
             ix = 0 if static else schedule.interval_index(t)
@@ -395,6 +414,11 @@ def _trace(costs, rows, offset0, reference, status, steps, eta, max_abs,
         topology_switches=switches,
         fixed_point_time=settled,
     )
+
+
+def _per_entry(values, shape) -> np.ndarray:
+    """A fresh array of the given shape whose b-th slice along the first axis is values[b]."""
+    return np.broadcast_to(np.reshape(values, (-1,) + (1,) * (len(shape) - 1)), shape).copy()
 
 
 def _norms(v: np.ndarray) -> np.ndarray:

@@ -104,7 +104,8 @@ def _fixture(rng, graph, m, k, total_weight, kind):
     xi = rng.uniform(kappa, upper, size=n * m)
     alpha = float(rng.uniform(0.0, 1.0)) * bounds.tight * 0.999
     return {
-        "n": n, "m": m, "k": k, "graph": kind, "total_weight": total_weight, "rho": rho,
+        "n": n, "m": m, "k": k, "graph": kind, "network": graph,
+        "total_weight": total_weight, "rho": rho,
         "kappa": kappa, "upper": upper, "lap": lap, "hess": hess,
         "bounds": bounds, "xi": xi, "alpha": alpha,
     }
@@ -508,6 +509,58 @@ def check_conservation(seed: int = 11) -> CheckResult:
                        "smooth links", failures)
 
 
+def check_lyapunov_decrease(per_family: int = 12, seed: int = 14,
+                            max_steps: int = 2000) -> CheckResult:
+    """V = 0.5 ||[x; y] - [x*; 0]||^2 never increases where it is a Lyapunov function of the flow.
+
+    On identity links the quadratic fixtures' flow is linear, dS/dt = A S in
+    offsets from [x*; 0], and a run whose tracker starts on the gradients
+    stays on the subspace where the tracker sum equals the gradient sum. V is
+    a Lyapunov function there exactly when the symmetric part of A is
+    negative semidefinite on that subspace; otherwise some start raises it,
+    and most draws are of that kind. The check draws undirected
+    (``random_fixture``) and directed (``directed_fixture``) fixtures, alpha
+    below the tight bound, until ``per_family`` of each family have that
+    property. Each runs under RK4 at eta = 0.5 / ||A||_2 from a random start
+    for ten time constants of its slowest mode, at most ``max_steps`` steps:
+    V must rise by no more than 1e-10 V0 at any step and end below 1e-3 V0.
+    """
+    failures = []
+    draws = 0
+    for family, draw, rng in (("undirected", random_fixture, np.random.default_rng(seed)),
+                              ("directed", directed_fixture, np.random.default_rng([seed, 1]))):
+        found = 0
+        while found < per_family:
+            fx = draw(rng)
+            draws += 1
+            n, m, hess = fx["n"], fx["m"], fx["hess"]
+            A = spectral.assemble(fx["lap"], hess, None, fx["alpha"])
+            # the conserved subspace: sum_i y_i - sum_i Q_i x_i = 0, x before y
+            conserved = np.hstack([-hess.transpose(1, 0, 2).reshape(m, n * m),
+                                   np.tile(np.eye(m), n)])
+            basis = np.linalg.svd(conserved)[2][m:].T
+            if np.linalg.eigvalsh(basis.T @ (A + A.T) @ basis).max() > 0:
+                continue
+            found += 1
+            costs = [QuadraticCost(q, b) for q, b in zip(hess, rng.normal(size=(n, m)))]
+            x0 = rng.uniform(-1, 1, size=(n, m))
+            x_star = np.linalg.solve(hess.sum(axis=0), sum(c.Q @ c.b for c in costs))
+            eta = 0.5 / np.linalg.norm(A, 2)
+            rate = abs(spectral.spectral_report(A, m).max_nonzero_real)
+            t_end = eta * min(max_steps, int(np.ceil(10.0 / (rate * eta))))
+            cfg = SolverConfig(alpha=fx["alpha"], eta=eta, t_end=t_end, method="rk4",
+                               schedule=SwitchingSchedule(fx["network"], t_end))
+            v = integrate(costs, x0, cfg, reference=np.tile(x_star, (n, 1))).lyapunov
+            rise = float(np.diff(v).max())
+            if not (rise <= 1e-10 * v[0] and v[-1] < 1e-3 * v[0]):
+                failures.append((family, n, m, fx["alpha"], rise / v[0], v[-1] / v[0]))
+    return CheckResult("Lyapunov decrease", not failures,
+                       f"V non-increasing at every RK4 step and below 1e-3 V0 at the end on "
+                       f"{per_family} undirected and {per_family} directed fixtures where "
+                       f"it is a Lyapunov function of the linear flow ({draws} drawn)",
+                       failures)
+
+
 def check_determinism(seed: int = 12) -> CheckResult:
     costs, sched_base, x0 = _quadratic_setup(seed=seed)
     sched = SwitchingSchedule(sched_base.base_graph, 0.05, rng_seed=3,
@@ -629,6 +682,7 @@ ALL_CHECKS = [
     check_linear_step_oracle,
     check_equilibrium_invariance,
     check_conservation,
+    check_lyapunov_decrease,
     check_determinism,
     check_member_axis,
 ]

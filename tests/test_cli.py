@@ -326,20 +326,21 @@ def test_run_divergent_config_exits_2(tmp_path):
     assert 0 < int(meta["steps"]) < 100
 
 
-@pytest.mark.parametrize("blowup", ["finite", "nan"])
+@pytest.mark.parametrize("blowup", ["finite", "nan", "inf"])
 def test_run_reports_where_and_when_it_diverged_without_numpy_warnings(tmp_path, capsys, blowup):
     # pytest turns any RuntimeWarning into an error, so a warning numpy raised
     # on the inf and NaN entries would fail this run
     if blowup == "finite":  # the divergent config of test_run_divergent_config_exits_2
         body = {**QUAD_CONFIG, "solver": {**QUAD_CONFIG["solver"], "alpha": 500.0, "eta": 0.05},
                 "cost": {**QUAD_CONFIG["cost"], "curvature_scale": 50.0}}
-    else:  # the quad-sweep workload's run at alpha 1e308: inf within one step, then NaN
+    else:  # the quad-sweep workload's run at alpha 1e308: inf within one step
         body = {"seed": 31, "partition": {"n_agents": 8},
                 "network": {"khop": 2, "total_weight": 0.8, "switch_period": 0.5,
                             "switch_mode": "permute", "seed": 5},
                 "nonlinearity": {"kind": "log_quantizer", "rho": 1.0},
                 "cost": {"kind": "quadratic", "m": 2, "curvature_scale": 4.0},
-                "solver": {"alpha": 1e308, "eta": 0.01, "t_end": 0.05, "method": "euler",
+                "solver": {"alpha": 1e308, "eta": 0.01, "t_end": 0.05,
+                           "method": "rk4" if blowup == "nan" else "euler",
                            "sample_stride": 100}}
     out = tmp_path / "o"
     capsys.readouterr()
@@ -347,12 +348,16 @@ def test_run_reports_where_and_when_it_diverged_without_numpy_warnings(tmp_path,
     meta = read_result(out)
     row, _ = _final_row(out)
     state = {k: v for k, v in row.items() if k[:2] in ("x_", "y_")}
-    if blowup == "finite":
-        assert all(np.isfinite(v) for v in state.values())
-        entry = max(state, key=lambda k: abs(state[k]))
-        assert abs(state[entry]) > 1e12
-    else:
+    if blowup == "nan":  # RK4's later stages turn the inf into NaN everywhere
+        assert all(np.isnan(v) for v in state.values())
         entry = next(k for k, v in state.items() if np.isnan(v))  # columns are in C order
+    else:
+        # the Euler step's diagonal curvature never multiplies a zero
+        # coupling by inf, so its state holds inf but no NaN
+        assert not any(np.isnan(v) for v in state.values())
+        assert sum(np.isinf(v) for v in state.values()) == (0 if blowup == "finite" else 24)
+        entry = max(state, key=lambda k: abs(state[k]))  # the first of the largest
+        assert abs(state[entry]) > 1e12
     assert float(meta["divergence_time"]) == row["t"] > 0
     assert meta["divergence_entry"] == entry
     err = capsys.readouterr().err

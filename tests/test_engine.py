@@ -13,7 +13,7 @@ from gtflow.graph import SwitchingSchedule, SwitchMode, graph_at, laplacian, mak
 from gtflow.nonlinear import (apply, identity, log_quantizer, saturation,
                               uniform_quantizer)
 from gtflow.spectral import assemble, laplacian_rates, spectral_report, step_size_bounds
-from gtflow.verify import freezing_fixture
+from gtflow.verify import _quadratic_setup, check_lyapunov_decrease, freezing_fixture
 
 
 def quadratic_fixture(n=5, m=2, seed=0, curvature=1.0):
@@ -290,6 +290,20 @@ def test_lyapunov_monotone_and_rate_on_stable_fixture():
     slope = np.polyfit(trace.times[keep], np.log(v[keep]), 1)[0]
     predicted = 2 * abs(rep.max_nonzero_real)
     assert predicted / 2 <= -slope <= predicted * 2
+
+
+@pytest.mark.parametrize("fault", [None, "flipped descent", "frozen"])
+def test_lyapunov_check_passes_and_catches_faults_that_conserve(monkeypatch, fault):
+    # both faults leave the tracker-minus-gradient sum conserved: a flipped
+    # -alpha y term makes V grow, a zero derivative keeps it where it started
+    if fault == "flipped descent":
+        monkeypatch.setattr(engine, "derivative", lambda S, lap, costs, alpha, *rest:
+                            derivative(S, lap, costs, -alpha, *rest))
+    elif fault == "frozen":
+        monkeypatch.setattr(engine, "derivative", lambda S, *args: np.zeros_like(S))
+    result = check_lyapunov_decrease(per_family=3)
+    assert result.passed == (fault is None)
+    assert len(result.failures) == (0 if fault is None else 6)
 
 
 def test_integrate_determinism():
@@ -586,10 +600,6 @@ class PerRowCurvature(QuadraticCost):
 @pytest.mark.parametrize("method", ["euler", "rk4"])
 def test_constant_curvature_once_per_run_gives_the_per_stage_bytes(monkeypatch, method):
     fixture, _, x0 = quadratic_fixture()
-    # full curvature blocks: a product of diagonal ones rounds the same in any form
-    costs = [QuadraticCost(c.Q + 0.1, c.b) for c in fixture]
-    per_stage = [PerRowCurvature(c.Q, c.b) for c in costs]
-    reference = np.tile(closed_form_optimum(costs), (5, 1))
     sched = permuting_schedule(5)
     members = tuple(SolverConfig(alpha=a, eta=0.01, t_end=2.0, schedule=sched,
                                  g=log_quantizer(rho), method=method, sample_stride=7)
@@ -598,17 +608,77 @@ def test_constant_curvature_once_per_run_gives_the_per_stage_bytes(monkeypatch, 
     hessian = QuadraticCost.hessian
     monkeypatch.setattr(QuadraticCost, "hessian",
                         lambda self, x: calls.append(x.shape) or hessian(self, x))
+    # full curvature blocks take the block product; diagonal ones are carried
+    # as their diagonals, and must give the per-stage block product's bytes
+    for costs in ([QuadraticCost(c.Q + 0.1, c.b) for c in fixture], fixture):
+        per_stage = [PerRowCurvature(c.Q, c.b) for c in costs]
+        reference = np.tile(closed_form_optimum(costs), (5, 1))
+        for config in (members[0], SolverBatch(members)):
+            calls.clear()
+            once = integrate(costs, x0, config, reference=reference)
+            assert len(calls) == len(costs)  # one call per agent for the whole run
+            staged = integrate(per_stage, x0, config, reference=reference)
+            for a, b in zip(*(t if isinstance(t, list) else [t] for t in (once, staged)),
+                            strict=True):
+                assert a.to_csv() == b.to_csv()
+                assert ((a.status, a.steps, a.max_abs_state)
+                        == (b.status, b.steps, b.max_abs_state))
+        assert [t.status for t in once] == ["completed", "completed", "diverged"]
+        for trace, cfg in zip(once, members):
+            assert trace.to_csv() == integrate(costs, x0, cfg, reference=reference).to_csv()
+
+
+def record_curvature(monkeypatch) -> list:
+    """The ``hessian`` argument of every derivative call integrate makes."""
+    seen = []
+    monkeypatch.setattr(engine, "derivative",
+                        lambda S, *args: seen.append(args[5]) or derivative(S, *args))
+    return seen
+
+
+@pytest.mark.parametrize("coupling", [0.0, -0.0, 5e-324, -0.1, np.nan])
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_constant_curvature_is_carried_as_its_diagonal_only_when_every_coupling_is_zero(
+        monkeypatch, method, coupling):
+    fixture, _, x0 = quadratic_fixture()
+    # the coupling of one agent's Q, set after the symmetry check: any value
+    # but 0 keeps the blocks
+    costs = [QuadraticCost(c.Q.copy(), c.b) for c in fixture]
+    per_stage = [PerRowCurvature(c.Q, c.b) for c in costs]  # the same Q arrays
+    costs[3].Q[0, 1] = costs[3].Q[1, 0] = coupling
+    sched = permuting_schedule(5)
+    members = tuple(SolverConfig(alpha=a, eta=0.01, t_end=1.0, schedule=sched,
+                                 g=log_quantizer(rho), method=method, sample_stride=7)
+                    for a, rho in ((0.3, 0.5), (1.2, 1.0)))
+    seen = record_curvature(monkeypatch)
     for config in (members[0], SolverBatch(members)):
-        calls.clear()
-        once = integrate(costs, x0, config, reference=reference)
-        assert len(calls) == len(costs)  # one call per agent for the whole run
-        staged = integrate(per_stage, x0, config, reference=reference)
+        seen.clear()
+        once = integrate(costs, x0, config)
+        assert seen and all(h is seen[0] for h in seen)  # one stack for the whole run
+        if coupling == 0:
+            assert seen[0].shape == (5, 2)
+            assert seen[0].tobytes() == np.diagonal(aggregate_hessian(costs, x0), axis1=1,
+                                                    axis2=2).tobytes()
+        else:
+            assert seen[0].shape == (5, 2, 2)
+        staged = integrate(per_stage, x0, config)
         for a, b in zip(*(t if isinstance(t, list) else [t] for t in (once, staged)),
                         strict=True):
             assert a.to_csv() == b.to_csv()
-            assert ((a.status, a.steps, a.max_abs_state)
-                    == (b.status, b.steps, b.max_abs_state))
-    assert [t.status for t in once] == ["completed", "completed", "diverged"]
+            assert (a.status, a.steps) == (b.status, b.steps)
+    if np.isnan(coupling):
+        assert [t.status for t in once] == ["diverged"] * 2
+
+
+def test_non_diagonal_curvature_keeps_the_block_product(monkeypatch):
+    costs, sched, x0 = _quadratic_setup()
+    assert all((c.Q[~np.eye(2, dtype=bool)] != 0).all() for c in costs)
+    seen = record_curvature(monkeypatch)
+    cfg = SolverConfig(alpha=0.3, eta=0.01, t_end=1.0, schedule=sched,
+                       g=log_quantizer(1.0), method="rk4", sample_stride=7)
+    trace = integrate(costs, x0, cfg)
+    assert {h.shape for h in seen} == {(5, 2, 2)}
+    assert_matches_reference(trace, costs, x0, cfg)
 
 
 def test_solver_batch_members_share_all_but_alpha_and_rho():
