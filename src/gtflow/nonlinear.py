@@ -95,8 +95,9 @@ def apply(g: LinkNonlinearity, z, rho=None):
     """Evaluate g componentwise. Total on finite inputs; g(0) = 0 for every kind.
 
     ``rho`` replaces a quantizer's level ``g.rho``: an array that broadcasts
-    against z, such as one of shape (B, 1, 1, 1) for B stacked states, gives
-    each its own level with the same elementwise arithmetic.
+    against z, such as the full-shape (B, 2, n, m) array a batch of B
+    stacked states carries, gives each its own level with the same
+    elementwise arithmetic.
     """
     x = np.asarray(z, dtype=float)  # a float array passes through as it is
     scalar = x.ndim == 0

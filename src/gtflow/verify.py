@@ -509,8 +509,7 @@ def check_conservation(seed: int = 11) -> CheckResult:
                        "smooth links", failures)
 
 
-def check_lyapunov_decrease(per_family: int = 12, seed: int = 14,
-                            max_steps: int = 2000) -> CheckResult:
+def check_lyapunov_decrease(per_family: int = 12, seed: int = 14) -> CheckResult:
     """V = 0.5 ||[x; y] - [x*; 0]||^2 never increases where it is a Lyapunov function of the flow.
 
     On identity links the quadratic fixtures' flow is linear, dS/dt = A S in
@@ -522,7 +521,7 @@ def check_lyapunov_decrease(per_family: int = 12, seed: int = 14,
     (``random_fixture``) and directed (``directed_fixture``) fixtures, alpha
     below the tight bound, until ``per_family`` of each family have that
     property. Each runs under RK4 at eta = 0.5 / ||A||_2 from a random start
-    for ten time constants of its slowest mode, at most ``max_steps`` steps:
+    for ten time constants of its slowest mode, at most 2000 steps:
     V must rise by no more than 1e-10 V0 at any step and end below 1e-3 V0.
     """
     failures = []
@@ -547,7 +546,7 @@ def check_lyapunov_decrease(per_family: int = 12, seed: int = 14,
             x_star = np.linalg.solve(hess.sum(axis=0), sum(c.Q @ c.b for c in costs))
             eta = 0.5 / np.linalg.norm(A, 2)
             rate = abs(spectral.spectral_report(A, m).max_nonzero_real)
-            t_end = eta * min(max_steps, int(np.ceil(10.0 / (rate * eta))))
+            t_end = eta * min(2000, int(np.ceil(10.0 / (rate * eta))))
             cfg = SolverConfig(alpha=fx["alpha"], eta=eta, t_end=t_end, method="rk4",
                                schedule=SwitchingSchedule(fx["network"], t_end))
             v = integrate(costs, x0, cfg, reference=np.tile(x_star, (n, 1))).lyapunov
