@@ -124,18 +124,19 @@ def sweep_cell(cfg: ExperimentConfig, cell: dict) -> ExperimentConfig:
 
     ``alpha`` and ``eta`` go to the solver, ``khop`` to the network and
     ``rho`` to the quantizer's level; the solver horizon becomes
-    ``sweep.t_end``.
+    ``sweep.t_end``. The cell is built from cfg's validated sections, the
+    changed ones copied, without a second parse: parsing cfg checked every
+    axis value a cell can take, each ``eta`` against ``sweep.t_end`` included.
     """
-    raw = cfg.normalized()
-    for axis in ("alpha", "eta"):
-        if axis in cell:
-            raw["solver"][axis] = cell[axis]
+    solver = {**cfg["solver"], "t_end": cfg["sweep"]["t_end"]}
+    solver.update((axis, cell[axis]) for axis in ("alpha", "eta") if axis in cell)
+    network, link = dict(cfg["network"]), dict(cfg["nonlinearity"])
     if "khop" in cell:
-        raw["network"]["khop"] = int(cell["khop"])
+        network["khop"] = int(cell["khop"])
     if "rho" in cell:
-        raw["nonlinearity"]["rho"] = cell["rho"]
-    raw["solver"]["t_end"] = raw["sweep"]["t_end"]
-    return parse_config(json.dumps(raw))
+        link["rho"] = cell["rho"]
+    sections = {**cfg.sections, "solver": solver, "network": network, "nonlinearity": link}
+    return ExperimentConfig(cfg.seed, sections, cfg.description)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ at that exact fixed point with its remaining trace rows filled in.
 Configs that differ only in alpha and the link level run in lock step as one
 ``SolverBatch``: the state gains a leading member axis, and one Laplacian
 per switch and one derivative evaluation per stage serve every member, whose
-alpha and link level the batch holds at the shapes they multiply. Costs of
+alpha and link level the batch holds at the shapes they multiply. The
+members' sampled rows share one array and one diagnostics pass. Costs of
 constant curvature have their Hessians evaluated once per run, and a stack
 of them whose off-diagonal entries are all 0 is carried as its diagonal: an
 elementwise product in place of the block product, with the same bits on
@@ -270,11 +271,19 @@ def integrate(
     arithmetic is the same elementwise or per-matrix arithmetic as a run of
     its own, so its trace is bit-identical to that run's.
 
+    Every member's sampled states go into one (B, R, 2, n, m) array, with
+    R = (steps - 1) // sample_stride + 2 the rows of a member that takes
+    every step: one write per sampled step records every live member, and a
+    member that leaves has its remaining rows filled in one assignment. The
+    diagnostics of all members' rows in use come from one pass, one
+    ``sum_gradient`` and one ``global_cost`` call for the whole batch, and
+    each trace is handed copies of its slices.
+
     A supplied ``reference`` optimizer turns on the Lyapunov column
     V = 0.5 ||[x; y] - [x*; 0]||^2. Divergence (a non-finite entry or one
     beyond 1e12 in either line) ends that member with status 'diverged'; its
     trace then ends on the state that diverged, and the others go on. The
-    step loop and each trace's diagnostics run under a local ``np.errstate``
+    step loop and the diagnostics pass run under a local ``np.errstate``
     that silences overflow and invalid-value warnings, which a diverging
     state raises by the dozen; numpy's global state is left as it was.
     """
@@ -308,10 +317,14 @@ def integrate(
         alpha = _per_entry([c.alpha for c in members], (B, n, m))
         rho = None if first.g.rho is None else _per_entry([c.g.rho for c in members], S.shape)
     live = np.arange(B)  # the member of each row of S
-    rows = [[] for _ in range(B)]  # (t, state); S is rebound by every step, never written in place
-    ends = [None] * B  # _trace's arguments after the rows, set when the member leaves
-    peaks = np.zeros_like(S)  # the largest magnitude other than NaN each entry of S has reached
     stride = first.sample_stride
+    # every member's rows in one array: a row every stride steps from t = 0,
+    # then the state after the last step taken, so a member that takes every
+    # step fills all R of its rows
+    R = (steps - 1) // stride + 2
+    states = np.empty((B, R) + S.shape[1:])
+    ends = [None] * B  # the Trace fields a member's exit sets
+    peaks = np.zeros_like(S)  # the largest magnitude other than NaN each entry of S has reached
     stages = 1 if first.method == "euler" else 4
     schedule = first.schedule
     # a static schedule gives every interval the same Laplacian, bit for bit,
@@ -338,13 +351,14 @@ def integrate(
                 args = (L, costs, alpha, first.g, rho, hessian)
             sampled = k % stride == 0
             if sampled:
-                for j, b in enumerate(live):
-                    rows[b].append((t, S[j]))
+                states[live, k // stride] = S
             before = S
             s = S[0] if lone else S
             k1 = derivative(s, *args)
             if first.method == "euler":
-                s = s + eta * k1
+                k1 *= eta  # k1 is fresh: s + eta * k1, accumulated in place
+                k1 += s
+                s = k1
             else:
                 k2 = derivative(s + half * k1, *args)
                 k3 = derivative(s + half * k2, *args)
@@ -353,8 +367,11 @@ def integrate(
             S = s[None] if lone else s
             A = np.abs(S)
             np.fmax(peaks, A, out=peaks)
+            diverged = not A.max() <= BLOWUP_THRESHOLD  # true on a NaN
+            if not (diverged or (static and sampled) or k == steps - 1):
+                continue  # no member can leave on this step
             ending = {}  # row of S -> (status, steps taken, fixed-point time)
-            if not A.max() <= BLOWUP_THRESHOLD:  # true on a NaN
+            if diverged:
                 for j in np.flatnonzero(~(A.max(axis=(1, 2, 3)) <= BLOWUP_THRESHOLD)):
                     ending[j] = ("diverged", k + 1, None)  # the step that diverged was taken
             if static and sampled:
@@ -371,10 +388,11 @@ def integrate(
                 continue
             for j, (status, taken, settled) in ending.items():
                 b = live[j]
-                rows[b] += [(r * eta, S[j]) for r in range((k // stride + 1) * stride, taken, stride)]
-                rows[b].append((taken * eta, S[j]))
-                ends[b] = (status, taken, eta, float(peaks[j].max()), stages * (k + 1),
-                           switches, settled)
+                # its rows after this step's, up to and including its final row
+                states[b, k // stride + 1:(taken - 1) // stride + 2] = S[j]
+                ends[b] = dict(status=status, steps=taken, max_abs_state=float(peaks[j].max()),
+                               derivative_evaluations=stages * (k + 1),
+                               topology_switches=switches, fixed_point_time=settled)
             if len(ending) == len(live):
                 break
             keep = np.ones(len(live), dtype=bool)
@@ -383,37 +401,42 @@ def integrate(
             rho = None if rho is None else rho[keep]
             args = (L, costs, alpha, first.g, rho, hessian)
 
-    traces = [_trace(costs, rows[b], offset0, reference, *ends[b]) for b in range(B)]
+    taken = np.array([end["steps"] for end in ends])
+    used = (taken - 1) // stride + 2  # the rows of each member
+    in_use = np.arange(R) < used[:, None]
+    times = np.broadcast_to(np.arange(R) * stride * eta, (B, R))[in_use]
+    times[np.cumsum(used) - 1] = taken * eta
+    traces = _traces(costs, times, states[in_use], used, offset0, reference, eta, ends)
     return traces if isinstance(config, SolverBatch) else traces[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverged member's rows hold inf and NaN
-def _trace(costs, rows, offset0, reference, status, steps, eta, max_abs,
-           evaluations, switches, settled) -> Trace:
-    """One member's trace: its sampled states plus the diagnostics of all rows at once."""
-    states = np.array([S for _, S in rows])
+def _traces(costs, times, states, rows, offset0, reference, eta, ends) -> list[Trace]:
+    """Each member's trace, from the diagnostics of every member's rows at once.
+
+    ``times`` and ``states`` hold the rows of one member after another,
+    ``rows[b]`` of them for member b, whose exit set ``ends[b]``. Every
+    diagnostic is a row-wise product, so each row's values are the ones it
+    would get alone; each trace owns copies of its slices.
+    """
     xs, ys = states[:, 0], states[:, 1]
     grad_sums = sum_gradient(costs, xs)
-    lyapunov = None
+    columns = {
+        "times": times,
+        "states": states,
+        "cost": global_cost(costs, xs),
+        "grad_sum_norm": _norms(grad_sums),
+        "consensus_error": np.linalg.norm(xs - xs.mean(axis=1, keepdims=True), axis=2).max(axis=1),
+        "conservation": _norms((ys.sum(axis=1) - grad_sums) - offset0),
+        "lyapunov": None,
+    }
     if reference is not None:
         dx = xs - reference
-        lyapunov = 0.5 * (np.sum(dx * dx, axis=(1, 2)) + np.sum(ys * ys, axis=(1, 2)))
-    return Trace(
-        times=np.array([t for t, _ in rows]),
-        states=states,
-        cost=global_cost(costs, xs),
-        grad_sum_norm=_norms(grad_sums),
-        consensus_error=np.linalg.norm(xs - xs.mean(axis=1, keepdims=True), axis=2).max(axis=1),
-        conservation=_norms((ys.sum(axis=1) - grad_sums) - offset0),
-        lyapunov=lyapunov,
-        status=status,
-        eta=eta,
-        steps=steps,
-        max_abs_state=max_abs,
-        derivative_evaluations=evaluations,
-        topology_switches=switches,
-        fixed_point_time=settled,
-    )
+        columns["lyapunov"] = 0.5 * (np.sum(dx * dx, axis=(1, 2)) + np.sum(ys * ys, axis=(1, 2)))
+    bounds = np.cumsum(rows) - rows
+    return [Trace(**{name: None if v is None else v[a:a + r].copy() for name, v in columns.items()},
+                  eta=eta, **end)
+            for a, r, end in zip(bounds, rows, ends)]
 
 
 def _per_entry(values, shape) -> np.ndarray:

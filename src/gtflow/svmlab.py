@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import SvmHingeCost
+from .cost import SvmHingeCost, aggregate_hessian
 from .engine import SolverConfig, Trace, integrate
 
 __all__ = [
@@ -193,10 +193,18 @@ class OracleStalled(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleResult:
+    """The baseline classifier, its objective, and how close to the minimizer it stopped.
+
+    ``error_bound`` is gradient_norm / lambda_min of the Hessian at the
+    classifier, both of the oracle's own cost: a local first-order estimate
+    of its distance to the exact minimizer (a bound on it for a quadratic).
+    """
+
     classifier: Classifier
     objective: float
     gradient_norm: float
     iterations: int
+    error_bound: float
 
 
 def centralized_oracle(
@@ -236,8 +244,9 @@ def centralized_oracle(
         grad = cost.gradient(x)
         gn_sq = float(grad @ grad)
         if np.sqrt(gn_sq) <= tol:
-            return OracleResult(Classifier(x[:-1], float(x[-1])),
-                                regularizer_scale * value, np.sqrt(gn_sq), it)
+            curvature = np.linalg.eigvalsh(aggregate_hessian([cost], x[None])[0])[0]
+            return OracleResult(Classifier(x[:-1], float(x[-1])), regularizer_scale * value,
+                                np.sqrt(gn_sq), it, float(np.sqrt(gn_sq) / curvature))
         carried, step = step, min(step * 2.0, 1e8)
         while True:
             candidate = x - step * grad
@@ -293,6 +302,7 @@ class DsvmReport:
             f"final_grad_sum_norm: {float(self.trace.grad_sum_norm[-1])!r}",
             f"oracle_objective: {self.oracle.objective!r}",
             f"oracle_gradient_norm: {format(self.oracle.gradient_norm, '.17g')}",
+            f"oracle_error_bound: {format(self.oracle.error_bound, '.17g')}",
         ]
         for i, clf in enumerate(self.agent_classifiers):
             vals = " ".join(format(v, ".17g") for v in clf.stacked)

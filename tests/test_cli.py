@@ -212,7 +212,8 @@ def test_malformed_dataset_csv_exits_3(tmp_path, capsys):
 def test_svm_run_evaluates_each_agents_hessian_once_per_stage(tmp_path, monkeypatch,
                                                               method, stages):
     # one call per agent for the bound report, one for the curvature test at
-    # the start state and one per derivative stage: never batched over agents
+    # the start state and one per derivative stage: never batched over agents;
+    # and one on the centralized baseline's cost, for its error bound
     calls = []
     hessian = SvmHingeCost.hessian
 
@@ -232,7 +233,7 @@ def test_svm_run_evaluates_each_agents_hessian_once_per_stage(tmp_path, monkeypa
     out = tmp_path / "o"
     assert main(["run", "--config", str(write_config(tmp_path, body)), "--out", str(out)]) == EXIT_OK
     assert f"steps: {steps}" in (out / "metadata.txt").read_text()
-    assert len(calls) == n * (stages * steps + 2)
+    assert len(calls) == n * (stages * steps + 2) + 1
     assert all(shape[-1] == 4 and len(shape) <= 2 for shape in calls)
 
 
@@ -735,5 +736,10 @@ def test_svm_run_reports_the_oracle_gradient_norm(tmp_path):
     meta = (out / "metadata.txt").read_text()
     [norm] = re.findall(r"^  oracle_gradient_norm: (\S+)$", meta, flags=re.M)
     assert 0.0 < float(norm) <= 1e-7
+    # the oracle's local error estimate follows it, far below the agreement floor
+    [bound] = re.findall(r"^  oracle_gradient_norm: \S+\n  oracle_error_bound: (\S+)$", meta,
+                         flags=re.M)
+    [distance] = re.findall(r"^  distance_to_oracle: (\S+)$", meta, flags=re.M)
+    assert 0.0 < float(bound) < float(distance) and np.isfinite(float(bound))
     # the per-agent lines stay the only keys that start with agent_
     assert re.findall(r"^  (agent_\w*):", meta, flags=re.M) == [f"agent_{i}_final" for i in range(3)]

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from gtflow.cli import EXIT_CONFIG, main
-from gtflow.config import (ConfigError, load_preset, parse_config, preset_names)
+from gtflow.cli import EXIT_CONFIG, _axis_grid, main
+from gtflow.config import (ConfigError, load_preset, parse_config, preset_names, sweep_cell)
 from gtflow.engine import MAX_SIZE
 
 MINIMAL = '{"seed": 4}'
@@ -88,6 +89,56 @@ def test_sweep_axis_validation():
         parse_config('{"seed": 1, "sweep": {"axes": {"beta": [1, 2]}}}')
     with pytest.raises(ConfigError, match="non-empty list"):
         parse_config('{"seed": 1, "sweep": {"axes": {"alpha": []}}}')
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
+
+DYNAMICS_SWEEP = {
+    "seed": 3, "description": "every axis a dynamics sweep takes",
+    "partition": {"n_agents": 8}, "network": {"switch_period": 0.5},
+    "nonlinearity": {"kind": "log_quantizer", "rho": 1.0},
+    "cost": {"kind": "quadratic", "m": 2},
+    "solver": {"method": "euler", "sample_stride": 10},
+    "sweep": {"mode": "dynamics", "t_end": 4,
+              "axes": {"eta": [0.01, 0.02], "khop": [1, 3], "alpha": [0.5, 2],
+                       "rho": [0.25, 1.5]}},
+}
+
+
+def parsed_cell(cfg, cell):
+    """A sweep cell's config the long way: its normalized dict edited, dumped and parsed."""
+    raw = cfg.normalized()
+    for axis in ("alpha", "eta"):
+        if axis in cell:
+            raw["solver"][axis] = cell[axis]
+    if "khop" in cell:
+        raw["network"]["khop"] = int(cell["khop"])
+    if "rho" in cell:
+        raw["nonlinearity"]["rho"] = cell["rho"]
+    raw["solver"]["t_end"] = raw["sweep"]["t_end"]
+    return parse_config(json.dumps(raw))
+
+
+@pytest.mark.parametrize("source", ["fig5-sensitivity", "table1-sector-ratios", "dsvm-logq",
+                                    "quad-sweep", "spectral-sweep", "dynamics"])
+def test_sweep_cells_equal_their_configs_parsed_from_json(source):
+    if source == "dynamics":
+        text = json.dumps(DYNAMICS_SWEEP)
+    elif (WORKLOADS / f"{source}.json").exists():
+        text = (WORKLOADS / f"{source}.json").read_text()
+    else:
+        text = load_preset(source)
+    cfg = parse_config(text)
+    cells = _axis_grid(cfg["sweep"]["axes"])  # a config without axes has one, empty, cell
+    assert len(cells) == {"fig5-sensitivity": 24, "table1-sector-ratios": 3, "dsvm-logq": 1,
+                          "quad-sweep": 24, "spectral-sweep": 105, "dynamics": 16}[source]
+    for cell in cells:
+        direct, parsed = sweep_cell(cfg, cell), parsed_cell(cfg, cell)
+        assert (direct.seed, direct.description) == (parsed.seed, parsed.description)
+        assert direct.sections == parsed.sections
+        assert direct.to_json() == parsed.to_json()  # the same value types, 1 against 1.0
+    # the base config is left as it was
+    assert cfg.to_json() == parse_config(text).to_json()
 
 
 def test_presets_all_parse():

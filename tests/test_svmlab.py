@@ -96,6 +96,16 @@ def test_oracle_reaches_stationarity():
     assert result.gradient_norm <= 1e-7
 
 
+def test_oracle_error_bound_covers_the_distance_to_a_tighter_oracle():
+    data = generate_ellipse_data(120, seed=13, radius=0.8, margin_gap=0.1)
+    exact = centralized_oracle(data, tol=2e-8)
+    for tol in (1e-5, 1e-6, 1e-7):
+        result = centralized_oracle(data, tol=tol)
+        distance = np.linalg.norm(result.classifier.stacked - exact.classifier.stacked)
+        assert 0.0 < result.error_bound < np.inf
+        assert distance <= result.error_bound + exact.error_bound
+
+
 def test_oracle_doubling_c_does_not_increase_hinge_term():
     from gtflow.cost import smoothed_hinge
 
