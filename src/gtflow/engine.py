@@ -20,16 +20,17 @@ that one step leaves unchanged bit for bit stays so, and the member stops
 at that exact fixed point with its remaining trace rows filled in.
 
 Configs that differ only in alpha and the link level run in lock step as one
-``SolverBatch``: the state gains a leading member axis, and one Laplacian
-per switch and one derivative evaluation per stage serve every member, whose
-alpha and link level the batch holds at the shapes they multiply. The
-members' sampled rows share one array and one diagnostics pass. Costs of
-constant curvature have their Hessians evaluated once per run, and a stack
-of them whose off-diagonal entries are all 0 is carried as its diagonal: an
-elementwise product in place of the block product, with the same bits on
-finite states. On a diverging state the block product's 0 * inf makes NaN
-and the diagonal form does not, so such a run can end on inf where the block
-product ended on NaN.
+``SolverBatch``: the state (2, B, n, m) gains a member axis after the line
+axis, so the x lines of every member are one contiguous block and the y
+lines another, and one Laplacian per switch and one derivative evaluation
+per stage serve every member, whose alpha and link level the batch holds at
+the shapes they multiply. The members' sampled rows share one array and
+one diagnostics pass. Costs of constant curvature have their Hessians
+evaluated once per run, and a stack of them whose off-diagonal entries are
+all 0 is carried as its diagonal: an elementwise product in place of the
+block product, with the same bits on finite states. On a diverging state
+the block product's 0 * inf makes NaN and the diagonal form does not, so
+such a run can end on inf where the block product ended on NaN.
 """
 
 from __future__ import annotations
@@ -204,24 +205,26 @@ def derivative(
     rho=None,
     hessian: np.ndarray | None = None,
 ) -> np.ndarray:
-    """dS for stacked states S = [X, Y] of shape (..., 2, n, m); the graph is frozen by the caller.
+    """dS for stacked states S = [X, Y] of shape (2, ..., n, m); the graph is frozen by the caller.
 
-    Leading axes are batch members. ``alpha`` is a float or an array that
-    broadcasts against X, and the link level ``rho`` (see ``nonlinear.apply``)
-    one that broadcasts against S; ``integrate`` gives a batch both at full
-    shape, (B, n, m) and (B, 2, n, m), which rounds the same as a broadcast
-    and costs less. ``hessian``, the (n, m, m) stack of costs whose curvature
-    is constant, stands in for evaluating the Hessians at X. Its (n, m)
-    diagonal stands in for a stack whose off-diagonal entries are all 0: it
-    adds ``diagonal * dX``, the block product's bits except where that
-    product multiplies a zero coupling by an inf or NaN entry of dX into NaN.
+    Axes between the line axis and the agents are batch members: a batch of
+    B states is (2, B, n, m), so X = S[0] and Y = S[1] are contiguous blocks.
+    ``alpha`` is a float or an array that broadcasts against X, and the link
+    level ``rho`` (see ``nonlinear.apply``) one that broadcasts against S;
+    ``integrate`` gives a batch both at full shape, (B, n, m) and
+    (2, B, n, m), which rounds the same as a broadcast and costs less.
+    ``hessian``, the (n, m, m) stack of costs whose curvature is constant,
+    stands in for evaluating the Hessians at X. Its (n, m) diagonal stands
+    in for a stack whose off-diagonal entries are all 0: it adds
+    ``diagonal * dX``, the block product's bits except where that product
+    multiplies a zero coupling by an inf or NaN entry of dX into NaN.
     S is a float array, as ``integrate`` makes it, with one row per cost.
     """
     dS = lap @ apply(g, S, rho)
-    dX, dY = dS[..., 0, :, :], dS[..., 1, :, :]
-    dX -= alpha * S[..., 1, :, :]
+    dX, dY = dS[0], dS[1]
+    dX -= alpha * S[1]
     if hessian is None:
-        hessian = stage_hessian(costs, S[..., 0, :, :])
+        hessian = stage_hessian(costs, S[0])
     if hessian.ndim == 2:
         dY += hessian * dX
     else:
@@ -266,18 +269,20 @@ def integrate(
     """Run the hybrid dynamics from stacked initial state x0 (n rows).
 
     A ``SolverBatch`` of B members runs them in lock step on states of shape
-    (B, 2, n, m) from the same x0 and returns one trace per member; a single
-    ``SolverConfig`` is a batch of one and returns its trace. Each member's
-    arithmetic is the same elementwise or per-matrix arithmetic as a run of
-    its own, so its trace is bit-identical to that run's.
+    (2, B, n, m), line first, from the same x0 and returns one trace per
+    member; a single ``SolverConfig`` is a batch of one and returns its
+    trace. Each member's arithmetic is the same elementwise or per-matrix
+    arithmetic as a run of its own, so its trace is bit-identical to that
+    run's.
 
     Every member's sampled states go into one (B, R, 2, n, m) array, with
     R = (steps - 1) // sample_stride + 2 the rows of a member that takes
-    every step: one write per sampled step records every live member, and a
-    member that leaves has its remaining rows filled in one assignment. The
-    diagnostics of all members' rows in use come from one pass, one
-    ``sum_gradient`` and one ``global_cost`` call for the whole batch, and
-    each trace is handed copies of its slices.
+    every step: one write per sampled step records every live member (the
+    state with its member axis swapped to the front), and a member that
+    leaves has its remaining rows filled in one assignment. The diagnostics
+    of all members' rows in use come from one pass, one ``sum_gradient`` and
+    one ``global_cost`` call for the whole batch, and each trace is handed
+    copies of its slices.
 
     A supplied ``reference`` optimizer turns on the Lyapunov column
     V = 0.5 ||[x; y] - [x*; 0]||^2. Divergence (a non-finite entry or one
@@ -305,11 +310,11 @@ def integrate(
 
     offset0 = Y.sum(axis=0) - sum_gradient(costs, X)
     B = len(members)
-    S = np.repeat(np.stack([X, Y])[None], B, axis=0)
-    # a lone member steps on its own (2, n, m) state, with its alpha and link
-    # level as floats: the same bits with less broadcasting, and each agent's
-    # Hessian evaluated on its lone (m,) row; a batch holds them at the shapes
-    # they multiply, (B, n, m) and (B, 2, n, m)
+    S = np.repeat(np.stack([X, Y])[:, None], B, axis=1)
+    # a lone member steps on its own (2, n, m) state S[:, 0], with its alpha
+    # and link level as floats: the same bits with less broadcasting, and each
+    # agent's Hessian evaluated on its lone (m,) row; a batch holds them at
+    # the shapes they multiply, (B, n, m) and (2, B, n, m)
     lone = B == 1
     if lone:
         alpha, rho = first.alpha, first.g.rho
@@ -322,7 +327,7 @@ def integrate(
     # then the state after the last step taken, so a member that takes every
     # step fills all R of its rows
     R = (steps - 1) // stride + 2
-    states = np.empty((B, R) + S.shape[1:])
+    states = np.empty((B, R, 2, n, m))
     ends = [None] * B  # the Trace fields a member's exit sets
     peaks = np.zeros_like(S)  # the largest magnitude other than NaN each entry of S has reached
     stages = 1 if first.method == "euler" else 4
@@ -337,7 +342,7 @@ def integrate(
         # constant curvature comes back as one (n, m, m) stack without the
         # member axis; it is evaluated here once instead of at every stage,
         # and carried as its diagonal when every off-diagonal entry is 0
-        H = stage_hessian(costs, S[:, 0])
+        H = stage_hessian(costs, S[0])
         hessian = None
         if H.ndim == 3:
             uncoupled = (H[:, ~np.eye(m, dtype=bool)] == 0).all()  # false on a NaN
@@ -351,9 +356,9 @@ def integrate(
                 args = (L, costs, alpha, first.g, rho, hessian)
             sampled = k % stride == 0
             if sampled:
-                states[live, k // stride] = S
+                states[live, k // stride] = S.swapaxes(0, 1)
             before = S
-            s = S[0] if lone else S
+            s = S[:, 0] if lone else S
             k1 = derivative(s, *args)
             if first.method == "euler":
                 k1 *= eta  # k1 is fresh: s + eta * k1, accumulated in place
@@ -364,7 +369,7 @@ def integrate(
                 k3 = derivative(s + half * k2, *args)
                 k4 = derivative(s + eta * k3, *args)
                 s = s + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-            S = s[None] if lone else s
+            S = s[:, None] if lone else s
             A = np.abs(S)
             np.fmax(peaks, A, out=peaks)
             diverged = not A.max() <= BLOWUP_THRESHOLD  # true on a NaN
@@ -372,14 +377,14 @@ def integrate(
                 continue  # no member can leave on this step
             ending = {}  # row of S -> (status, steps taken, fixed-point time)
             if diverged:
-                for j in np.flatnonzero(~(A.max(axis=(1, 2, 3)) <= BLOWUP_THRESHOLD)):
+                for j in np.flatnonzero(~(A.max(axis=(0, 2, 3)) <= BLOWUP_THRESHOLD)):
                     ending[j] = ("diverged", k + 1, None)  # the step that diverged was taken
             if static and sampled:
                 # a member whose step left its state unchanged, bit for bit, is at
                 # a fixed point of its step map: every later state is this one, so
                 # its remaining rows are filled in and it stops (never on a NaN;
                 # a member that also diverged leaves as diverged)
-                for j in np.flatnonzero((S == before).all(axis=(1, 2, 3))):
+                for j in np.flatnonzero((S == before).all(axis=(0, 2, 3))):
                     ending.setdefault(j, ("completed", steps, t))
             if k == steps - 1:
                 for j in range(len(live)):
@@ -389,16 +394,19 @@ def integrate(
             for j, (status, taken, settled) in ending.items():
                 b = live[j]
                 # its rows after this step's, up to and including its final row
-                states[b, k // stride + 1:(taken - 1) // stride + 2] = S[j]
-                ends[b] = dict(status=status, steps=taken, max_abs_state=float(peaks[j].max()),
+                states[b, k // stride + 1:(taken - 1) // stride + 2] = S[:, j]
+                ends[b] = dict(status=status, steps=taken, max_abs_state=float(peaks[:, j].max()),
                                derivative_evaluations=stages * (k + 1),
                                topology_switches=switches, fixed_point_time=settled)
             if len(ending) == len(live):
                 break
             keep = np.ones(len(live), dtype=bool)
             keep[list(ending)] = False
-            S, alpha, live, peaks = S[keep], alpha[keep], live[keep], peaks[keep]
-            rho = None if rho is None else rho[keep]
+            # np.compress keeps C order; fancy indexing on axis 1 would not,
+            # and every later operation would walk strided lines
+            S, peaks = np.compress(keep, S, axis=1), np.compress(keep, peaks, axis=1)
+            alpha, live = alpha[keep], live[keep]
+            rho = None if rho is None else np.compress(keep, rho, axis=1)
             args = (L, costs, alpha, first.g, rho, hessian)
 
     taken = np.array([end["steps"] for end in ends])
@@ -440,8 +448,8 @@ def _traces(costs, times, states, rows, offset0, reference, eta, ends) -> list[T
 
 
 def _per_entry(values, shape) -> np.ndarray:
-    """A fresh array of the given shape whose b-th slice along the first axis is values[b]."""
-    return np.broadcast_to(np.reshape(values, (-1,) + (1,) * (len(shape) - 1)), shape).copy()
+    """A fresh C-ordered array of the given (..., B, n, m) shape whose b-th member slice is values[b]."""
+    return np.broadcast_to(np.reshape(values, (-1, 1, 1)), shape).copy()
 
 
 def _norms(v: np.ndarray) -> np.ndarray:

@@ -95,7 +95,7 @@ def apply(g: LinkNonlinearity, z, rho=None):
     """Evaluate g componentwise. Total on finite inputs; g(0) = 0 for every kind.
 
     ``rho`` replaces a quantizer's level ``g.rho``: an array that broadcasts
-    against z, such as the full-shape (B, 2, n, m) array a batch of B
+    against z, such as the full-shape (2, B, n, m) array a batch of B
     stacked states carries, gives each its own level with the same
     elementwise arithmetic.
     """

@@ -425,6 +425,53 @@ def test_batch_members_equal_their_own_runs(method, kind, link):
         assert_matches_reference(trace, costs, x0, cfg)
 
 
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("kind", ["quadratic", "svm"])
+def test_two_member_batch_equals_its_own_runs(method, kind):
+    # with two members the line-major (2, B, n, m) state and a member-major
+    # (B, 2, n, m) one have the same shape, so a swapped axis raises nothing
+    costs = quadratic_fixture()[0] if kind == "quadratic" else svm_fixture()
+    x0 = np.random.default_rng(7).uniform(-1, 1, size=(5, costs[0].m))
+    sched = permuting_schedule(5)
+    members = tuple(SolverConfig(alpha=a, eta=0.01, t_end=2.0, schedule=sched,
+                                 g=log_quantizer(rho), method=method, sample_stride=7)
+                    for a, rho in ((0.3, 0.5), (5e4, 1.5)))
+    traces = integrate(costs, x0, SolverBatch(members))
+    assert [t.status for t in traces] == ["completed", "diverged"]
+    for trace, cfg in zip(traces, members):
+        alone = integrate(costs, x0, cfg)
+        assert trace.to_csv() == alone.to_csv()
+        assert ((trace.status, trace.steps, trace.max_abs_state)
+                == (alone.status, alone.steps, alone.max_abs_state))
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_every_derivative_call_gets_c_ordered_line_major_arrays(monkeypatch, method):
+    # dropping a member must leave the state, alpha and link level C-ordered:
+    # a fancy index on the member axis would hand later steps strided lines
+    costs = quadratic_fixture()[0]
+    n, m = len(costs), costs[0].m
+    x0 = np.random.default_rng(7).uniform(-1, 1, size=(n, m))
+    sched = permuting_schedule(n)
+    members = tuple(SolverConfig(alpha=a, eta=0.01, t_end=2.0, schedule=sched,
+                                 g=log_quantizer(rho), method=method)
+                    for a, rho in ((0.3, 0.5), (5e4, 1.0), (1.2, 1.5), (0.6, 1.9)))
+    seen = []
+    monkeypatch.setattr(engine, "derivative",
+                        lambda S, lap, costs, alpha, g, rho, hessian:
+                        seen.append((S.shape, alpha.shape, rho.shape, S.flags.c_contiguous,
+                                     alpha.flags.c_contiguous, rho.flags.c_contiguous))
+                        or derivative(S, lap, costs, alpha, g, rho, hessian))
+    traces = integrate(costs, x0, SolverBatch(members))
+    assert [t.status for t in traces] == ["completed", "diverged", "completed", "completed"]
+    diverged = traces[1].steps
+    assert 1 < diverged < 200
+    stages = 1 if method == "euler" else 4
+    want = [((2, B, n, m), (B, n, m), (2, B, n, m), True, True, True)
+            for B, steps in ((4, diverged), (3, 200 - diverged)) for _ in range(stages * steps)]
+    assert seen == want
+
+
 def count_laplacians(monkeypatch) -> list:
     built = []
     monkeypatch.setattr(engine, "laplacian", lambda g: built.append(g) or laplacian(g))
@@ -709,15 +756,21 @@ def test_agreement_ratio_of_zero_and_non_finite_components():
 
 
 def first_step(costs, x0, config):
-    """The state after one step, from derivative calls and the textbook RK4 and Euler updates."""
+    """The state after one step, from derivative calls and the textbook RK4 and Euler updates.
+
+    A batch's state is line-major, (2, B, n, m); a lone config's is (2, n, m).
+    """
     members = config.members if isinstance(config, SolverBatch) else (config,)
     first = members[0]
     X = np.array(x0, dtype=float)
-    S = np.repeat(np.stack([X, np.stack([c.gradient(x) for c, x in zip(costs, X)])])[None],
-                  len(members), axis=0)
-    alpha = np.array([c.alpha for c in members]).reshape(-1, 1, 1)
-    rho = np.array([c.g.rho for c in members]).reshape(-1, 1, 1, 1)
-    H = aggregate_hessian(costs, S[:, 0])
+    S = np.stack([X, np.stack([c.gradient(x) for c, x in zip(costs, X)])])
+    if isinstance(config, SolverBatch):
+        S = np.repeat(S[:, None], len(members), axis=1)
+        alpha = np.array([c.alpha for c in members]).reshape(-1, 1, 1)
+        rho = np.array([c.g.rho for c in members]).reshape(1, -1, 1, 1)
+    else:
+        alpha, rho = config.alpha, config.g.rho
+    H = aggregate_hessian(costs, X[None])  # (n, m, m) for a curvature that does not read x
     args = (laplacian(graph_at(first.schedule, 0.0)), costs, alpha, first.g, rho,
             H if H.ndim == 3 else None)
     eta = first.eta
@@ -748,6 +801,7 @@ def test_one_step_is_the_textbook_update_of_derivative_calls_byte_for_byte(kind,
     traces = integrate(costs, x0, config)
     traces = traces if isinstance(traces, list) else [traces]
     expected = first_step(costs, x0, config)
+    expected = expected.swapaxes(0, 1) if isinstance(config, SolverBatch) else [expected]
     assert len(traces) == len(expected)
     for trace, state in zip(traces, expected):
         assert trace.steps == 1 and trace.states.shape[0] == 2
