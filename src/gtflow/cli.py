@@ -140,9 +140,8 @@ def _initial_state(cfg: ExperimentConfig, n: int, m: int) -> np.ndarray:
     return np.random.default_rng(cfg.seed + 5).uniform(0.0, 1.0, size=(n, m))
 
 
-def _bound_report(cfg: ExperimentConfig, costs, x0):
+def _bound_report(cfg: ExperimentConfig, schedule, costs, x0):
     """Step-size bounds at the initial operating point."""
-    schedule = cfgmod.build_schedule(cfg)
     lap = laplacian(schedule.base_graph)
     hess = aggregate_hessian(costs, x0)
     slowest, radius = spectral.laplacian_rates(lap)
@@ -189,7 +188,7 @@ def _bounds_lines(cfg, bounds, flagged) -> list[str]:
 def cmd_bounds(args) -> int:
     cfg = _load_config(args)
     costs, x0, _ = _build_costs(cfg)
-    lines = _bounds_lines(cfg, *_bound_report(cfg, costs, x0))
+    lines = _bounds_lines(cfg, *_bound_report(cfg, cfgmod.build_schedule(cfg), costs, x0))
     text = "\n".join(lines) + "\n"
     print(text, end="")
     _write(args.out, "bounds.txt", text)
@@ -216,10 +215,10 @@ def cmd_run(args) -> int:
     meta = ["config:"] + ["  " + ln for ln in cfg.to_json().splitlines()]
 
     costs, x0, context = _build_costs(cfg)
-    bound_lines = _bounds_lines(cfg, *_bound_report(cfg, costs, x0))
+    schedule = cfgmod.build_schedule(cfg)
+    bound_lines = _bounds_lines(cfg, *_bound_report(cfg, schedule, costs, x0))
     meta += ["", "bounds:"] + ["  " + ln for ln in bound_lines]
 
-    schedule = cfgmod.build_schedule(cfg)
     solver = cfgmod.build_solver(cfg, schedule)
 
     if context is None:

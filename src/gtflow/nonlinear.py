@@ -10,8 +10,11 @@ For the log quantizer two bound conventions are exposed. The ``linearized`` mode
 returns the linearized pair (1 - rho/2, 1 + rho/2); the ``tight`` mode
 returns (exp(-rho/2), exp(+rho/2)), which is the exact envelope of g(z)/z.
 The linearized upper value undershoots the true envelope (exp(rho/2) >
-1 + rho/2), so containment checks against ``linearized`` bounds report upper-side
-violations by design; the lower linearized value is a valid bound.
+1 + rho/2), so g(z)/z exceeds it on part of every decade; the lower
+linearized value is a valid bound. ``gtflow verify`` checks every kind for
+oddness, monotonicity and containment in its sector, the log quantizer
+against its ``tight`` envelope, and that the linearized upper value is
+exceeded.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ __all__ = [
     "saturation",
     "apply",
     "sector_bounds",
-    "verify_link_properties",
 ]
 
 _KINDS = ("identity", "log_quantizer", "uniform_quantizer", "saturation")
@@ -73,11 +75,10 @@ def saturation(limit: float) -> LinkNonlinearity:
 
 @dataclass(frozen=True)
 class SectorBounds:
-    """Certified sector kappa <= g(z)/z <= upper on the stated domain."""
+    """Certified sector kappa <= g(z)/z <= upper on the domain given to ``sector_bounds``."""
 
     kappa: float
     upper: float
-    domain: tuple[float, float] = (-math.inf, math.inf)
     strongly_sign_preserving: bool = True
 
     def __post_init__(self):
@@ -142,7 +143,7 @@ def sector_bounds(
     if mode not in ("linearized", "tight"):
         raise ValueError(f"unknown sector mode {mode!r}")
     if g.kind == "identity":
-        return SectorBounds(1.0, 1.0, domain)
+        return SectorBounds(1.0, 1.0)
     if g.kind == "log_quantizer":
         if mode == "linearized":
             if g.rho >= 2:
@@ -150,100 +151,14 @@ def sector_bounds(
                     f"linearized lower bound 1 - rho/2 <= 0 for rho={g.rho}; "
                     "use mode='tight' for rho >= 2"
                 )
-            return SectorBounds(1 - g.rho / 2, 1 + g.rho / 2, domain)
-        return SectorBounds(math.exp(-g.rho / 2), math.exp(g.rho / 2), domain)
+            return SectorBounds(1 - g.rho / 2, 1 + g.rho / 2)
+        return SectorBounds(math.exp(-g.rho / 2), math.exp(g.rho / 2))
     if g.kind == "uniform_quantizer":
         # ratio sup is 2 (approached just past the dead-zone edge rho/2)
-        return SectorBounds(0.0, 2.0, domain)
+        return SectorBounds(0.0, 2.0)
     extent = max(abs(lo), abs(hi))  # saturation
     if not math.isfinite(extent):
         raise ValueError("saturation sector bounds need a bounded domain")
     if extent <= g.limit:
-        return SectorBounds(1.0, 1.0, domain)
-    return SectorBounds(g.limit / extent, 1.0, domain)
-
-
-@dataclass
-class LinkPropertyReport:
-    """Randomized verification outcome for oddness/monotonicity/sector containment."""
-
-    odd_ok: bool
-    monotone_ok: bool
-    sector_ok: bool
-    worst_odd: tuple[float, float] = (0.0, 0.0)
-    worst_monotone: tuple[float, float] = (0.0, 0.0)
-    worst_sector: tuple[float, float] = (0.0, 0.0)
-
-    @property
-    def all_ok(self) -> bool:
-        return self.odd_ok and self.monotone_ok and self.sector_ok
-
-    def lines(self) -> list[str]:
-        out = [
-            f"odd: {'pass' if self.odd_ok else 'FAIL'}",
-            f"monotone: {'pass' if self.monotone_ok else 'FAIL'}",
-            f"sector: {'pass' if self.sector_ok else 'FAIL'}",
-        ]
-        if not self.odd_ok:
-            out.append(f"worst odd violation at z={self.worst_odd[0]!r} (gap {self.worst_odd[1]:.3g})")
-        if not self.monotone_ok:
-            out.append(
-                f"worst monotone violation at z={self.worst_monotone[0]!r} (drop {self.worst_monotone[1]:.3g})"
-            )
-        if not self.sector_ok:
-            out.append(
-                f"worst sector violation at z={self.worst_sector[0]!r} (ratio {self.worst_sector[1]:.6g})"
-            )
-        return out
-
-
-def verify_link_properties(
-    g: LinkNonlinearity,
-    bounds: SectorBounds,
-    samples: int = 2000,
-    seed: int = 0,
-) -> LinkPropertyReport:
-    """Randomized check of oddness, monotonicity, and sector containment.
-
-    Sampling is log-uniform in magnitude over the bounded part of the domain
-    (falling back to 12 decades around 1 when unbounded), signed both ways.
-    Each property holds to an absolute 1e-12. Failures are reported with the
-    worst offending input, never raised; step discontinuities with upward
-    jumps count as monotone.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    lo, hi = bounds.domain
-    hi_mag = min(hi if math.isfinite(hi) else 1e6, 1e6)
-    lo_mag = max(hi_mag * 1e-12, 1e-12)
-    mags = np.exp(rng.uniform(np.log(lo_mag), np.log(hi_mag), size=samples))
-    z = mags * rng.choice([-1.0, 1.0], size=samples)
-    z = z[(z >= lo) & (z <= hi)]
-    gz = apply(g, z)
-
-    odd_gap = np.abs(apply(g, -z) + gz)
-    odd_ok = bool(np.all(odd_gap <= 1e-12))
-    io = int(np.argmax(odd_gap))
-
-    zs = np.sort(z)
-    gzs = apply(g, zs)
-    drops = np.diff(gzs)
-    mono_ok = bool(np.all(drops >= -1e-12))
-    im = int(np.argmin(drops)) if drops.size else 0
-
-    ratio = gz / z
-    lo_viol = bounds.kappa - ratio
-    hi_viol = ratio - bounds.upper
-    viol = np.maximum(lo_viol, hi_viol)
-    sector_ok = bool(np.all(viol <= 1e-12))
-    iv = int(np.argmax(viol))
-
-    return LinkPropertyReport(
-        odd_ok,
-        mono_ok,
-        sector_ok,
-        worst_odd=(float(z[io]), float(odd_gap[io])),
-        worst_monotone=(float(zs[im]), float(drops[im])) if drops.size else (0.0, 0.0),
-        worst_sector=(float(z[iv]), float(ratio[iv])),
-    )
+        return SectorBounds(1.0, 1.0)
+    return SectorBounds(g.limit / extent, 1.0)

@@ -123,10 +123,6 @@ class Partition:
         if len(flat) != len(set(flat)):
             raise ValueError("partition groups overlap")
 
-    @property
-    def counts(self) -> list[int]:
-        return [len(g) for g in self.agents]
-
 
 def partition(
     data: LabeledDataset, n_agents: int, mode: str = "stratified", seed: int = 0
@@ -264,19 +260,9 @@ def centralized_oracle(
                         float(np.linalg.norm(cost.gradient(x))))
 
 
-def evaluate(clf: Classifier, data: LabeledDataset) -> tuple[float, dict[str, int]]:
-    """Training accuracy under the tie-is-wrong rule, plus confusion counts."""
-    values = clf.decision_values(data.points)
-    predicted = np.sign(values)
-    correct = predicted == data.labels
-    confusion = {
-        "true_positive": int(np.sum(correct & (data.labels > 0))),
-        "true_negative": int(np.sum(correct & (data.labels < 0))),
-        "false_positive": int(np.sum(~correct & (data.labels < 0))),
-        "false_negative": int(np.sum(~correct & (data.labels > 0))),
-        "ties": int(np.sum(predicted == 0)),
-    }
-    return float(np.mean(correct)), confusion
+def evaluate(clf: Classifier, data: LabeledDataset) -> float:
+    """Training accuracy under the tie-is-wrong rule."""
+    return float(np.mean(np.sign(clf.decision_values(data.points)) == data.labels))
 
 
 @dataclass
@@ -344,8 +330,8 @@ def dsvm_experiment(
     consensus = Classifier(mean_state[:-1], float(mean_state[-1]))
     spread = float(np.max(np.abs(final_x - mean_state)))
     distance = float(np.max(np.abs(consensus.stacked - oracle.classifier.stacked)))
-    consensus_acc, _ = evaluate(consensus, data)
-    oracle_acc, _ = evaluate(oracle.classifier, data)
+    consensus_acc = evaluate(consensus, data)
+    oracle_acc = evaluate(oracle.classifier, data)
 
     return DsvmReport(
         trace=trace,

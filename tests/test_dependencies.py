@@ -1,4 +1,5 @@
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -24,3 +25,18 @@ def test_runtime_modules_import_only_the_standard_library_numpy_and_gtflow():
             outside += [(path.name, name) for name in names
                         if name.split(".")[0] not in ALLOWED]
     assert not outside
+
+
+def test_every_exported_name_exists():
+    # a name left in a module's __all__ after its definition is deleted
+    # breaks ``from gtflow.<module> import *``
+    stale = []
+    exporting = 0
+    for path in sorted(Path(gtflow.__file__).parent.glob("*.py")):
+        module = importlib.import_module(
+            "gtflow" if path.stem == "__init__" else f"gtflow.{path.stem}")
+        names = getattr(module, "__all__", ())
+        exporting += bool(names)
+        stale += [(path.stem, name) for name in names if not hasattr(module, name)]
+    assert exporting > 5
+    assert not stale

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtflow.nonlinear import (apply, identity,
-                              log_quantizer, saturation, sector_bounds,
-                              uniform_quantizer, verify_link_properties, SectorBounds)
+from gtflow import nonlinear as nl
+from gtflow import verify
+from gtflow.nonlinear import (apply, identity, log_quantizer, saturation, sector_bounds,
+                              uniform_quantizer)
 
 
 def test_log_quantizer_spot_values():
@@ -111,36 +112,88 @@ def test_saturation_domain_relative_bounds():
     assert (b2.kappa, b2.upper) == (1.0, 1.0)
 
 
-def test_verify_identity_all_pass():
-    rep = verify_link_properties(identity(), sector_bounds(identity()), samples=500)
-    assert rep.all_ok
+def _signed_log_uniform(seed, size, lo=1e-6, hi=1e6):
+    rng = np.random.default_rng(seed)
+    mags = np.exp(rng.uniform(np.log(lo), np.log(hi), size=size))
+    return np.sort(mags * rng.choice([-1.0, 1.0], size=size))
 
 
-def test_verify_uniform_quantizer_fails_claimed_positive_kappa():
-    # the dead zone makes g(z)/z = 0 below rho/2
-    claimed = SectorBounds(0.5, 2.0, domain=(-10.0, 10.0))
-    rep = verify_link_properties(uniform_quantizer(1.0), claimed, samples=4000, seed=1)
-    assert rep.odd_ok and rep.monotone_ok
-    assert not rep.sector_ok
-    assert 0 < abs(rep.worst_sector[0]) < 0.5
+def test_identity_is_odd_monotone_and_in_its_sector():
+    z = _signed_log_uniform(0, 500)
+    gz = apply(identity(), z)
+    b = sector_bounds(identity())
+    assert np.array_equal(apply(identity(), -z), -gz)
+    assert np.all(np.diff(gz) >= 0)
+    assert np.all((b.kappa <= gz / z) & (gz / z <= b.upper))
 
 
-def test_verify_log_quantizer_tight_bounds_pass():
+def test_uniform_quantizer_dead_zone_fails_a_claimed_positive_kappa():
+    # g(z)/z = 0 below rho/2, so a claimed kappa of 0.5 fails there and
+    # only there
+    g = uniform_quantizer(1.0)
+    z = _signed_log_uniform(1, 4000, hi=10.0)
+    gz = apply(g, z)
+    assert np.array_equal(apply(g, -z), -gz)
+    assert np.all(np.diff(gz) >= 0)
+    fails = gz / z < 0.5
+    assert np.array_equal(fails, np.abs(z) < 0.5) and fails.any()
+    assert np.all(gz[fails] == 0)
+
+
+def test_log_quantizer_tight_envelope_holds():
     g = log_quantizer(1.0)
-    rep = verify_link_properties(g, sector_bounds(g, (-1e3, 1e3), mode="tight"),
-                             samples=20000, seed=2)
-    assert rep.all_ok
+    b = sector_bounds(g, (-1e3, 1e3), mode="tight")
+    z = _signed_log_uniform(2, 20000, hi=1e3)
+    ratio = apply(g, z) / z
+    assert ratio.min() >= b.kappa - 1e-12
+    assert ratio.max() <= b.upper + 1e-12
 
 
-def test_verify_log_quantizer_linearized_upper_bound_is_violated():
+def test_log_quantizer_exceeds_its_linearized_upper_value():
     # dense sampling shows g(z)/z reaching exp(rho/2) > 1 + rho/2: the
     # linearized pair is not a true envelope on the upper side
     g = log_quantizer(1.0)
-    rep = verify_link_properties(g, sector_bounds(g, (-1e3, 1e3), mode="linearized"),
-                             samples=20000, seed=3)
-    assert rep.odd_ok and rep.monotone_ok
-    assert not rep.sector_ok
-    assert rep.worst_sector[1] == pytest.approx(math.exp(0.5), rel=1e-2)
+    b = sector_bounds(g, (-1e3, 1e3), mode="linearized")
+    z = _signed_log_uniform(3, 20000, hi=1e3)
+    ratio = apply(g, z) / z
+    assert ratio.min() >= b.kappa
+    assert ratio.max() > b.upper
+    assert ratio.max() == pytest.approx(math.exp(0.5), rel=1e-2)
+
+
+def _dip(apply_):
+    # the uniform quantizer drops to half between 10 and 20, still odd
+    def broken(g, z, rho=None):
+        out = apply_(g, z, rho)
+        if g.kind == "uniform_quantizer":
+            out = np.where((np.abs(z) > 10) & (np.abs(z) < 20), out / 2, out)
+        return out
+    return broken
+
+
+def _offset(apply_):
+    # saturation plus a constant: still monotone, but not odd
+    def broken(g, z, rho=None):
+        return apply_(g, z, rho) + (1e-9 if g.kind == "saturation" else 0.0)
+    return broken
+
+
+def _linearized_claimed(bounds_):
+    def broken(g, domain=(-math.inf, math.inf), mode="linearized"):
+        return bounds_(g, domain, "linearized" if g.kind == "log_quantizer" else mode)
+    return broken
+
+
+@pytest.mark.parametrize("attr, make, kind, prop", [
+    ("apply", _offset, "saturation", "odd"),
+    ("apply", _dip, "uniform_quantizer(rho=1.0)", "monotone"),
+    ("sector_bounds", _linearized_claimed, "log_quantizer(rho=1.95)", "sector"),
+], ids=["not odd", "downward dip", "linearized sector"])
+def test_nonlinearity_check_catches_broken_maps(monkeypatch, attr, make, kind, prop):
+    monkeypatch.setattr(nl, attr, make(getattr(nl, attr)))
+    result = verify.check_nonlinearity_properties()
+    assert not result.passed
+    assert (kind, prop) in {f[:2] for f in result.failures}
 
 
 @settings(max_examples=200, deadline=None)

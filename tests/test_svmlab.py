@@ -47,8 +47,7 @@ def test_generated_data_separable_in_feature_space():
     data = generate_ellipse_data(200, seed=7, radius=0.6, margin_gap=0.05)
     result = centralized_oracle(data, C=50.0, mu=4.0, eps_nu=1e-6, tol=2e-4,
                                 max_iter=400000)
-    accuracy, confusion = evaluate(result.classifier, data)
-    assert accuracy == 1.0
+    assert evaluate(result.classifier, data) == 1.0
     margins = data.labels * result.classifier.decision_values(data.points)
     assert margins.min() > 0
 
@@ -56,9 +55,9 @@ def test_generated_data_separable_in_feature_space():
 def test_partition_single_agent_and_stratified_counts():
     data = generate_ellipse_data(200, seed=11, radius=0.8, margin_gap=0.05)
     single = partition(data, 1)
-    assert single.counts == [200]
+    assert [len(agents) for agents in single.agents] == [200]
     part = partition(data, 5, "stratified", seed=2)
-    assert part.counts == [40] * 5
+    assert [len(agents) for agents in part.agents] == [40] * 5
     global_pos = int(np.sum(data.labels > 0))
     for agents in part.agents:
         pos = int(np.sum(data.labels[list(agents)] > 0))
@@ -134,16 +133,16 @@ def test_evaluate_tie_rule():
     data = LabeledDataset(np.array([[0.5, 0.0], [0.0, 0.5]]),
                           np.array([1.0, -1.0]))
     zero_clf = Classifier(np.zeros(3), 0.0)
-    accuracy, confusion = evaluate(zero_clf, data)
-    assert accuracy == 0.0
-    assert confusion["ties"] == 2
+    # both points are ties, and a tie counts as wrong
+    assert np.all(zero_clf.decision_values(data.points) == 0)
+    assert evaluate(zero_clf, data) == 0.0
 
 
 def test_evaluate_negation_flips_non_ties():
     data = generate_ellipse_data(80, seed=23, radius=0.7, margin_gap=0.05)
     clf = Classifier(np.array([1.0, 1.0, 0.0]), 0.49)
-    acc, _ = evaluate(clf, data)
-    neg_acc, _ = evaluate(Classifier(-clf.omega, -clf.nu), data)
+    acc = evaluate(clf, data)
+    neg_acc = evaluate(Classifier(-clf.omega, -clf.nu), data)
     values = clf.decision_values(data.points)
     non_tie = np.mean(values != 0)
     assert acc + neg_acc == pytest.approx(non_tie)
