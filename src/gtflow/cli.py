@@ -120,6 +120,13 @@ def _write(out_dir: Path, name: str, text: str) -> None:
     (out_dir / name).write_text(text, encoding="utf-8")
 
 
+def _classifier_text(x: np.ndarray, **metadata) -> str:
+    """The classifier x = [w; nu] as ``omega_<i>`` and ``nu`` lines, then the metadata."""
+    lines = [f"omega_{i}: {format(v, '.17g')}" for i, v in enumerate(x[:-1])]
+    lines += [f"nu: {format(x[-1], '.17g')}"] + [f"{k}: {v}" for k, v in metadata.items()]
+    return "\n".join(lines) + "\n"
+
+
 SATURATION_DOMAIN = 100.0  # operating interval for domain-relative bounds
 
 
@@ -235,22 +242,18 @@ def cmd_run(args) -> int:
         data, _ = context
         cost_cfg = cfg["cost"]
         try:
-            report = dsvm_experiment(
-                data, costs, solver, x0,
-                C=cost_cfg["C"], mu=cost_cfg["mu"], eps_nu=cost_cfg["eps_nu"],
-                regularizer_mode=cost_cfg["regularizer_mode"],
-                oracle_tol=cost_cfg["oracle_tol"],
-            )
+            report = dsvm_experiment(data, costs, solver, x0,
+                                     regularizer_mode=cost_cfg["regularizer_mode"],
+                                     oracle_tol=cost_cfg["oracle_tol"])
         except OracleStalled as err:
             raise ConfigError([f"cost.oracle_tol {cost_cfg['oracle_tol']!r} is out of reach: "
                                f"the centralized oracle {err}"]) from None
         trace = report.trace
         meta += ["", "result:"] + ["  " + ln for ln in report.summary_lines()]
-        _write(out, "oracle_classifier.txt",
-               report.oracle.classifier.to_text(objective=report.oracle.objective,
-                                                accuracy=report.oracle_accuracy))
+        _write(out, "oracle_classifier.txt", _classifier_text(
+            report.oracle.x, objective=report.oracle.objective, accuracy=report.oracle_accuracy))
         _write(out, "consensus_classifier.txt",
-               report.consensus.to_text(accuracy=report.consensus_accuracy))
+               _classifier_text(report.consensus, accuracy=report.consensus_accuracy))
 
     # the final agreement ratio reads against the sector ratio: quantized
     # links agree only up to it

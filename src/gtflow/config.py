@@ -21,8 +21,8 @@ from .engine import MAX_SIZE, MAX_STEPS, SolverConfig, aligned_step
 from .graph import SwitchingSchedule, SwitchMode, make_khop_ring
 from .nonlinear import (LinkNonlinearity, identity, log_quantizer, saturation,
                         uniform_quantizer)
-from .svmlab import (LabeledDataset, Partition, dataset_from_csv, feature_map,
-                     generate_ellipse_data, partition)
+from .svmlab import (LabeledDataset, dataset_from_csv, feature_map, generate_ellipse_data,
+                     partition)
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_preset",
            "preset_names"]
@@ -380,7 +380,7 @@ def build_dataset(cfg: ExperimentConfig) -> LabeledDataset:
         raise ConfigError([f"data: {err}"]) from err
 
 
-def build_partition(cfg: ExperimentConfig, data: LabeledDataset) -> Partition:
+def build_partition(cfg: ExperimentConfig, data: LabeledDataset) -> list[np.ndarray]:
     part = cfg["partition"]
     try:
         return partition(data, part["n_agents"], part["mode"], cfg.section_seed("partition", 2))
@@ -424,14 +424,11 @@ def build_quadratic_costs(cfg: ExperimentConfig) -> list[QuadraticCost]:
 
 
 def build_svm_costs(cfg: ExperimentConfig, data: LabeledDataset,
-                    part: Partition) -> list[SvmHingeCost]:
+                    part: list[np.ndarray]) -> list[SvmHingeCost]:
     cost = cfg["cost"]
     feats = feature_map(data.points)
-    return [
-        SvmHingeCost(feats[list(idx)], data.labels[list(idx)],
-                     C=cost["C"], mu=cost["mu"], eps_nu=cost["eps_nu"])
-        for idx in part.agents
-    ]
+    return [SvmHingeCost(feats[idx], data.labels[idx],
+                         C=cost["C"], mu=cost["mu"], eps_nu=cost["eps_nu"]) for idx in part]
 
 
 # ------------------------------------------------------------------- presets

@@ -12,9 +12,9 @@ returns (exp(-rho/2), exp(+rho/2)), which is the exact envelope of g(z)/z.
 The linearized upper value undershoots the true envelope (exp(rho/2) >
 1 + rho/2), so g(z)/z exceeds it on part of every decade; the lower
 linearized value is a valid bound. ``gtflow verify`` checks every kind for
-oddness, monotonicity and containment in its sector, the log quantizer
-against its ``tight`` envelope, and that the linearized upper value is
-exceeded.
+oddness, monotonicity and containment in its sector: the log quantizer
+against its ``tight`` envelope, the uniform quantizer against (0, 2), and
+that the log quantizer's linearized upper value is exceeded.
 """
 
 from __future__ import annotations
@@ -79,12 +79,14 @@ class SectorBounds:
 
     kappa: float
     upper: float
-    strongly_sign_preserving: bool = True
 
     def __post_init__(self):
         if not (0 <= self.kappa <= self.upper):
             raise ValueError(f"need 0 <= kappa <= upper, got ({self.kappa}, {self.upper})")
-        object.__setattr__(self, "strongly_sign_preserving", self.kappa > 0)
+
+    @property
+    def strongly_sign_preserving(self) -> bool:
+        return self.kappa > 0
 
     @property
     def ratio(self) -> float:

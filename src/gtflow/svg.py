@@ -18,6 +18,22 @@ _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 16, 28, 44
+_PW, _PH = _W - _ML - _MR, _H - _MT - _MB  # the plot area
+
+
+def _frame(body: list[str], title: str, x_label: str, y_label: str) -> str:
+    """The svg element around the plot's body: background, title and axis labels."""
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="11">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<text x="{_W/2:.0f}" y="16" text-anchor="middle" font-size="13">{title}</text>',
+        *body,
+        f'<text x="{_W/2:.0f}" y="{_H-8}" text-anchor="middle">{x_label}</text>',
+        f'<text x="14" y="{_MT+_PH/2:.0f}" text-anchor="middle" '
+        f'transform="rotate(-90 14 {_MT+_PH/2:.0f})">{y_label}</text>',
+        "</svg>",
+    ]) + "\n"
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -63,41 +79,31 @@ def line_chart(
         x_hi = x_lo + 1.0
     if y_lo == y_hi:
         y_hi = y_lo + 1.0
-    pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
     def px(x):
-        return _ML + (x - x_lo) / (x_hi - x_lo) * pw
+        return _ML + (x - x_lo) / (x_hi - x_lo) * _PW
 
     def py(y):
-        return _MT + (1 - (y - y_lo) / (y_hi - y_lo)) * ph
+        return _MT + (1 - (y - y_lo) / (y_hi - y_lo)) * _PH
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W/2:.0f}" y="16" text-anchor="middle" font-size="13">{title}</text>',
-    ]
+    parts = []
     for tx in _ticks(x_lo, x_hi):
         parts.append(f'<line x1="{px(tx):.1f}" y1="{_MT}" x2="{px(tx):.1f}" '
-                     f'y2="{_MT+ph}" stroke="#ddd"/>')
-        parts.append(f'<text x="{px(tx):.1f}" y="{_MT+ph+14}" text-anchor="middle">{tx:g}</text>')
+                     f'y2="{_MT+_PH}" stroke="#ddd"/>')
+        parts.append(f'<text x="{px(tx):.1f}" y="{_MT+_PH+14}" text-anchor="middle">{tx:g}</text>')
     for ty in _ticks(y_lo, y_hi):
         label = f"1e{ty:g}" if log_y else f"{ty:g}"
-        parts.append(f'<line x1="{_ML}" y1="{py(ty):.1f}" x2="{_ML+pw}" '
+        parts.append(f'<line x1="{_ML}" y1="{py(ty):.1f}" x2="{_ML+_PW}" '
                      f'y2="{py(ty):.1f}" stroke="#ddd"/>')
         parts.append(f'<text x="{_ML-6}" y="{py(ty)+4:.1f}" text-anchor="end">{label}</text>')
-    parts.append(f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
+    parts.append(f'<rect x="{_ML}" y="{_MT}" width="{_PW}" height="{_PH}" '
                  f'fill="none" stroke="#333"/>')
     for idx, (name, (xs, ys)) in enumerate(cleaned.items()):
         color = _COLORS[idx % len(_COLORS)]
         pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>')
         parts.append(f'<text x="{_ML+8}" y="{_MT+14+13*idx}" fill="{color}">{name}</text>')
-    parts.append(f'<text x="{_W/2:.0f}" y="{_H-8}" text-anchor="middle">{x_label}</text>')
-    parts.append(f'<text x="14" y="{_MT+ph/2:.0f}" text-anchor="middle" '
-                 f'transform="rotate(-90 14 {_MT+ph/2:.0f})">{y_label}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _frame(parts, title, x_label, y_label)
 
 
 def heat_map(
@@ -117,8 +123,7 @@ def heat_map(
     ny, nx = vals.shape
     if len(x_labels) != nx or len(y_labels) != ny:
         raise ValueError("label counts must match the value grid")
-    pw, ph = _W - _ML - _MR, _H - _MT - _MB
-    cw, ch = pw / nx, ph / ny
+    cw, ch = _PW / nx, _PH / ny
 
     def color(f):
         if not math.isfinite(f):
@@ -131,12 +136,7 @@ def heat_map(
             r, g, b = 255, int(255 - t * (255 - 29)), int(255 - t * (255 - 38))
         return f"#{r:02x}{g:02x}{b:02x}"
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W/2:.0f}" y="16" text-anchor="middle" font-size="13">{title}</text>',
-    ]
+    parts = []
     for iy in range(ny):
         for ix in range(nx):
             parts.append(
@@ -144,13 +144,9 @@ def heat_map(
                 f'height="{ch:.1f}" fill="{color(vals[iy, ix])}" stroke="#fff"/>'
             )
     for ix, lab in enumerate(x_labels):
-        parts.append(f'<text x="{_ML+(ix+0.5)*cw:.1f}" y="{_MT+ph+14}" '
+        parts.append(f'<text x="{_ML+(ix+0.5)*cw:.1f}" y="{_MT+_PH+14}" '
                      f'text-anchor="middle">{lab}</text>')
     for iy, lab in enumerate(y_labels):
         parts.append(f'<text x="{_ML-6}" y="{_MT+(iy+0.5)*ch+4:.1f}" '
                      f'text-anchor="end">{lab}</text>')
-    parts.append(f'<text x="{_W/2:.0f}" y="{_H-8}" text-anchor="middle">{x_label}</text>')
-    parts.append(f'<text x="14" y="{_MT+ph/2:.0f}" text-anchor="middle" '
-                 f'transform="rotate(-90 14 {_MT+ph/2:.0f})">{y_label}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _frame(parts, title, x_label, y_label)

@@ -5,14 +5,16 @@ linearly separable in the plane, linearly separable after the quadratic
 feature map phi(c) = [c1^2, c2^2, sqrt(2) c1 c2] (whose Gram matrix is the
 squared polynomial kernel). Data shards go to agents, each holding a
 smoothed-hinge cost; the engine drives them to a common classifier that is
-compared against a centralized gradient-descent baseline.
+compared against a centralized gradient-descent baseline. A classifier is
+the state vector x = [w; nu] itself, the hyperplane sgn(w . phi(c) - nu).
 
-The per-agent cost counts the quadratic regularizer once per agent, so the
-stacked consensus objective carries it n times. The default 'matched'
-comparison therefore scales the centralized baseline's regularizer by n
-(both sides then minimize the identical function); 'literal' keeps the
-single-count centralized objective and comparisons should then be read as
-decision-boundary comparisons only.
+The baseline solves the agents' problem: it takes C, mu and eps_nu from
+their costs. The per-agent cost counts the quadratic regularizer once per
+agent, so the stacked consensus objective carries it n times. The default
+'matched' comparison therefore scales the centralized baseline's
+regularizer by n (both sides then minimize the identical function);
+'literal' keeps the single-count centralized objective and comparisons
+should then be read as decision-boundary comparisons only.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .engine import SolverConfig, Trace, integrate
 
 __all__ = [
     "LabeledDataset",
-    "Partition",
-    "Classifier",
     "feature_map",
     "generate_ellipse_data",
     "partition",
@@ -112,22 +112,10 @@ def generate_ellipse_data(
     return LabeledDataset(pts, labs)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint exhaustive assignment of point indices to agents."""
-
-    agents: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        flat = [i for grp in self.agents for i in grp]
-        if len(flat) != len(set(flat)):
-            raise ValueError("partition groups overlap")
-
-
 def partition(
     data: LabeledDataset, n_agents: int, mode: str = "stratified", seed: int = 0
-) -> Partition:
-    """Split a dataset across agents.
+) -> list[np.ndarray]:
+    """Split a dataset across agents: one array of point indices per agent.
 
     'stratified' deals each label class round-robin after a seeded shuffle,
     so per-agent label proportions stay within one point of the global ones.
@@ -136,47 +124,19 @@ def partition(
     """
     if n_agents < 1 or n_agents > data.count:
         raise ValueError("need 1 <= n_agents <= point count")
-    groups: list[list[int]] = [[] for _ in range(n_agents)]
     if mode == "stratified":
         rng = np.random.default_rng(seed)
-        order = []
+        shuffled = []
         for label in (1.0, -1.0):
             idx = np.flatnonzero(data.labels == label)
             rng.shuffle(idx)
-            order.extend(int(i) for i in idx)
-        for pos, point_idx in enumerate(order):
-            groups[pos % n_agents].append(point_idx)
-    elif mode == "contiguous":
+            shuffled.append(idx)
+        order = np.concatenate(shuffled)
+        return [order[a::n_agents] for a in range(n_agents)]
+    if mode == "contiguous":
         bounds = np.linspace(0, data.count, n_agents + 1).astype(int)
-        for a in range(n_agents):
-            groups[a] = list(range(bounds[a], bounds[a + 1]))
-    else:
-        raise ValueError(f"unknown partition mode {mode!r}")
-    return Partition(tuple(tuple(g) for g in groups))
-
-
-@dataclass(frozen=True)
-class Classifier:
-    """Hyperplane sgn(omega . phi(c) - nu) in feature space."""
-
-    omega: np.ndarray
-    nu: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float).ravel())
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.omega, [self.nu]])
-
-    def decision_values(self, points: np.ndarray) -> np.ndarray:
-        return feature_map(points) @ self.omega - self.nu
-
-    def to_text(self, **metadata) -> str:
-        lines = [f"omega_{i}: {format(v, '.17g')}" for i, v in enumerate(self.omega)]
-        lines.append(f"nu: {format(self.nu, '.17g')}")
-        lines += [f"{k}: {v}" for k, v in metadata.items()]
-        return "\n".join(lines) + "\n"
+        return [np.arange(bounds[a], bounds[a + 1]) for a in range(n_agents)]
+    raise ValueError(f"unknown partition mode {mode!r}")
 
 
 class OracleStalled(RuntimeError):
@@ -189,14 +149,14 @@ class OracleStalled(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleResult:
-    """The baseline classifier, its objective, and how close to the minimizer it stopped.
+    """The baseline classifier x = [w; nu], its objective, and how close it stopped.
 
-    ``error_bound`` is gradient_norm / lambda_min of the Hessian at the
-    classifier, both of the oracle's own cost: a local first-order estimate
-    of its distance to the exact minimizer (a bound on it for a quadratic).
+    ``error_bound`` is gradient_norm / lambda_min of the Hessian at x, both
+    of the oracle's own cost: a local first-order estimate of its distance
+    to the exact minimizer (a bound on it for a quadratic).
     """
 
-    classifier: Classifier
+    x: np.ndarray
     objective: float
     gradient_norm: float
     iterations: int
@@ -241,7 +201,7 @@ def centralized_oracle(
         gn_sq = float(grad @ grad)
         if np.sqrt(gn_sq) <= tol:
             curvature = np.linalg.eigvalsh(aggregate_hessian([cost], x[None])[0])[0]
-            return OracleResult(Classifier(x[:-1], float(x[-1])), regularizer_scale * value,
+            return OracleResult(x, regularizer_scale * value,
                                 np.sqrt(gn_sq), it, float(np.sqrt(gn_sq) / curvature))
         carried, step = step, min(step * 2.0, 1e8)
         while True:
@@ -260,9 +220,10 @@ def centralized_oracle(
                         float(np.linalg.norm(cost.gradient(x))))
 
 
-def evaluate(clf: Classifier, data: LabeledDataset) -> float:
-    """Training accuracy under the tie-is-wrong rule."""
-    return float(np.mean(np.sign(clf.decision_values(data.points)) == data.labels))
+def evaluate(x: np.ndarray, data: LabeledDataset) -> float:
+    """Training accuracy of sgn(w . phi(c) - nu), x = [w; nu], under the tie-is-wrong rule."""
+    values = feature_map(data.points) @ x[:-1] - x[-1]
+    return float(np.mean(np.sign(values) == data.labels))
 
 
 @dataclass
@@ -270,8 +231,7 @@ class DsvmReport:
     """Outcome of one distributed run against the centralized baseline."""
 
     trace: Trace
-    agent_classifiers: list[Classifier]
-    consensus: Classifier
+    consensus: np.ndarray
     consensus_spread: float
     oracle: OracleResult
     distance_to_oracle: float
@@ -290,9 +250,8 @@ class DsvmReport:
             f"oracle_gradient_norm: {format(self.oracle.gradient_norm, '.17g')}",
             f"oracle_error_bound: {format(self.oracle.error_bound, '.17g')}",
         ]
-        for i, clf in enumerate(self.agent_classifiers):
-            vals = " ".join(format(v, ".17g") for v in clf.stacked)
-            out.append(f"agent_{i}_final: {vals}")
+        for i, x in enumerate(self.trace.states[-1, 0]):
+            out.append(f"agent_{i}_final: {' '.join(format(v, '.17g') for v in x)}")
         return out
 
 
@@ -301,47 +260,38 @@ def dsvm_experiment(
     costs: list[SvmHingeCost],
     solver: SolverConfig,
     x0: np.ndarray,
-    C: float = 1.0,
-    mu: float = 2.0,
-    eps_nu: float = 1e-6,
     regularizer_mode: str = "matched",
     oracle_tol: float = 1e-6,
 ) -> DsvmReport:
     """Integrate the per-agent costs from x0 and compare against the baseline.
 
-    ``costs`` are the agents' shards of ``data``; the oracle solves the
-    centralized problem with the same ``C``, ``mu`` and ``eps_nu``. The
+    ``costs`` are the agents' shards of ``data``, all with one C, mu and
+    eps_nu; the oracle solves the centralized problem with those. The
     consensus classifier is the network mean of the agents' final states;
     the spread is the max distance of any agent from that mean.
     """
     if regularizer_mode not in ("matched", "literal"):
         raise ValueError(f"unknown regularizer mode {regularizer_mode!r}")
+    shared = {(c.C, c.mu, c.eps_nu) for c in costs}
+    if len(shared) != 1:
+        raise ValueError("the agents' costs must share one C, mu and eps_nu")
+    (C, mu, eps_nu), = shared
     n = len(costs)
     scale = float(n) if regularizer_mode == "matched" else 1.0
     oracle = centralized_oracle(data, C=C, mu=mu, eps_nu=eps_nu, tol=oracle_tol,
                                 regularizer_scale=scale)
-    reference = np.tile(oracle.classifier.stacked, (n, 1))
-
-    trace = integrate(costs, x0, solver, reference=reference)
+    trace = integrate(costs, x0, solver, reference=np.tile(oracle.x, (n, 1)))
 
     final_x = trace.states[-1, 0]
-    agent_clfs = [Classifier(final_x[i, :-1], float(final_x[i, -1])) for i in range(n)]
-    mean_state = final_x.mean(axis=0)
-    consensus = Classifier(mean_state[:-1], float(mean_state[-1]))
-    spread = float(np.max(np.abs(final_x - mean_state)))
-    distance = float(np.max(np.abs(consensus.stacked - oracle.classifier.stacked)))
-    consensus_acc = evaluate(consensus, data)
-    oracle_acc = evaluate(oracle.classifier, data)
-
+    consensus = final_x.mean(axis=0)
     return DsvmReport(
         trace=trace,
-        agent_classifiers=agent_clfs,
         consensus=consensus,
-        consensus_spread=spread,
+        consensus_spread=float(np.max(np.abs(final_x - consensus))),
         oracle=oracle,
-        distance_to_oracle=distance,
-        consensus_accuracy=consensus_acc,
-        oracle_accuracy=oracle_acc,
+        distance_to_oracle=float(np.max(np.abs(consensus - oracle.x))),
+        consensus_accuracy=evaluate(consensus, data),
+        oracle_accuracy=evaluate(oracle.x, data),
     )
 
 

@@ -120,8 +120,7 @@ def freezing_fixture():
     """
     data = generate_ellipse_data(30, 7, radius=0.9, margin_gap=0.3)
     feats = feature_map(data.points)
-    costs = [SvmHingeCost(feats[list(idx)], data.labels[list(idx)])
-             for idx in partition(data, 3, seed=8).agents]
+    costs = [SvmHingeCost(feats[idx], data.labels[idx]) for idx in partition(data, 3, seed=8)]
     x0 = np.random.default_rng(7).uniform(0, 1, size=(3, 4))
     sched = SwitchingSchedule(make_khop_ring(3, 1, 0.8), 0.01, rng_seed=4, mode=SwitchMode.PERMUTE)
     return costs, x0, sched
@@ -182,17 +181,18 @@ def check_nonlinearity_properties(seed: int = 2) -> CheckResult:
     uses its part with |z| <= 1e3, against the bounds on (-1e3, 1e3). The
     log quantizer is held to its exact (tight) envelope at every level, and
     its linearized upper value 1 + rho/2 must be exceeded somewhere, which
-    is what makes the tight mode necessary. The uniform quantizer's sector
-    is not checked: its dead zone leaves no positive kappa to certify. Each
-    property holds to an absolute 1e-12.
+    is what makes the tight mode necessary. The uniform quantizer is held to
+    its sector (0, 2): its dead zone leaves no positive kappa to certify,
+    but the upper value 2 is approached just past it. Each property holds to
+    an absolute 1e-12.
     """
     rng = np.random.default_rng(seed)
     mags = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), size=20000))
     z = np.sort(mags * rng.choice([-1.0, 1.0], size=mags.size))
     inner = z[np.abs(z) <= 1e3]
-    sat = nl.saturation(2.0)
+    sat, uniform = nl.saturation(2.0), nl.uniform_quantizer(1.0)
     cases = [(nl.identity(), z, nl.sector_bounds(nl.identity())),
-             (nl.uniform_quantizer(1.0), z, None),
+             (uniform, z, nl.sector_bounds(uniform)),
              (sat, inner, nl.sector_bounds(sat, (-1e3, 1e3)))]
     cases += [(g, z, nl.sector_bounds(g, mode="tight"))
               for g in map(nl.log_quantizer, (0.1, 0.25, 0.5, 1.0, 1.6, 1.95))]
@@ -207,11 +207,10 @@ def check_nonlinearity_properties(seed: int = 2) -> CheckResult:
         if drops.max() > 1e-12:
             failures.append((name, "monotone", float(zs[drops.argmax()]), float(drops.max())))
         ratio = gz / zs
-        if bounds is not None:
-            excess = np.maximum(bounds.kappa - ratio, ratio - bounds.upper)
-            if excess.max() > 1e-12:
-                worst = excess.argmax()
-                failures.append((name, "sector", float(zs[worst]), float(ratio[worst])))
+        excess = np.maximum(bounds.kappa - ratio, ratio - bounds.upper)
+        if excess.max() > 1e-12:
+            worst = excess.argmax()
+            failures.append((name, "sector", float(zs[worst]), float(ratio[worst])))
         if g.kind == "log_quantizer" and not np.any(ratio > 1 + g.rho / 2):
             failures.append((name, "linearized upper value 1 + rho/2 unexpectedly holds"))
     return CheckResult("nonlinearity properties", not failures,

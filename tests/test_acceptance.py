@@ -132,9 +132,7 @@ def _run_preset_variant(preset, nonlinearity=None):
     solver = cfgmod.build_solver(cfg, cfgmod.build_schedule(cfg))
     cost = cfg["cost"]
     start = time.time()
-    rep = dsvm_experiment(data, costs, solver, x0, C=cost["C"], mu=cost["mu"],
-                          eps_nu=cost["eps_nu"],
-                          regularizer_mode=cost["regularizer_mode"],
+    rep = dsvm_experiment(data, costs, solver, x0, regularizer_mode=cost["regularizer_mode"],
                           oracle_tol=cost["oracle_tol"])
     return rep, time.time() - start
 

@@ -1,5 +1,7 @@
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,3 +42,17 @@ def test_every_exported_name_exists():
         stale += [(path.stem, name) for name in names if not hasattr(module, name)]
     assert exporting > 5
     assert not stale
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
+    # perfbench/traced.py replaces gtflow functions and methods by name; a
+    # renamed or deleted one fails its install with AttributeError or KeyError.
+    # It patches modules in place, so it runs in a child process, and -B keeps
+    # that process from writing bytecode next to the benchmark's files.
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(str(root / d) for d in ("src", "perfbench"))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", "import traced; traced.install(traced.Tracer())"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

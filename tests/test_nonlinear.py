@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from gtflow import nonlinear as nl
 from gtflow import verify
-from gtflow.nonlinear import (apply, identity, log_quantizer, saturation, sector_bounds,
-                              uniform_quantizer)
+from gtflow.nonlinear import (SectorBounds, apply, identity, log_quantizer, saturation,
+                              sector_bounds, uniform_quantizer)
 
 
 def test_log_quantizer_spot_values():
@@ -104,6 +104,12 @@ def test_uniform_quantizer_not_strongly_sign_preserving():
     assert not b.strongly_sign_preserving
 
 
+def test_strongly_sign_preserving_is_read_off_kappa():
+    assert SectorBounds(1.0, 1.0).strongly_sign_preserving
+    with pytest.raises(TypeError):
+        SectorBounds(1.0, 1.0, False)
+
+
 def test_saturation_domain_relative_bounds():
     b = sector_bounds(saturation(2.0), domain=(-10.0, 10.0))
     assert b.kappa == pytest.approx(0.2)
@@ -178,6 +184,13 @@ def _offset(apply_):
     return broken
 
 
+def _scaled_uniform(apply_):
+    # the uniform quantizer times 1.5: odd and monotone, but g(z)/z reaches 3
+    def broken(g, z, rho=None):
+        return apply_(g, z, rho) * (1.5 if g.kind == "uniform_quantizer" else 1.0)
+    return broken
+
+
 def _linearized_claimed(bounds_):
     def broken(g, domain=(-math.inf, math.inf), mode="linearized"):
         return bounds_(g, domain, "linearized" if g.kind == "log_quantizer" else mode)
@@ -187,8 +200,9 @@ def _linearized_claimed(bounds_):
 @pytest.mark.parametrize("attr, make, kind, prop", [
     ("apply", _offset, "saturation", "odd"),
     ("apply", _dip, "uniform_quantizer(rho=1.0)", "monotone"),
+    ("apply", _scaled_uniform, "uniform_quantizer(rho=1.0)", "sector"),
     ("sector_bounds", _linearized_claimed, "log_quantizer(rho=1.95)", "sector"),
-], ids=["not odd", "downward dip", "linearized sector"])
+], ids=["not odd", "downward dip", "uniform sector", "linearized sector"])
 def test_nonlinearity_check_catches_broken_maps(monkeypatch, attr, make, kind, prop):
     monkeypatch.setattr(nl, attr, make(getattr(nl, attr)))
     result = verify.check_nonlinearity_properties()
