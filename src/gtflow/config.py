@@ -331,7 +331,7 @@ def _validate_values(seed, sections, problems):
     for t_name, t_end, eta_name, eta in runs:
         if min(period, t_end, eta) <= 0:
             continue  # reported above
-        step = aligned_step(eta, period)
+        step = aligned_step(eta, period, net["switch_mode"])
         steps = t_end / step if step else float("inf")
         implies = (f"{t_name}={t_end:g} with {eta_name}={eta:g} and "
                    f"network.switch_period={period:g} (step {step:g}) implies")

@@ -11,9 +11,10 @@ Euler step of the identity-link system agree exactly with the assembled
 system matrix acting on the stacked state, and keeps the flow autonomous
 within each switching interval.
 
-Topology switches are aligned to step boundaries: the step size must divide
-the switching period (it is shrunk to the nearest divisor with a warning
-otherwise), so no integration step ever straddles a switch. A static
+Topology switches are aligned to step boundaries: in ``permute`` mode the
+step size must divide the switching period (it is shrunk to the nearest
+divisor with a warning otherwise), so no integration step ever straddles a
+switch; a ``fixed`` network never switches and takes eta as given. A static
 schedule (``SwitchingSchedule.static``) has one Laplacian for the whole run,
 built once; its step map is then deterministic and autonomous, so a state
 that one step leaves unchanged bit for bit stays so, and the member stops
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cost import global_cost, stage_hessian, sum_gradient
-from .graph import SwitchingSchedule, graph_at, laplacian
+from .graph import SwitchingSchedule, SwitchMode, graph_at, laplacian
 from .nonlinear import LinkNonlinearity, apply, identity
 
 __all__ = [
@@ -65,8 +66,11 @@ MAX_STEPS = 10**7  # most steps config validation lets a run take; fig2 takes 6e
 MAX_SIZE = 10**4
 
 
-def aligned_step(eta: float, period: float) -> float:
-    """Largest step not exceeding eta that divides the switching period."""
+def aligned_step(eta: float, period: float, mode: SwitchMode) -> float:
+    """eta itself on a ``fixed`` network, which never switches; in ``permute``
+    mode the largest step not exceeding eta that divides the switching period."""
+    if mode == SwitchMode.FIXED:
+        return eta
     # at least one step per period; 0.0 when period / eta overflows
     return period / max(1.0, float(np.ceil(period / eta - 1e-9)))
 
@@ -109,7 +113,7 @@ class SolverConfig:
     def aligned_eta(self) -> float:
         """``aligned_step`` of eta, with a warning when it had to shrink."""
         period = self.schedule.switch_period
-        eta = aligned_step(self.eta, period)
+        eta = aligned_step(self.eta, period, self.schedule.mode)
         if abs(eta - self.eta) > 1e-12 * self.eta:
             warnings.warn(
                 f"eta={self.eta} does not divide the switching period {period}; "

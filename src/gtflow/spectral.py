@@ -146,7 +146,7 @@ class EigenDerivativeReport:
 def eigen_derivative_check(
     lap: np.ndarray,
     H: np.ndarray,
-    gains: np.ndarray | None = None,
+    gains: np.ndarray,
 ) -> EigenDerivativeReport:
     """How the 2m-fold zero eigenvalue splits when the step size turns on.
 
@@ -159,7 +159,7 @@ def eigen_derivative_check(
     one-sided slopes.
     """
     n, m = H.shape[:2]
-    xi = np.ones(n * m) if gains is None else np.asarray(gains, dtype=float)
+    xi = np.asarray(gains, dtype=float)
 
     # display-convention reduced matrix (unnormalized ones eigenvectors)
     ones = np.tile(np.eye(m), (n, 1))

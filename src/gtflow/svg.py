@@ -36,10 +36,10 @@ def _frame(body: list[str], title: str, x_label: str, y_label: str) -> str:
     ]) + "\n"
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if not math.isfinite(lo) or not math.isfinite(hi) or lo == hi:
         return [lo]
-    raw = (hi - lo) / count
+    raw = (hi - lo) / 5
     mag = 10 ** math.floor(math.log10(abs(raw)))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
     first = math.ceil(lo / step) * step

@@ -75,14 +75,13 @@ def generate_ellipse_data(
     seed: int,
     radius: float = 0.6,
     margin_gap: float = 0.05,
-    resample_budget: int = 1000,
 ) -> LabeledDataset:
     """Uniform points on [-1, 1]^2 labeled by distance from the origin.
 
     Label +1 outside ``radius``, -1 on or inside (ties go negative). Points
     within ``margin_gap`` of the radius are resampled so the classes are
     separable in feature space with positive margin whenever the gap is
-    positive.
+    positive. More than 1000 draws per point in all raises ValueError.
     """
     if n_points < 2:
         raise ValueError("need at least 2 points")
@@ -94,7 +93,7 @@ def generate_ellipse_data(
     pts = np.empty((n_points, 2))
     labs = np.empty(n_points)
     filled = 0
-    attempts_left = resample_budget * n_points
+    attempts_left = 1000 * n_points
     while filled < n_points:
         if attempts_left <= 0:
             raise ValueError(

@@ -58,7 +58,7 @@ def test_criterion_1_sector_ratio_table():
 
 def test_criterion_2_zero_eigenvalue_structure():
     start = time.time()
-    result = verify.theorem1_suite(fixtures=200, seed=5)
+    result = verify.theorem1_suite()
     elapsed = time.time() - start
     assert result.passed, result.failures[:3]
     assert elapsed < 60
@@ -70,7 +70,7 @@ def test_criterion_2_zero_eigenvalue_structure():
 
 def test_criterion_3_eigen_derivative():
     start = time.time()
-    result = verify.check_eigen_derivative(fixtures=40, seed=6)
+    result = verify.check_eigen_derivative()
     elapsed = time.time() - start
     assert result.passed, result.failures[:3]
     assert elapsed < 30
@@ -82,7 +82,7 @@ def test_criterion_3_eigen_derivative():
 
 def test_criterion_4_linear_step_oracle():
     start = time.time()
-    result = verify.check_linear_step_oracle(trials=25, seed=9)
+    result = verify.check_linear_step_oracle()
     elapsed = time.time() - start
     assert result.passed, result.failures[:3]
     assert elapsed < 5
@@ -112,7 +112,7 @@ def test_criterion_5_conservation():
             assert trace.conservation.max() <= pinned_c * eta
 
     # integrator-order scaling on the smooth-gradient fixture
-    result = verify.check_conservation(seed=11)
+    result = verify.check_conservation()
     assert result.passed, result.failures[:3]
     elapsed = time.time() - start
     assert elapsed < 30

@@ -301,9 +301,9 @@ def test_lyapunov_check_passes_and_catches_faults_that_conserve(monkeypatch, fau
                             derivative(S, lap, costs, -alpha, *rest))
     elif fault == "frozen":
         monkeypatch.setattr(engine, "derivative", lambda S, *args: np.zeros_like(S))
-    result = check_lyapunov_decrease(per_family=3)
+    result = check_lyapunov_decrease()
     assert result.passed == (fault is None)
-    assert len(result.failures) == (0 if fault is None else 6)
+    assert len(result.failures) == (0 if fault is None else 24)
 
 
 def test_integrate_determinism():

@@ -181,7 +181,7 @@ def test_spectral_report_large_alpha_goes_unstable_on_directed_ring():
 def test_eigen_derivative_identity_hessian():
     n = 6
     lap = laplacian(make_khop_ring(n, 1, 0.8))
-    rep = eigen_derivative_check(lap, _identity_hessian(n, 1))
+    rep = eigen_derivative_check(lap, _identity_hessian(n, 1), np.ones(n))
     # display-convention reduced block carries -sum of unit Hessians
     assert np.allclose(rep.reduced_eigenvalues, [-n])
     assert rep.zero_block_norm < 1e-14
@@ -197,7 +197,7 @@ def test_eigen_derivative_quadratic_blocks():
     for _ in range(n):
         a = rng.normal(size=(m, m))
         blocks.append(a @ a.T + 2 * np.eye(m))
-    rep = eigen_derivative_check(lap, np.array(blocks))
+    rep = eigen_derivative_check(lap, np.array(blocks), np.ones(n * m))
     total = sum(blocks)
     assert np.allclose(np.sort_complex(rep.reduced_eigenvalues),
                        np.sort_complex(np.linalg.eigvals(-total)), atol=1e-10)
@@ -376,7 +376,7 @@ def test_directed_fixtures_are_balanced_strongly_connected_digraphs_the_suite_ch
     def broken_on_digraphs(lap, hess, gains, alpha):
         return assemble(lap if np.array_equal(lap, lap.T) else -lap, hess, gains, alpha)
 
-    assert theorem1_suite(fixtures=20, seed=5).passed
-    result = theorem1_suite(fixtures=20, seed=5, assemble_fn=broken_on_digraphs)
+    assert theorem1_suite().passed
+    result = theorem1_suite(assemble_fn=broken_on_digraphs)
     assert not result.passed
     assert {f["graph"] for f in result.failures} <= kinds

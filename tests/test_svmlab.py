@@ -43,8 +43,7 @@ def test_generate_respects_margin_gap_and_determinism():
 
 def test_generate_margin_budget_exhausts():
     with pytest.raises(ValueError, match="budget"):
-        generate_ellipse_data(50, seed=1, radius=0.6, margin_gap=2.0,
-                              resample_budget=10)
+        generate_ellipse_data(50, seed=1, radius=0.6, margin_gap=2.0)
 
 
 def test_generated_data_separable_in_feature_space():
