@@ -53,6 +53,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(err, file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as err:  # an accepted config too large for this machine
+        print(f"gtflow: out of memory: {err}".removesuffix(": "), file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def _job_count(text: str) -> int:

@@ -333,8 +333,10 @@ def _validate_values(seed, sections, problems):
             continue  # reported above
         step = aligned_step(eta, period, net["switch_mode"])
         steps = t_end / step if step else float("inf")
-        implies = (f"{t_name}={t_end:g} with {eta_name}={eta:g} and "
-                   f"network.switch_period={period:g} (step {step:g}) implies")
+        # only a permuting network's period shrinks the step
+        shrinks = (f" and network.switch_period={period:g}"
+                   if net["switch_mode"] == SwitchMode.PERMUTE else "")
+        implies = f"{t_name}={t_end:g} with {eta_name}={eta:g}{shrinks} (step {step:g}) implies"
         if steps > MAX_STEPS + 0.5:
             problems.append(f"{implies} {steps:.3g} steps, above the limit of {MAX_STEPS:.0e}")
         elif round(steps) == 0:

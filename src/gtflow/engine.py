@@ -32,6 +32,15 @@ all 0 is carried as its diagonal: an elementwise product in place of the
 block product, with the same bits on finite states. On a diverging state
 the block product's 0 * inf makes NaN and the diagonal form does not, so
 such a run can end on inf where the block product ended on NaN.
+
+A lone run spends its time in per-stage numpy dispatch more than in
+arithmetic, so a stage enters no ``np.errstate``: ``integrate`` holds one
+guard for its whole step loop (overflow, invalid values, and the log
+quantizer's division by zero at an exact 0), and ``derivative`` runs
+unguarded on the unguarded link map ``nonlinear.stage_apply`` and Hessian
+``cost.stage_hessian``, whose lone rows take ``ndarray.dot``, the same
+BLAS call as ``@`` with less dispatch. RK4's combination is summed in
+place in the fresh stage results.
 """
 
 from __future__ import annotations
@@ -43,7 +52,8 @@ import numpy as np
 
 from .cost import global_cost, stage_hessian, sum_gradient
 from .graph import SwitchingSchedule, SwitchMode, graph_at, laplacian
-from .nonlinear import LinkNonlinearity, apply, identity
+from .nonlinear import LinkNonlinearity, identity
+from .nonlinear import stage_apply as apply  # the step loop holds the divide guard
 
 __all__ = [
     "MAX_SIZE",
@@ -223,6 +233,13 @@ def derivative(
     ``diagonal * dX``, the block product's bits except where that product
     multiplies a zero coupling by an inf or NaN entry of dX into NaN.
     S is a float array, as ``integrate`` makes it, with one row per cost.
+
+    A stage helper, unchecked and unguarded like ``cost.stage_hessian``: the
+    link map is ``nonlinear.stage_apply``, so a log quantizer at an exact 0
+    warns of log(0) and a smoothed-hinge curvature past |mu z| of about
+    1420 of its cosh overflow, both harmless; ``integrate`` enters one
+    ``np.errstate`` for its whole step loop instead of one per stage, and
+    a direct caller guards itself.
     """
     dS = lap @ apply(g, S, rho)
     dX, dY = dS[0], dS[1]
@@ -294,7 +311,9 @@ def integrate(
     trace then ends on the state that diverged, and the others go on. The
     step loop and the diagnostics pass run under a local ``np.errstate``
     that silences overflow and invalid-value warnings, which a diverging
-    state raises by the dozen; numpy's global state is left as it was.
+    state raises by the dozen; the step loop's also silences division by
+    zero, the log quantizer's log(0) at an exact 0, so that no stage enters
+    a guard of its own. numpy's global state is left as it was.
     """
     members = config.members if isinstance(config, SolverBatch) else (config,)
     first = members[0]
@@ -342,7 +361,7 @@ def integrate(
     interval = -1
     switches = 0
     half, sixth = 0.5 * eta, eta / 6.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # constant curvature comes back as one (n, m, m) stack without the
         # member axis; it is evaluated here once instead of at every stage,
         # and carried as its diagonal when every off-diagonal entry is 0
@@ -372,7 +391,16 @@ def integrate(
                 k2 = derivative(s + half * k1, *args)
                 k3 = derivative(s + half * k2, *args)
                 k4 = derivative(s + eta * k3, *args)
-                s = s + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+                # s + sixth * (k1 + 2 k2 + 2 k3 + k4), summed in place in the
+                # fresh stage results with the same operations in the same order
+                k2 *= 2
+                k1 += k2
+                k3 *= 2
+                k1 += k3
+                k1 += k4
+                k1 *= sixth
+                k1 += s
+                s = k1
             S = s[:, None] if lone else s
             A = np.abs(S)
             np.fmax(peaks, A, out=peaks)

@@ -32,6 +32,7 @@ __all__ = [
     "uniform_quantizer",
     "saturation",
     "apply",
+    "stage_apply",
     "sector_bounds",
 ]
 
@@ -94,14 +95,23 @@ class SectorBounds:
         return self.upper / self.kappa if self.kappa > 0 else math.inf
 
 
+@np.errstate(divide="ignore")  # as a decorator it costs half what a with block does
 def apply(g: LinkNonlinearity, z, rho=None):
     """Evaluate g componentwise. Total on finite inputs; g(0) = 0 for every kind.
 
     ``rho`` replaces a quantizer's level ``g.rho``: an array that broadcasts
     against z, such as the full-shape (2, B, n, m) array a batch of B
     stacked states carries, gives each its own level with the same
-    elementwise arithmetic.
+    elementwise arithmetic. At an exact 0 the log quantizer takes log(0) =
+    -inf, whose divide-by-zero RuntimeWarning this guards; ``stage_apply``
+    is the same map without the guard, for ``engine.integrate``'s step loop,
+    which holds one for the whole run.
     """
+    return stage_apply(g, z, rho)
+
+
+def stage_apply(g: LinkNonlinearity, z, rho=None):
+    """``apply``, unguarded: a log quantizer at an exact 0 warns of log(0) unless the caller guards it."""
     x = np.asarray(z, dtype=float)  # a float array passes through as it is
     scalar = x.ndim == 0
     if scalar:
@@ -111,20 +121,15 @@ def apply(g: LinkNonlinearity, z, rho=None):
         out = x.copy()
     elif g.kind == "log_quantizer":
         # sgn(z) exp(rho round(log|z| / rho)), ties to even, with the sign of z
-        # copied on, so g(-0) = -0 and g is odd bit for bit
-        out = _log_levels(x, rho)
+        # copied on, so g(-0) = -0 and g is odd bit for bit; at 0, log gives
+        # -inf and exp 0
+        out = np.exp(rho * np.rint(np.log(np.abs(x)) / rho))
         np.copysign(out, x, out=out)
     elif g.kind == "uniform_quantizer":
         out = rho * np.rint(x / rho)
     else:  # saturation
         out = np.clip(x, -g.limit, g.limit)
     return float(out[0]) if scalar else out
-
-
-@np.errstate(divide="ignore")  # as a decorator it costs half what a with block does
-def _log_levels(x: np.ndarray, rho) -> np.ndarray:
-    """exp(rho round(log|x| / rho)); at 0, log gives -inf and exp 0."""
-    return np.exp(rho * np.rint(np.log(np.abs(x)) / rho))
 
 
 def sector_bounds(

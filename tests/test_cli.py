@@ -124,6 +124,10 @@ CROSS_FIELD_CASES = {
                              ["sweep.t_end=0.01 with sweep.axes.eta=0.05 and "
                               "network.switch_period=1 (step 0.05) implies 0 steps"]),
     "eta-subnormal": ({"solver": {"eta": 1e-320}}, ["solver.eta=9.99989e-321", "implies inf steps"]),
+    # a fixed network's period sets no step, so the message leaves it out
+    "eta-subnormal-fixed": ({"network": {"switch_mode": "fixed"}, "solver": {"eta": 1e-320}},
+                            ["solver.t_end=80 with solver.eta=9.99989e-321 (step 9.99989e-321) "
+                             "implies inf steps"]),
     "cost-m-zero": ({"cost": {"kind": "quadratic", "m": 0}}, ["cost.m must be at least 1"]),
     "cost-curvature-zero": ({"cost": {"kind": "quadratic", "curvature_scale": 0}},
                             ["cost.curvature_scale must be positive"]),
@@ -280,6 +284,27 @@ def test_sweep_dynamics_programming_error_propagates(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, body)
     with pytest.raises(TypeError, match="integrate bug"):
         main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+
+ALLOCATION = "Unable to allocate 44.7 GiB for an array with shape (1, 10000001, 2, 100, 3)"
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError(ALLOCATION), f"gtflow: out of memory: {ALLOCATION}\n"),
+    (MemoryError(), "gtflow: out of memory\n"),
+], ids=["numpy-allocation", "bare"])
+def test_memory_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch, error, line):
+    # as integrate's preallocated record fails on an accepted config too large
+    # for the machine
+    def out_of_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "integrate", out_of_memory)
+    cfg = write_config(tmp_path, QUAD_CONFIG)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == line
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("axes", [

@@ -55,7 +55,8 @@ def test_derivative_zero_at_equilibrium():
     # the g(c) - g(c) cancellation is exact; the Laplacian row-sum
     # cancellation is exact only up to summation order, hence the 1e-12
     for g in (identity(), log_quantizer(1.0)):
-        dX, dY = derivative(np.stack([X, Y]), lap, costs, 0.5, g)
+        with np.errstate(divide="ignore"):  # the stage helper is unguarded; log(0) at Y = 0
+            dX, dY = derivative(np.stack([X, Y]), lap, costs, 0.5, g)
         assert np.abs(dX).max() < 1e-12
         assert np.abs(dY).max() < 1e-12
 
@@ -349,7 +350,8 @@ def serial_reference(costs, x0, cfg):
             rows.append((k * eta, S))
 
         def f(state):
-            with np.errstate(over="ignore"):  # as integrate's step loop: cosh overflows to L'' = 0
+            # as integrate's step loop: cosh overflows to L'' = 0, log(0) at an exact 0
+            with np.errstate(over="ignore", divide="ignore"):
                 return derivative(state, L, costs, cfg.alpha, cfg.g)
 
         if cfg.method == "euler":
@@ -384,6 +386,25 @@ def test_integrate_started_where_cosh_overflows_raises_no_warning(method):
     assert np.isfinite(aggregate_hessian(costs, x0)).all()
     with pytest.warns(RuntimeWarning, match="overflow"):
         stage_hessian(costs, x0)
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_integrate_started_at_exact_zeros_of_a_log_quantizer_raises_no_warning(method):
+    # a zero tracker and a zero entry of x0 put exact zeros under the log
+    # quantizer's log at the first stage; RuntimeWarnings are errors in this suite
+    costs, sched, x0 = quadratic_fixture()
+    x0[0, 0] = 0.0
+    g = log_quantizer(1.0)
+    cfg = SolverConfig(alpha=0.3, eta=0.01, t_end=0.05, schedule=sched, g=g,
+                       method=method, y_init="zero")
+    assert integrate(costs, x0, cfg).steps == 5
+    batch = SolverBatch((cfg, dataclasses.replace(cfg, alpha=0.6, g=log_quantizer(0.5))))
+    assert [trace.steps for trace in integrate(costs, x0, batch)] == [5, 5]
+    # the public link map guards itself; the unguarded stage helper warns
+    S = np.stack([x0, np.zeros_like(x0)])
+    assert (apply(g, S)[1] == 0).all()
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        derivative(S, laplacian(sched.base_graph), costs, 0.3, g)
 
 
 def assert_matches_reference(trace, costs, x0, cfg):
