@@ -58,12 +58,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
 
-def _job_count(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-    return int(text)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gtflow",
@@ -88,9 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="stability sweep over config axes")
     add_common(p_sweep)
-    p_sweep.add_argument("--jobs", type=_job_count, default=1,
-                         help="parallel sweep workers, at least 1: one group of cells "
-                         "that share a network each")
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the property corpus")
@@ -309,7 +300,7 @@ def cmd_sweep(args) -> int:
     if not axes:
         return cmd_run(args)
     mode = cfg["sweep"]["mode"]
-    rows = (_sweep_spectral if mode == "spectral" else _sweep_dynamics)(cfg, axes, args.jobs)
+    rows = (_sweep_spectral if mode == "spectral" else _sweep_dynamics)(cfg, axes)
 
     header = list(rows[0].keys())
     csv_lines = [",".join(header)]
@@ -360,38 +351,23 @@ def _axis_grid(axes: dict) -> list[dict]:
     return cells
 
 
-def _run_cells(cells, worker, jobs: int) -> list:
-    """Evaluate independent groups of sweep cells, optionally on a thread pool.
-
-    Results come back in input order regardless of scheduling; each cell is
-    seeded independently so parallel and serial runs agree exactly.
-    """
-    if jobs <= 1 or len(cells) <= 1:
-        return [worker(cell) for cell in cells]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, cells))
-
-
-def _sweep_rows(cfg: ExperimentConfig, axes: dict, jobs: int, shared, evaluate) -> list[dict]:
+def _run_cells(cells, evaluate, shared) -> list[dict]:
     """Sweep rows in grid order; cells whose configs agree on ``shared`` form a group.
 
-    Each worker hands one group's (cell, cell_cfg) pairs to ``evaluate``,
-    which returns the result columns of each cell.
+    ``cells`` holds (cell, cell_cfg) pairs. ``evaluate`` is called once per
+    group with the group's pairs and returns the result columns of each cell.
     """
-    cells = [(cell, cfgmod.sweep_cell(cfg, cell)) for cell in _axis_grid(axes)]
     groups: dict = {}
     for i, (_, cell_cfg) in enumerate(cells):
         groups.setdefault(shared(cell_cfg), []).append(i)
     rows = [None] * len(cells)
-    worker = lambda group: evaluate([cells[i] for i in group])
-    for group, results in zip(groups.values(), _run_cells(list(groups.values()), worker, jobs)):
-        for i, columns in zip(group, results, strict=True):
+    for group in groups.values():
+        for i, columns in zip(group, evaluate([cells[i] for i in group]), strict=True):
             rows[i] = {**cells[i][0], **columns}
     return rows
 
 
-def _sweep_spectral(cfg: ExperimentConfig, axes: dict, jobs: int) -> list[dict]:
+def _sweep_spectral(cfg: ExperimentConfig, axes: dict) -> list[dict]:
     """Frozen-gain eigenvalue verdicts per cell.
 
     For each cell the gains are pinned at the sector edges, at one and at a
@@ -423,11 +399,11 @@ def _sweep_spectral(cfg: ExperimentConfig, axes: dict, jobs: int) -> list[dict]:
                             "stable": all(r.stable for r in reports)})
         return results
 
-    shared = lambda c: (c["network"]["khop"], c["solver"]["alpha"])
-    return _sweep_rows(cfg, axes, jobs, shared, evaluate)
+    cells = [(cell, cfgmod.sweep_cell(cfg, cell)) for cell in _axis_grid(axes)]
+    return _run_cells(cells, evaluate, lambda c: (c["network"]["khop"], c["solver"]["alpha"]))
 
 
-def _sweep_dynamics(cfg: ExperimentConfig, axes: dict, jobs: int) -> list[dict]:
+def _sweep_dynamics(cfg: ExperimentConfig, axes: dict) -> list[dict]:
     """Integration verdict per cell, over ``sweep.t_end``.
 
     Cells that share ``eta`` and ``khop`` differ only in alpha and the link
@@ -443,8 +419,8 @@ def _sweep_dynamics(cfg: ExperimentConfig, axes: dict, jobs: int) -> list[dict]:
                  "stable": trace.status == "completed"}
                 for trace in integrate(costs, x0, batch)]
 
-    shared = lambda c: (c["solver"]["eta"], c["network"]["khop"])
-    return _sweep_rows(cfg, axes, jobs, shared, evaluate)
+    cells = [(cell, cfgmod.sweep_cell(cfg, cell)) for cell in _axis_grid(axes)]
+    return _run_cells(cells, evaluate, lambda c: (c["solver"]["eta"], c["network"]["khop"]))
 
 
 def cmd_verify(args) -> int:

@@ -274,6 +274,8 @@ def _validate_values(seed, sections, problems):
         problems.append("solver.sample_stride must be at least 1")
     if cost["C"] <= 0 or cost["mu"] <= 0 or cost["eps_nu"] < 0:
         problems.append("cost requires C > 0, mu > 0, eps_nu >= 0")
+    if cost["oracle_tol"] <= 0:
+        problems.append("cost.oracle_tol must be positive")
     if cost["m"] < 1:
         problems.append("cost.m must be at least 1")
     if cost["curvature_scale"] <= 0:

@@ -34,7 +34,7 @@ class WeightedGraph:
 
     ``weights[i, j]`` carries the weight of the link j -> i; the diagonal is
     zero. Validation happens on construction and the weight matrix is made
-    read-only so instances can be shared freely across workers.
+    read-only so instances can be shared freely.
     """
 
     n: int

@@ -95,8 +95,14 @@ def spectral_report(A: np.ndarray, m: int) -> SpectralReport:
     The zero tolerance is 1e-8 * max|eigenvalue|, which separates the
     structural zeros from solver noise across fixture scales. The matrix is
     non-normal, so the general (balanced) dense solver is the right tool.
+    A matrix the solver refuses (one with an inf or NaN entry, say where
+    the assembly overflowed) gets no zero count and a NaN ``max_nonzero_real``,
+    so it is not stable.
     """
-    eigs = np.linalg.eigvals(A)
+    try:
+        eigs = np.linalg.eigvals(A)
+    except np.linalg.LinAlgError:
+        return SpectralReport(0, float("nan"), m)
     scale = float(np.abs(eigs).max()) if eigs.size else 0.0
     near_zero = np.abs(eigs) <= 1e-8 * scale
     nonzero = eigs[~near_zero]

@@ -8,6 +8,7 @@ other volatile fields are written, keeping outputs byte-reproducible.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -36,12 +37,31 @@ def _frame(body: list[str], title: str, x_label: str, y_label: str) -> str:
     ]) + "\n"
 
 
+def _axis(values: np.ndarray):
+    """Axis limits lo < hi and the map of [lo, hi] onto [0, 1].
+
+    A lone value spans one unit, or reaches to zero where adding one unit
+    rounds away. Where hi - lo overflows, the map halves every value first
+    (exact for normal floats), so its span is finite.
+    """
+    lo, hi = float(values.min()), float(values.max())
+    if lo == hi:
+        hi = lo + 1.0
+    if lo == hi:
+        lo, hi = min(lo, 0.0), max(lo, 0.0)
+    s = 0.5 if math.isinf(hi - lo) else 1.0
+    return lo, hi, lambda v: (v * s - lo * s) / (hi * s - lo * s)
+
+
 def _ticks(lo: float, hi: float) -> list[float]:
-    if not math.isfinite(lo) or not math.isfinite(hi) or lo == hi:
-        return [lo]
     raw = (hi - lo) / 5
+    if not sys.float_info.min <= raw < math.inf:  # overflowed, or below a normal float
+        return [lo, hi]
     mag = 10 ** math.floor(math.log10(abs(raw)))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
+    top = max(abs(lo), abs(hi))
+    if top + step == top:  # a span of a few ulps: v += step would not advance
+        return [lo, hi]
     first = math.ceil(lo / step) * step
     out = []
     v = first
@@ -71,20 +91,14 @@ def line_chart(
     if not cleaned:
         cleaned = {"empty": (np.array([0.0, 1.0]), np.array([0.0, 0.0]))}
 
-    all_x = np.concatenate([v[0] for v in cleaned.values()])
-    all_y = np.concatenate([v[1] for v in cleaned.values()])
-    x_lo, x_hi = float(all_x.min()), float(all_x.max())
-    y_lo, y_hi = float(all_y.min()), float(all_y.max())
-    if x_lo == x_hi:
-        x_hi = x_lo + 1.0
-    if y_lo == y_hi:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi, fx = _axis(np.concatenate([v[0] for v in cleaned.values()]))
+    y_lo, y_hi, fy = _axis(np.concatenate([v[1] for v in cleaned.values()]))
 
     def px(x):
-        return _ML + (x - x_lo) / (x_hi - x_lo) * _PW
+        return _ML + fx(x) * _PW
 
     def py(y):
-        return _MT + (1 - (y - y_lo) / (y_hi - y_lo)) * _PH
+        return _MT + (1 - fy(y)) * _PH
 
     parts = []
     for tx in _ticks(x_lo, x_hi):

@@ -1,14 +1,20 @@
+import contextlib
+import csv
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gtflow import cli, spectral
 from gtflow import config as cfgmod
@@ -128,6 +134,7 @@ CROSS_FIELD_CASES = {
     "eta-subnormal-fixed": ({"network": {"switch_mode": "fixed"}, "solver": {"eta": 1e-320}},
                             ["solver.t_end=80 with solver.eta=9.99989e-321 (step 9.99989e-321) "
                              "implies inf steps"]),
+    "oracle-tol-zero": ({"cost": {"oracle_tol": 0}}, ["cost.oracle_tol must be positive"]),
     "cost-m-zero": ({"cost": {"kind": "quadratic", "m": 0}}, ["cost.m must be at least 1"]),
     "cost-curvature-zero": ({"cost": {"kind": "quadratic", "curvature_scale": 0}},
                             ["cost.curvature_scale must be positive"]),
@@ -318,13 +325,9 @@ def test_sweep_dynamics_rows_match_one_run_per_cell(tmp_path, axes):
             "outputs": {"plots": False},
             "sweep": {"mode": "dynamics", "t_end": 2.0, "axes": axes}}
     path = write_config(tmp_path, body)
-    outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
-    for jobs, out in outs.items():
-        argv = ["sweep", "--config", str(path), "--out", str(out), "--jobs", str(jobs)]
-        assert main(argv) == EXIT_OK
-    text = (outs[1] / "sweep.csv").read_text()
-    assert (outs[2] / "sweep.csv").read_text() == text
-    header, *lines = text.splitlines()
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    header, *lines = (out / "sweep.csv").read_text().splitlines()
     names = sorted(axes)
     assert header.split(",") == names + ["status", "final_grad_sum_norm", "stable"]
     cfg = cfgmod.parse_config(json.dumps(body))
@@ -478,9 +481,9 @@ def test_run_fixed_network_takes_eta_as_given(tmp_path):
     (["run", "--preset", "fig5-sensitivity", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
     (["run", "--out", "o"], "one of the arguments --config --preset is required"),
     (["bounds", "--preset", "fig5-sensitivity", "--fast"], "unrecognized arguments: --fast"),
-    (["sweep", "--preset", "fig5-sensitivity", "--jobs", "0"], "argument --jobs: must be an integer of at least 1, got '0'"),
-    (["sweep", "--preset", "fig5-sensitivity", "--jobs", "-4"], "got '-4'"),
-    (["sweep", "--preset", "fig5-sensitivity", "--jobs", "two"], "got 'two'"),
+    (["sweep", "--preset", "fig5-sensitivity", "--jobs", "0"], "unrecognized arguments: --jobs"),
+    (["sweep", "--preset", "fig5-sensitivity", "--jobs", "-4"], "unrecognized arguments: --jobs"),
+    (["sweep", "--preset", "fig5-sensitivity", "--jobs", "two"], "unrecognized arguments: --jobs"),
 ], ids=["seed-not-int", "no-config", "unknown-flag", "jobs-zero", "jobs-negative", "jobs-word"])
 def test_bad_command_line_exits_3_with_usage(capsys, argv, message):
     assert main(argv) == EXIT_CONFIG
@@ -492,7 +495,9 @@ def test_bad_command_line_exits_3_with_usage(capsys, argv, message):
 def test_help_exits_0(capsys):
     assert main(["-h"]) == EXIT_OK
     assert main(["sweep", "--help"]) == EXIT_OK
-    assert "--jobs" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "--preset" in text
+    assert "--jobs" not in text
 
 
 def test_config_that_is_not_utf8_exits_3(tmp_path, capsys):
@@ -643,14 +648,10 @@ def test_sweep_spectral_rows_match_four_regimes_per_cell(tmp_path, monkeypatch):
     report = spectral.spectral_report
     calls = []
     monkeypatch.setattr(spectral, "spectral_report", lambda A, m: calls.append(0) or report(A, m))
-    outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
-    for jobs, out in outs.items():
-        calls.clear()
-        argv = ["sweep", "--config", str(path), "--out", str(out), "--jobs", str(jobs)]
-        assert main(argv) == EXIT_OK
-        assert len(calls) == 3 * 18 + 6  # three per cell, one per (khop, alpha) group
-    text = (outs[1] / "sweep.csv").read_text()
-    assert (outs[2] / "sweep.csv").read_text() == text
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    assert len(calls) == 3 * 18 + 6  # three per cell, one per (khop, alpha) group
+    text = (out / "sweep.csv").read_text()
     cfg = cfgmod.parse_config(json.dumps(body))
     costs, x0, _ = cli._build_costs(cfg)
     hess = aggregate_hessian(costs, x0)
@@ -696,7 +697,7 @@ def test_sweep_map_averages_verdicts_over_a_third_axis(tmp_path, monkeypatch):
     # (alpha=1, khop=1) is stable at rho=0.5 only; the last rho must not decide its cell
     verdicts = {(1.0, 0.5): True, (1.0, 1.0): False, (2.0, 0.5): False, (2.0, 1.0): False}
 
-    def fake_rows(cfg, axes, jobs):
+    def fake_rows(cfg, axes):
         return [{"alpha": a, "khop": 1.0, "rho": r, "stable": ok}
                 for (a, r), ok in verdicts.items()]
 
@@ -802,3 +803,111 @@ def test_svm_run_reports_the_oracle_gradient_norm(tmp_path):
     assert 0.0 < float(bound) < float(distance) and np.isfinite(float(bound))
     # the per-agent lines stay the only keys that start with agent_
     assert re.findall(r"^  (agent_\w*):", meta, flags=re.M) == [f"agent_{i}_final" for i in range(3)]
+
+
+# configs at the edge of the float range that once ended in a traceback
+SPAN_OVERFLOW = {"seed": 2, "partition": {"n_agents": 5},
+                 "network": {"khop": 1, "switch_mode": "fixed"},
+                 "cost": {"kind": "quadratic", "m": 2, "curvature_scale": 3.0},
+                 "solver": {"alpha": 1e308, "eta": 1.0, "t_end": 1.0, "method": "euler",
+                            "sample_stride": 1}}
+SPAN_ROUNDS_TO_ZERO = {"seed": 10, "partition": {"n_agents": 3},
+                       "network": {"khop": 1, "switch_mode": "fixed", "switch_period": 0.2},
+                       "nonlinearity": {"kind": "uniform_quantizer", "rho": 1e300},
+                       "cost": {"kind": "quadratic", "m": 2, "curvature_scale": 1e150},
+                       "solver": {"alpha": 1.0, "eta": 0.1, "t_end": 0.3, "method": "rk4"}}
+OVERFLOWING_SYSTEM = {"seed": 12, "partition": {"n_agents": 5},
+                      "network": {"khop": 1, "switch_mode": "fixed"},
+                      "cost": {"kind": "quadratic", "m": 1, "curvature_scale": 1.7e308},
+                      "nonlinearity": {"kind": "log_quantizer", "rho": 1.0},
+                      "outputs": {"plots": False},
+                      "sweep": {"mode": "spectral", "axes": {"alpha": [0.2]}}}
+
+
+@pytest.mark.parametrize("body", [SPAN_OVERFLOW, SPAN_ROUNDS_TO_ZERO],
+                         ids=["span-overflows", "span-rounds-to-zero"])
+def test_diverged_run_near_the_float_limit_draws_its_plots(tmp_path, capsys, body):
+    # states of about +-1.67e308, whose span overflows, and a cost column
+    # whose one finite value 7.97e150 does not move when one unit is added
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_config(tmp_path, body)), "--out", str(out)]) == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("gtflow: the run diverged at t = ")
+    for name in ("states.svg", "cost.svg", "grad_sum.svg"):
+        assert "nan" not in (out / name).read_text()
+
+
+def test_run_whose_cost_moves_by_one_ulp_finishes(tmp_path):
+    # the cost column reads 7.9658407712319912 then ...903: a tick step below
+    # half an ulp of the values once left the cost plot's tick loop spinning
+    body = {"seed": 10, "partition": {"n_agents": 3},
+            "network": {"khop": 1, "switch_mode": "fixed"},
+            "nonlinearity": {"kind": "uniform_quantizer", "rho": 1e300},
+            "cost": {"kind": "quadratic", "m": 2},
+            "solver": {"alpha": 5e-16, "eta": 0.1, "t_end": 0.3, "method": "euler"}}
+    out = tmp_path / "o"
+    argv = [sys.executable, "-m", "gtflow.cli", "run",
+            "--config", str(write_config(tmp_path, body)), "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    costs = [row["cost"] for row in csv.DictReader((out / "trace.csv").read_text().splitlines())]
+    assert costs == ["7.9658407712319912", "7.9658407712319903"]
+    assert "7.96584" in (out / "cost.svg").read_text()
+
+
+def test_spectral_cell_whose_system_matrix_overflows_is_unstable(tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["sweep", "--config", str(write_config(tmp_path, OVERFLOWING_SYSTEM)), "--out", str(out)]
+    with pytest.warns(RuntimeWarning, match="overflow"):  # in assemble's B @ LG
+        assert main(argv) == EXIT_OK
+    [row] = csv.DictReader((out / "sweep.csv").read_text().splitlines())
+    assert row["stable"] == "False"
+    assert "Traceback" not in capsys.readouterr().err
+    # a matrix the eigensolver refuses reads as a report that is not stable
+    report = spectral.spectral_report(np.full((4, 4), np.inf), 1)
+    assert not report.stable and math.isnan(report.max_nonzero_real)
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
+BASES = ([json.loads(cfgmod.load_preset(name)) for name in cfgmod.preset_names()]
+         + [json.loads(path.read_text(encoding="utf-8")) for path in sorted(WORKLOADS.glob("*.json"))])
+NUMERIC_KEYS = [("seed",)] + [(section, key) for section, keys in cfgmod.SCHEMA.items()
+                               for key, ((kind, _), _) in keys.items()
+                               if kind in ("number", "integer")]
+EXTREMES = st.sampled_from([0, -1, 3, 0.0, 1e-300, -1e-300, 1e-150, -1e-8, 1e8, 1e150,
+                            -1e150, 1e300, 1.7e308, -1.7e308])
+
+
+@st.composite
+def mutated_configs(draw):
+    """A preset or workload cut to a few hundred steps and two values per sweep
+    axis, with one to three numeric keys set to extreme values."""
+    body = json.loads(json.dumps(draw(st.sampled_from(BASES))))
+    solver = body["solver"]
+    solver["t_end"] = min(solver["t_end"], 300 * solver["eta"])
+    if "sweep" in body:
+        body["sweep"]["t_end"] = solver["t_end"]
+        body["sweep"]["axes"] = {k: v[:2] for k, v in body["sweep"]["axes"].items()}
+    for path in draw(st.lists(st.sampled_from(NUMERIC_KEYS), min_size=1, max_size=3, unique=True)):
+        *sections, key = path
+        target = body.setdefault(sections[0], {}) if sections else body
+        target[key] = draw(EXTREMES)
+    return body
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's own, on these inputs
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(body=SPAN_OVERFLOW, command="run")
+@example(body=SPAN_ROUNDS_TO_ZERO, command="run")
+@example(body=OVERFLOWING_SYSTEM, command="sweep")
+@given(body=mutated_configs(), command=st.sampled_from(["run", "bounds", "sweep"]))
+def test_every_extreme_config_exits_cleanly(body, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(body), encoding="utf-8")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "o")])
+    assert code in (EXIT_OK, EXIT_DIVERGED, EXIT_CONFIG), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
