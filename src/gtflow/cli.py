@@ -197,7 +197,7 @@ def cmd_bounds(args) -> int:
 
 
 def _build_costs(cfg: ExperimentConfig):
-    """Returns (costs, x0, context) where context carries svm data when present."""
+    """Returns (costs, x0, data): the svm dataset, or None for quadratic costs."""
     if cfg["cost"]["kind"] == "quadratic":
         costs = cfgmod.build_quadratic_costs(cfg)
         m = cfg["cost"]["m"]
@@ -207,7 +207,7 @@ def _build_costs(cfg: ExperimentConfig):
     part = cfgmod.build_partition(cfg, data)
     costs = cfgmod.build_svm_costs(cfg, data, part)
     x0 = _initial_state(cfg, len(costs), costs[0].m)
-    return costs, x0, (data, part)
+    return costs, x0, data
 
 
 def cmd_run(args) -> int:
@@ -215,14 +215,14 @@ def cmd_run(args) -> int:
     out = args.out
     meta = ["config:"] + ["  " + ln for ln in cfg.to_json().splitlines()]
 
-    costs, x0, context = _build_costs(cfg)
+    costs, x0, data = _build_costs(cfg)
     schedule = cfgmod.build_schedule(cfg)
     bound_lines = _bounds_lines(cfg, *_bound_report(cfg, schedule, costs, x0))
     meta += ["", "bounds:"] + ["  " + ln for ln in bound_lines]
 
     solver = cfgmod.build_solver(cfg, schedule)
 
-    if context is None:
+    if data is None:
         q_sum = sum(c.Q for c in costs)
         x_star = np.linalg.solve(q_sum, sum(c.Q @ c.b for c in costs))
         reference = np.tile(x_star, (len(costs), 1))
@@ -233,12 +233,9 @@ def cmd_run(args) -> int:
                  f"  final_grad_sum_norm: {format(float(trace.grad_sum_norm[-1]), '.17g')}",
                  f"  final_consensus_error: {format(float(trace.consensus_error[-1]), '.17g')}"]
     else:
-        data, _ = context
         cost_cfg = cfg["cost"]
         try:
-            report = dsvm_experiment(data, costs, solver, x0,
-                                     regularizer_mode=cost_cfg["regularizer_mode"],
-                                     oracle_tol=cost_cfg["oracle_tol"])
+            report = dsvm_experiment(data, costs, solver, x0, oracle_tol=cost_cfg["oracle_tol"])
         except OracleStalled as err:
             raise ConfigError([f"cost.oracle_tol {cost_cfg['oracle_tol']!r} is out of reach: "
                                f"the centralized oracle {err}"]) from None

@@ -21,8 +21,7 @@ from .engine import MAX_SIZE, MAX_STEPS, SolverConfig, aligned_step
 from .graph import SwitchingSchedule, SwitchMode, make_khop_ring
 from .nonlinear import (LinkNonlinearity, identity, log_quantizer, saturation,
                         uniform_quantizer)
-from .svmlab import (LabeledDataset, dataset_from_csv, feature_map, generate_ellipse_data,
-                     partition)
+from .svmlab import LabeledDataset, feature_map, generate_ellipse_data, partition
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_preset",
            "preset_names"]
@@ -50,7 +49,6 @@ SCHEMA = {
         "radius": (_NUM, 0.8),
         "margin_gap": (_NUM, 0.3),
         "seed": (_INT, None),
-        "path": (_STR, None),
     },
     "partition": {
         "n_agents": (_INT, 5),
@@ -99,12 +97,12 @@ SCHEMA = {
 }
 
 _ENUMS = {
-    ("data", "kind"): ("ellipse", "csv"),
-    ("partition", "mode"): ("stratified", "contiguous"),
+    ("data", "kind"): ("ellipse",),
+    ("partition", "mode"): ("stratified",),
     ("network", "switch_mode"): ("fixed", "permute"),
     ("nonlinearity", "kind"): ("identity", "log_quantizer", "uniform_quantizer", "saturation"),
     ("cost", "kind"): ("svm", "quadratic"),
-    ("cost", "regularizer_mode"): ("matched", "literal"),
+    ("cost", "regularizer_mode"): ("matched",),
     ("solver", "method"): ("euler", "rk4"),
     ("solver", "y_init"): ("gradient", "zero"),
     ("sweep", "mode"): ("spectral", "dynamics"),
@@ -242,15 +240,12 @@ def _validate_values(seed, sections, problems):
                                 for name, body in sections.items() if "seed" in body]
     problems += [f"{name}={value} must be non-negative"
                  for name, value in seeds if _INT[1](value) and value < 0]
-    if data["kind"] == "ellipse":
-        if not (0 < data["radius"] < 1):
-            problems.append("data.radius must lie in (0, 1)")
-        if data["margin_gap"] < 0:
-            problems.append("data.margin_gap must be non-negative")
-        if data["n_points"] < 2:
-            problems.append("data.n_points must be at least 2")
-    if data["kind"] == "csv" and not data["path"]:
-        problems.append("data.path is required when data.kind is 'csv'")
+    if not (0 < data["radius"] < 1):
+        problems.append("data.radius must lie in (0, 1)")
+    if data["margin_gap"] < 0:
+        problems.append("data.margin_gap must be non-negative")
+    if data["n_points"] < 2:
+        problems.append("data.n_points must be at least 2")
     n_agents = sections["partition"]["n_agents"]
     # larger sizes would exhaust memory or loop for ages in the builders
     sizes = [("data.n_points", data["n_points"]), ("partition.n_agents", n_agents),
@@ -258,7 +253,7 @@ def _validate_values(seed, sections, problems):
     problems += [f"{name} must be at most {MAX_SIZE}" for name, value in sizes if value > MAX_SIZE]
     if n_agents < 1:
         problems.append("partition.n_agents must be positive")
-    if cost["kind"] == "svm" and data["kind"] == "ellipse" and n_agents > data["n_points"]:
+    if cost["kind"] == "svm" and n_agents > data["n_points"]:
         problems.append(f"partition.n_agents={n_agents} exceeds data.n_points={data['n_points']}")
     if not (0 < net["total_weight"] < 1):
         problems.append("network.total_weight must lie in (0, 1)")
@@ -367,12 +362,6 @@ def build_nonlinearity(spec: dict) -> LinkNonlinearity:
 
 def build_dataset(cfg: ExperimentConfig) -> LabeledDataset:
     data = cfg["data"]
-    if data["kind"] == "csv":
-        try:
-            with open(data["path"], encoding="utf-8") as fh:
-                return dataset_from_csv(fh.read())
-        except (OSError, ValueError) as err:
-            raise ConfigError([f"data.path {data['path']!r}: {err}"]) from err
     try:
         return generate_ellipse_data(
             data["n_points"],
@@ -387,7 +376,7 @@ def build_dataset(cfg: ExperimentConfig) -> LabeledDataset:
 def build_partition(cfg: ExperimentConfig, data: LabeledDataset) -> list[np.ndarray]:
     part = cfg["partition"]
     try:
-        return partition(data, part["n_agents"], part["mode"], cfg.section_seed("partition", 2))
+        return partition(data, part["n_agents"], cfg.section_seed("partition", 2))
     except ValueError as err:
         raise ConfigError([f"partition.n_agents={part['n_agents']}: {err}"]) from err
 

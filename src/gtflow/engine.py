@@ -39,8 +39,7 @@ guard for its whole step loop (overflow, invalid values, and the log
 quantizer's division by zero at an exact 0), and ``derivative`` runs
 unguarded on the unguarded link map ``nonlinear.stage_apply`` and Hessian
 ``cost.stage_hessian``, whose lone rows take ``ndarray.dot``, the same
-BLAS call as ``@`` with less dispatch. RK4's combination is summed in
-place in the fresh stage results.
+BLAS call as ``@`` with less dispatch.
 """
 
 from __future__ import annotations
@@ -384,23 +383,12 @@ def integrate(
             s = S[:, 0] if lone else S
             k1 = derivative(s, *args)
             if first.method == "euler":
-                k1 *= eta  # k1 is fresh: s + eta * k1, accumulated in place
-                k1 += s
-                s = k1
+                s = s + eta * k1
             else:
                 k2 = derivative(s + half * k1, *args)
                 k3 = derivative(s + half * k2, *args)
                 k4 = derivative(s + eta * k3, *args)
-                # s + sixth * (k1 + 2 k2 + 2 k3 + k4), summed in place in the
-                # fresh stage results with the same operations in the same order
-                k2 *= 2
-                k1 += k2
-                k3 *= 2
-                k1 += k3
-                k1 += k4
-                k1 *= sixth
-                k1 += s
-                s = k1
+                s = s + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
             S = s[:, None] if lone else s
             A = np.abs(S)
             np.fmax(peaks, A, out=peaks)

@@ -130,9 +130,9 @@ def make_khop_ring(
 
     Every incident link gets weight ``total_weight / (2k)`` so each row sums
     to ``total_weight``, keeping the row-sum bound satisfied by construction.
-    The ``directed`` variant (experimental) links each node only to its k
-    clockwise successors with weight ``total_weight / k``; the circulant
-    structure keeps it strongly connected and weight-balanced.
+    The ``directed`` variant links each node only to its k clockwise
+    successors with weight ``total_weight / k``; the circulant structure
+    keeps it strongly connected and weight-balanced.
 
     Parameters
     ----------

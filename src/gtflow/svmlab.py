@@ -10,11 +10,8 @@ the state vector x = [w; nu] itself, the hyperplane sgn(w . phi(c) - nu).
 
 The baseline solves the agents' problem: it takes C, mu and eps_nu from
 their costs. The per-agent cost counts the quadratic regularizer once per
-agent, so the stacked consensus objective carries it n times. The default
-'matched' comparison therefore scales the centralized baseline's
-regularizer by n (both sides then minimize the identical function);
-'literal' keeps the single-count centralized objective and comparisons
-should then be read as decision-boundary comparisons only.
+agent, so the stacked consensus objective carries it n times; the baseline
+scales its regularizer by n, so both sides minimize the identical function.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ __all__ = [
     "OracleStalled",
     "evaluate",
     "dsvm_experiment",
-    "dataset_from_csv",
 ]
 
 
@@ -111,31 +107,22 @@ def generate_ellipse_data(
     return LabeledDataset(pts, labs)
 
 
-def partition(
-    data: LabeledDataset, n_agents: int, mode: str = "stratified", seed: int = 0
-) -> list[np.ndarray]:
+def partition(data: LabeledDataset, n_agents: int, seed: int = 0) -> list[np.ndarray]:
     """Split a dataset across agents: one array of point indices per agent.
 
-    'stratified' deals each label class round-robin after a seeded shuffle,
-    so per-agent label proportions stay within one point of the global ones.
-    'contiguous' hands out raw index blocks; with label-sorted data that
-    produces single-label shards, the degenerate-curvature stress case.
+    Each label class is dealt round-robin after a seeded shuffle, so
+    per-agent label proportions stay within one point of the global ones.
     """
     if n_agents < 1 or n_agents > data.count:
         raise ValueError("need 1 <= n_agents <= point count")
-    if mode == "stratified":
-        rng = np.random.default_rng(seed)
-        shuffled = []
-        for label in (1.0, -1.0):
-            idx = np.flatnonzero(data.labels == label)
-            rng.shuffle(idx)
-            shuffled.append(idx)
-        order = np.concatenate(shuffled)
-        return [order[a::n_agents] for a in range(n_agents)]
-    if mode == "contiguous":
-        bounds = np.linspace(0, data.count, n_agents + 1).astype(int)
-        return [np.arange(bounds[a], bounds[a + 1]) for a in range(n_agents)]
-    raise ValueError(f"unknown partition mode {mode!r}")
+    rng = np.random.default_rng(seed)
+    shuffled = []
+    for label in (1.0, -1.0):
+        idx = np.flatnonzero(data.labels == label)
+        rng.shuffle(idx)
+        shuffled.append(idx)
+    order = np.concatenate(shuffled)
+    return [order[a::n_agents] for a in range(n_agents)]
 
 
 class OracleStalled(RuntimeError):
@@ -171,19 +158,22 @@ def centralized_oracle(
     regularizer_scale: float = 1.0,
     max_iter: int = 200000,
 ) -> OracleResult:
-    """Centralized baseline via gradient descent with backtracking.
+    """Centralized baseline: gradient descent with backtracking, then Newton steps.
 
     Minimizes  regularizer_scale * (w.w + eps_nu nu^2) + C * sum_j L(z_j, mu)
-    to gradient norm ``tol``. ``regularizer_scale=n`` is the matched mode
-    (identical objective to the n-agent consensus problem); 1 is the literal
-    single-count objective. Armijo constant 1e-4, shrink factor 0.5, with the
-    accepted step carried (doubled) into the next iteration. Raises
-    ``OracleStalled`` when the tolerance is out of reach: at the iteration
-    cap, or as soon as an iteration accepts the step it was carried with and
-    a candidate equal to x bit for bit. Value and gradient depend on x alone,
-    so the iteration is then at an exact fixed point of its map and never
-    moves again (the Armijo test accepts it because values that agree to
-    rounding compare equal).
+    to gradient norm ``tol``; ``regularizer_scale=n`` gives the objective of
+    the n-agent consensus problem. Armijo constant 1e-4, shrink factor 0.5.
+    Descent carries its accepted step (doubled) into the next iteration. It
+    hands over to Newton steps d = H^-1 g, whose line search starts at step
+    1, once 1% of ``max_iter`` has passed or when descent cannot go on: its
+    line search stalls, or an iteration accepts the step it was carried with
+    and a candidate equal to x bit for bit, an exact fixed point of its map
+    (value and gradient depend on x alone; the Armijo test accepts it
+    because values that agree to rounding compare equal). So an
+    ill-conditioned problem, on which descent crawls, still converges.
+    Raises ``OracleStalled`` when the tolerance is out of reach: at the
+    iteration cap, on a singular Hessian, or when the Newton line search
+    stalls or a Newton step leaves x unchanged bit for bit.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -195,6 +185,7 @@ def centralized_oracle(
     x = np.zeros(cost.m)
     step = 1.0
     value = cost.value(x)
+    newton = False
     for it in range(max_iter):
         grad = cost.gradient(x)
         gn_sq = float(grad @ grad)
@@ -202,18 +193,32 @@ def centralized_oracle(
             curvature = np.linalg.eigvalsh(aggregate_hessian([cost], x[None])[0])[0]
             return OracleResult(x, regularizer_scale * value,
                                 np.sqrt(gn_sq), it, float(np.sqrt(gn_sq) / curvature))
-        carried, step = step, min(step * 2.0, 1e8)
-        while True:
-            candidate = x - step * grad
+        newton = newton or it >= max_iter // 100
+        if newton:
+            try:
+                direction = np.linalg.solve(aggregate_hessian([cost], x[None])[0], grad)
+            except np.linalg.LinAlgError:
+                raise OracleStalled("met a singular Hessian", np.sqrt(gn_sq)) from None
+            carried, step, slope = None, 1.0, float(grad @ direction)
+        else:
+            direction, slope = grad, gn_sq
+            carried, step = step, min(step * 2.0, 1e8)
+        while step >= 1e-18:
+            candidate = x - step * direction
             cand_value = cost.value(candidate)
-            if cand_value <= value - 1e-4 * step * gn_sq:
+            if cand_value <= value - 1e-4 * step * slope:
                 break
             step *= 0.5
-            if step < 1e-18:
+        else:
+            if newton:
                 raise OracleStalled("line search stalled", np.sqrt(gn_sq))
-        if step == carried and np.array_equal(candidate, x):
-            # (x, step) maps to itself: every later iteration is this one
-            raise OracleStalled(f"stopped moving at iteration {it}", np.sqrt(gn_sq))
+            newton = True
+            continue
+        if np.array_equal(candidate, x) and (newton or step == carried):
+            # (x, step) maps to itself: every later iteration of this phase is this one
+            if newton:
+                raise OracleStalled(f"stopped moving at iteration {it}", np.sqrt(gn_sq))
+            newton = True
         x, value = candidate, cand_value
     raise OracleStalled(f"reached the iteration cap {max_iter}",
                         float(np.linalg.norm(cost.gradient(x))))
@@ -259,26 +264,23 @@ def dsvm_experiment(
     costs: list[SvmHingeCost],
     solver: SolverConfig,
     x0: np.ndarray,
-    regularizer_mode: str = "matched",
     oracle_tol: float = 1e-6,
 ) -> DsvmReport:
     """Integrate the per-agent costs from x0 and compare against the baseline.
 
     ``costs`` are the agents' shards of ``data``, all with one C, mu and
-    eps_nu; the oracle solves the centralized problem with those. The
-    consensus classifier is the network mean of the agents' final states;
-    the spread is the max distance of any agent from that mean.
+    eps_nu; the oracle solves the centralized problem with those, its
+    regularizer scaled by the agent count. The consensus classifier is the
+    network mean of the agents' final states; the spread is the max
+    distance of any agent from that mean.
     """
-    if regularizer_mode not in ("matched", "literal"):
-        raise ValueError(f"unknown regularizer mode {regularizer_mode!r}")
     shared = {(c.C, c.mu, c.eps_nu) for c in costs}
     if len(shared) != 1:
         raise ValueError("the agents' costs must share one C, mu and eps_nu")
     (C, mu, eps_nu), = shared
     n = len(costs)
-    scale = float(n) if regularizer_mode == "matched" else 1.0
     oracle = centralized_oracle(data, C=C, mu=mu, eps_nu=eps_nu, tol=oracle_tol,
-                                regularizer_scale=scale)
+                                regularizer_scale=float(n))
     trace = integrate(costs, x0, solver, reference=np.tile(oracle.x, (n, 1)))
 
     final_x = trace.states[-1, 0]
@@ -292,20 +294,3 @@ def dsvm_experiment(
         consensus_accuracy=evaluate(consensus, data),
         oracle_accuracy=evaluate(oracle.x, data),
     )
-
-
-def dataset_from_csv(text: str) -> LabeledDataset:
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines or lines[0][1].strip().lower() != "chi1,chi2,label":
-        raise ValueError("dataset CSV must start with header 'chi1,chi2,label'")
-    pts, labs = [], []
-    for no, ln in lines[1:]:
-        try:
-            a, b, l = (float(v) for v in ln.split(","))
-        except ValueError as err:
-            raise ValueError(f"line {no}: {err}") from None
-        if not np.isfinite([a, b]).all():
-            raise ValueError(f"line {no}: coordinates must be finite, got {a!r}, {b!r}")
-        pts.append((a, b))
-        labs.append(l)
-    return LabeledDataset(np.array(pts), np.array(labs))

@@ -128,12 +128,11 @@ def _run_preset_variant(preset, nonlinearity=None):
     if nonlinearity is not None:
         raw["nonlinearity"] = nonlinearity
     cfg = parse_config(json.dumps(raw))
-    costs, x0, (data, _) = cli._build_costs(cfg)
+    costs, x0, data = cli._build_costs(cfg)
     solver = cfgmod.build_solver(cfg, cfgmod.build_schedule(cfg))
     cost = cfg["cost"]
     start = time.time()
-    rep = dsvm_experiment(data, costs, solver, x0, regularizer_mode=cost["regularizer_mode"],
-                          oracle_tol=cost["oracle_tol"])
+    rep = dsvm_experiment(data, costs, solver, x0, oracle_tol=cost["oracle_tol"])
     return rep, time.time() - start
 
 

@@ -173,6 +173,15 @@ CROSS_FIELD_CASES = {
                            ["partition.n_agents must be at most 10000"]),
     "n-points-too-large": ({"data": {"n_points": 10**20}},
                            ["data.n_points must be at most 10000"]),
+    # input paths that no longer exist: a CSV dataset, contiguous shards and
+    # the single-count baseline objective
+    "removed-input-paths": ({"data": {"kind": "csv", "path": "data.csv"},
+                             "partition": {"mode": "contiguous"},
+                             "cost": {"regularizer_mode": "literal"}},
+                            ["data.kind must be one of ('ellipse',), got 'csv'",
+                             "unknown key data.path",
+                             "partition.mode must be one of ('stratified',), got 'contiguous'",
+                             "cost.regularizer_mode must be one of ('matched',), got 'literal'"]),
     "all-at-once": ({"partition": {"n_agents": 2},
                      "nonlinearity": {"kind": "uniform_quantizer", "rho": -1}},
                     ["network.khop=2 out of range", "nonlinearity.rho must be positive"]),
@@ -196,28 +205,6 @@ def test_negative_seed_override_exits_3(tmp_path, capsys):
     argv = ["bounds", "--preset", "fig5-sensitivity", "--seed", "-20", "--out", out]
     assert main(argv) == EXIT_CONFIG
     assert "seed=-20 must be non-negative" in capsys.readouterr().err
-
-
-def test_missing_dataset_csv_exits_3(tmp_path, capsys):
-    missing = tmp_path / "missing.csv"
-    cfg = write_config(tmp_path, {"seed": 1, "data": {"kind": "csv", "path": str(missing)}})
-    assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert f"data.path {str(missing)!r}" in err
-    assert "No such file" in err
-
-
-def test_malformed_dataset_csv_exits_3(tmp_path, capsys):
-    data = tmp_path / "data.csv"
-    cfg = write_config(tmp_path, {"seed": 1, "data": {"kind": "csv", "path": str(data)}})
-    for row, message in [("0.3,abc,-1", "line 4: could not convert string to float"),
-                         ("inf,0.2,1", "line 4: coordinates must be finite"),
-                         ("0.3,nan,-1", "line 4: coordinates must be finite")]:
-        data.write_text(f"chi1,chi2,label\n0.1,0.2,1\n\n{row}\n", encoding="utf-8")
-        assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"data.path {str(data)!r}" in err
-        assert message in err
 
 
 @pytest.mark.parametrize("method, stages", [("rk4", 4), ("euler", 1)])

@@ -419,6 +419,23 @@ def permuting_schedule(n):
     return SwitchingSchedule(make_khop_ring(n, 2, 0.8), 0.1, rng_seed=4, mode=SwitchMode.PERMUTE)
 
 
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_switching_run_matches_the_serial_reference(method, directed):
+    # a permuted 6-agent 1-hop ring changes its Laplacian at every switch; the
+    # uniform K5 of permuting_schedule never does, its schedule being static
+    costs = quadratic_fixture(n=6)[0]
+    x0 = np.random.default_rng(7).uniform(-1, 1, size=(6, 2))
+    sched = SwitchingSchedule(make_khop_ring(6, 1, 0.8, directed=directed), 0.1,
+                              rng_seed=4, mode=SwitchMode.PERMUTE)
+    assert not sched.static
+    cfg = SolverConfig(alpha=0.3, eta=0.01, t_end=1.0, schedule=sched, g=log_quantizer(1.0),
+                       method=method, sample_stride=7)
+    trace = integrate(costs, x0, cfg)
+    assert (trace.status, trace.topology_switches) == ("completed", 10)
+    assert_matches_reference(trace, costs, x0, cfg)
+
+
 LINKS = {"log_quantizer": [log_quantizer(r) for r in (0.5, 1.0, 1.5, 1.9)],
          "uniform_quantizer": [uniform_quantizer(r) for r in (0.05, 0.2, 0.1, 0.4)],
          "saturation": [saturation(0.7)] * 4}

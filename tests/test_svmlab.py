@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from gtflow.config import build_svm_costs, parse_config
+from gtflow.config import build_dataset, build_svm_costs, load_preset, parse_config
 from gtflow.cost import sum_gradient
 from gtflow.engine import SolverConfig
 from gtflow.graph import SwitchingSchedule, SwitchMode, make_khop_ring
-from gtflow.svmlab import (LabeledDataset, centralized_oracle, dataset_from_csv,
-                           dsvm_experiment, evaluate, feature_map,
-                           generate_ellipse_data, partition)
+from gtflow.svmlab import (LabeledDataset, OracleStalled, centralized_oracle, dsvm_experiment,
+                           evaluate, feature_map, generate_ellipse_data, partition)
 
 
 def decision_values(x, points):
@@ -60,7 +59,7 @@ def test_partition_single_agent_and_stratified_counts():
     data = generate_ellipse_data(200, seed=11, radius=0.8, margin_gap=0.05)
     single = partition(data, 1)
     assert [len(agents) for agents in single] == [200]
-    part = partition(data, 5, "stratified", seed=2)
+    part = partition(data, 5, seed=2)
     assert [len(agents) for agents in part] == [40] * 5
     global_pos = int(np.sum(data.labels > 0))
     for agents in part:
@@ -68,24 +67,12 @@ def test_partition_single_agent_and_stratified_counts():
         assert abs(pos - global_pos / 5) <= 1
 
 
-def test_partition_contiguous_gives_single_label_shards():
-    order = np.argsort(np.concatenate([np.full(30, -1.0), np.full(30, 1.0)]))
-    pts = np.random.default_rng(0).uniform(-1, 1, size=(60, 2))
-    labels = np.concatenate([np.full(30, -1.0), np.full(30, 1.0)])[order]
-    data = LabeledDataset(pts, np.sort(labels))
-    part = partition(data, 2, "contiguous")
-    assert len(part) == 2
-    for agents in part:
-        assert len(set(data.labels[agents])) == 1
-
-
 def test_partition_disjoint_exhaustive_all_modes():
     data = generate_ellipse_data(101, seed=5, radius=0.7, margin_gap=0.0)
-    for mode in ("stratified", "contiguous"):
-        for seed in (0, 1, 2):
-            part = partition(data, 7, mode, seed)
-            assert len(part) == 7
-            assert np.array_equal(np.sort(np.concatenate(part)), np.arange(101))
+    for seed in (0, 1, 2):
+        part = partition(data, 7, seed)
+        assert len(part) == 7
+        assert np.array_equal(np.sort(np.concatenate(part)), np.arange(101))
 
 
 def test_partition_rejects_too_many_agents():
@@ -98,6 +85,22 @@ def test_oracle_reaches_stationarity():
     data = generate_ellipse_data(120, seed=13, radius=0.8, margin_gap=0.1)
     result = centralized_oracle(data, C=1.0, mu=2.0, tol=1e-7)
     assert result.gradient_norm <= 1e-7
+
+
+def test_oracle_converges_on_an_ill_conditioned_problem():
+    # eps_nu = 1e8 makes nu so stiff that gradient descent's steps crawl
+    # along w until the cap; the Newton phase takes over after 1% of it
+    data = build_dataset(parse_config(load_preset("fig2-nonlinear-dsvm")))
+    result = centralized_oracle(data, eps_nu=1e8, regularizer_scale=5.0, max_iter=20000)
+    assert result.gradient_norm <= 1e-6
+
+
+def test_oracle_stalls_on_a_singular_newton_system():
+    # mu = 1e300 leaves the hinge no curvature away from its kink, and
+    # eps_nu = 0 leaves nu none of its own: the Hessian is singular
+    data = build_dataset(parse_config(load_preset("fig2-nonlinear-dsvm")))
+    with pytest.raises(OracleStalled, match="met a singular Hessian, at gradient norm"):
+        centralized_oracle(data, mu=1e300, eps_nu=0.0, regularizer_scale=5.0)
 
 
 def test_oracle_error_bound_covers_the_distance_to_a_tighter_oracle():
@@ -153,15 +156,6 @@ def test_evaluate_negation_flips_non_ties():
     assert acc + neg_acc == pytest.approx(non_tie)
 
 
-def test_dataset_csv_round_trip():
-    data = generate_ellipse_data(40, seed=29, radius=0.6, margin_gap=0.0)
-    rows = [f"{format(p[0], '.17g')},{format(p[1], '.17g')},{int(l)}"
-            for p, l in zip(data.points, data.labels)]
-    back = dataset_from_csv("chi1,chi2,label\n" + "\n".join(rows) + "\n")
-    assert (back.points == data.points).all()
-    assert (back.labels == data.labels).all()
-
-
 def agent_costs(data, part, cost="{}"):
     # C=1, mu=2, eps_nu=1e-6 unless ``cost`` sets them: the cost section's defaults
     return build_svm_costs(parse_config(f'{{"seed": 1, "cost": {cost}}}'), data, part)
@@ -170,14 +164,14 @@ def agent_costs(data, part, cost="{}"):
 def test_dsvm_experiment_smoke():
     # small fixture: identity links, short horizon; field sanity only
     data = generate_ellipse_data(45, seed=31, radius=0.8, margin_gap=0.1)
-    part = partition(data, 3, "stratified", seed=1)
+    part = partition(data, 3, seed=1)
     sched = SwitchingSchedule(make_khop_ring(3, 1, 0.8), 0.01,
                               rng_seed=2, mode=SwitchMode.PERMUTE)
     solver = SolverConfig(alpha=1.0, eta=0.01, t_end=5.0, schedule=sched,
                           sample_stride=50)
     costs = agent_costs(data, part)
     x0 = np.random.default_rng(3).uniform(0.0, 1.0, size=(3, 4))
-    report = dsvm_experiment(data, costs, solver, x0, regularizer_mode="matched")
+    report = dsvm_experiment(data, costs, solver, x0)
     assert report.trace.status == "completed"
     assert report.consensus.shape == report.oracle.x.shape == (4,)
     assert report.consensus_spread >= 0
@@ -212,12 +206,3 @@ def test_dsvm_rejects_costs_with_different_parameters():
     with pytest.raises(ValueError, match="share"):
         dsvm_experiment(data, costs, solver, np.zeros((3, 4)))
 
-
-def test_dsvm_regularizer_mode_validation():
-    data = generate_ellipse_data(30, seed=37, radius=0.8, margin_gap=0.1)
-    part = partition(data, 3)
-    sched = SwitchingSchedule(make_khop_ring(3, 1, 0.8), 0.01)
-    solver = SolverConfig(alpha=1.0, eta=0.01, t_end=0.1, schedule=sched)
-    x0 = np.zeros((3, 4))
-    with pytest.raises(ValueError, match="regularizer"):
-        dsvm_experiment(data, agent_costs(data, part), solver, x0, regularizer_mode="averaged")
